@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from scipy import stats
+import numpy as np
 
 from .errors import FormatError
 from .metrics import MetricRecord, relative_change
@@ -52,11 +52,24 @@ def relative_change_records(records):
     return out
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    x = np.asarray(values, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(xs, ys) -> float:
     """Spearman rank correlation; 0.0 when either side is constant."""
-    result = stats.spearmanr(xs, ys)
-    value = float(result.statistic)
-    return 0.0 if value != value else value  # NaN from constant input
+    rx, ry = _average_ranks(xs), _average_ranks(ys)
+    dx, dy = rx - rx.mean(), ry - ry.mean()
+    denom = np.sqrt((dx @ dx) * (dy @ dy))
+    return float(dx @ dy / denom) if denom > 0 else 0.0
 
 
 def mean_over(records, metric, layers=None, rounds=None, phase=None, clients=None):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .dumps import U16_MAX
 from .errors import ConfigError
 from .fed import LOCAL_EPOCH_ABLATION, parse_personalization
 
@@ -207,6 +208,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     f = cfg.fed
     if f.rounds < 1:
         raise ConfigError("rounds must be positive", field="fed.rounds")
+    if cfg.output.dump_features and f.rounds > U16_MAX:
+        raise ConfigError(f"feature dumps store the round as u16, so at most {U16_MAX} "
+                          "rounds can be dumped", field="fed.rounds")
     if f.local_epochs < 0:
         raise ConfigError("local_epochs must be non-negative",
                           field="fed.local_epochs")

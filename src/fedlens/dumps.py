@@ -23,6 +23,8 @@ from .nn import ParamVector, load_params, save_params
 FPLF_MAGIC = b"FPLF"
 FPLF_VERSION = 1
 FPLF_HEADER = struct.Struct("<4sHIIHBH")
+U16_MAX = 0xFFFF
+U32_MAX = 0xFFFFFFFF
 _PHASE_CODE = {"pre": 0, "post": 1}
 _PHASE_NAME = {0: "pre", 1: "post"}
 
@@ -41,8 +43,12 @@ def model_filename(round_index: int, client: int, phase: str) -> str:
 def write_features(path, fm: FeatureMatrix) -> None:
     if fm.phase not in _PHASE_CODE:
         raise FormatError(f"cannot dump phase {fm.phase!r}")
-    if fm.labels.size and (fm.labels.min() < 0 or fm.labels.max() > 0xFFFF):
+    if fm.labels.size and (fm.labels.min() < 0 or fm.labels.max() > U16_MAX):
         raise FormatError("labels do not fit in u16")
+    for name, value, top in (("n", fm.n, U32_MAX), ("dim", fm.dim, U32_MAX),
+                             ("layer", fm.layer, U16_MAX), ("round", fm.round, U16_MAX)):
+        if not 0 <= value <= top:
+            raise FormatError(f"{name} {value} does not fit the FPLF header range 0..{top}")
     header = FPLF_HEADER.pack(FPLF_MAGIC, FPLF_VERSION, fm.n, fm.dim,
                               fm.layer, _PHASE_CODE[fm.phase], fm.round)
     payload = fm.values.astype("<f4").tobytes() + fm.labels.astype("<u2").tobytes()

@@ -9,14 +9,6 @@ class NumericError(ValueError):
     """Non-finite values appeared where finite ones are required."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its iteration budget."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class FormatError(ValueError):
     """A binary file or serialized payload is malformed."""
 

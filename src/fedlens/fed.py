@@ -178,7 +178,7 @@ def resolve_mask(mode, layout, num_layers: int) -> PersonalizationMask:
     return PersonalizationMask(canonical, layers, flags)
 
 
-def aggregate(models, counts, mask=None) -> ParamVector:
+def aggregate(models, counts) -> ParamVector:
     """Sample-count-weighted mean of parameter vectors.
 
     Models are summed in a canonical order (sorted by count, then raw bytes)
@@ -186,7 +186,7 @@ def aggregate(models, counts, mask=None) -> ParamVector:
     clipped into the elementwise [min, max] envelope of the inputs, which
     keeps the mean convex and makes averaging identical vectors an exact
     no-op. Masked coordinates are superseded by `splice`, which restores each
-    client's own values; the mask argument is accepted for signature parity.
+    client's own values.
     """
     models = list(models)
     if not models:

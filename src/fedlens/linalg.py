@@ -1,8 +1,8 @@
-"""Dense matrix kernels: products, traces, norms, and a Jacobi SVD.
+"""Dense matrix helpers: input validation and a thin SVD with a rank cutoff.
 
-Everything operates on plain 2-D float64 numpy arrays. The SVD is a
-one-sided Jacobi iteration, which is simple and accurate at the small
-sizes used here (tens of dimensions, a few hundred rows at most).
+Everything operates on plain 2-D float64 numpy arrays. The SVD is LAPACK's,
+through numpy; this module adds only the relative cutoff that decides which
+singular values count as zero.
 """
 
 from __future__ import annotations
@@ -11,10 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericError, ShapeError
-
-JACOBI_MAX_SWEEPS = 60
-JACOBI_TOL = 1e-12
+from .errors import NumericError, ShapeError
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -25,25 +22,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite entries")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def trace(a) -> float:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace needs a square matrix, got {a.shape}")
-    return float(np.trace(a))
-
-
-def frobenius(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
 
 
 @dataclass(frozen=True)
@@ -67,125 +45,14 @@ class SvdFactors:
         return int(np.count_nonzero(self.s))
 
 
-def _pair_schedule(n: int):
-    """Round-robin schedule covering every column pair once per sweep.
+def svd(a) -> SvdFactors:
+    """Thin singular value decomposition through LAPACK (numpy.linalg.svd).
 
-    Returns a list of (p, q) index-array batches. Pairs within a batch are
-    disjoint, so one vectorized rotation step equals applying the batch
-    sequentially in any order.
-    """
-    players = list(range(n))
-    if n % 2:
-        players.append(n)  # dummy slot; pairs touching it are dropped
-    k = len(players)
-    steps = []
-    ring = players[1:]
-    for _ in range(k - 1):
-        order = [players[0]] + ring
-        ps, qs = [], []
-        for i in range(k // 2):
-            x, y = order[i], order[k - 1 - i]
-            if x < n and y < n:
-                ps.append(min(x, y))
-                qs.append(max(x, y))
-        steps.append((np.asarray(ps, dtype=int), np.asarray(qs, dtype=int)))
-        ring = ring[-1:] + ring[:-1]
-    return steps
-
-
-def _fill_orthonormal(u: np.ndarray, empty_cols: np.ndarray) -> None:
-    """Fill the listed columns of u with unit vectors orthogonal to the rest."""
-    if empty_cols.size == 0:
-        return
-    m = u.shape[0]
-    empty = set(int(j) for j in empty_cols)
-    filled = [j for j in range(u.shape[1]) if j not in empty]
-    for j in empty_cols:
-        basis = u[:, filled] if filled else np.zeros((m, 0))
-        resid = np.eye(m) - basis @ basis.T
-        norms = np.linalg.norm(resid, axis=0)
-        k = int(np.argmax(norms))
-        w = resid[:, k]
-        w = w - basis @ (basis.T @ w)  # second pass for tight orthogonality
-        u[:, int(j)] = w / np.linalg.norm(w)
-        filled.append(int(j))
-
-
-def svd(a, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JACOBI_TOL) -> SvdFactors:
-    """One-sided Jacobi singular value decomposition.
-
-    Plane rotations orthogonalize the columns of the working matrix; once
-    every column pair is orthogonal to relative tolerance `tol`, column norms
-    are the singular values. Matrices wider than tall are factored through
-    their transpose. Raises ConvergenceError (carrying the final off-diagonal
-    residual) if the sweep cap is exhausted.
+    Singular values at or below max(rows, cols) * eps * s_max are set to
+    exactly 0.0, so `rank` counts only the numerically non-zero directions;
+    u and v stay orthonormal either way.
     """
     a = as_matrix(a)
-    rows, cols = a.shape
-    transposed = rows < cols
-    b = np.array(a.T if transposed else a, dtype=np.float64)
-    m, n = b.shape
-    v = np.eye(n)
-
-    if n > 1:
-        schedule = _pair_schedule(n)
-        converged = False
-        residual = 0.0
-        for _ in range(max_sweeps):
-            residual = 0.0
-            for ps, qs in schedule:
-                if ps.size == 0:
-                    continue
-                bp = b[:, ps]
-                bq = b[:, qs]
-                app = np.einsum("ij,ij->j", bp, bp)
-                aqq = np.einsum("ij,ij->j", bq, bq)
-                apq = np.einsum("ij,ij->j", bp, bq)
-                norm_prod = np.sqrt(app * aqq)
-                rel = np.divide(np.abs(apq), norm_prod,
-                                out=np.zeros_like(apq), where=norm_prod > 0)
-                residual = max(residual, float(rel.max()))
-                hit = rel > tol
-                if not hit.any():
-                    continue
-                tau = (aqq[hit] - app[hit]) / (2.0 * apq[hit])
-                t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                pr = ps[hit]
-                qr = qs[hit]
-                bp = b[:, pr].copy()
-                bq = b[:, qr].copy()
-                b[:, pr] = c * bp - s * bq
-                b[:, qr] = s * bp + c * bq
-                vp = v[:, pr].copy()
-                vq = v[:, qr].copy()
-                v[:, pr] = c * vp - s * vq
-                v[:, qr] = s * vp + c * vq
-            if residual <= tol:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"Jacobi SVD did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal residual {residual:.3e})",
-                residual=residual,
-            )
-
-    norms = np.sqrt(np.einsum("ij,ij->j", b, b))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    b = b[:, order]
-    v = v[:, order]
-    top = norms[0] if norms.size else 0.0
-    cutoff = max(m, n) * np.finfo(np.float64).eps * top
-    s = np.where(norms > cutoff, norms, 0.0)
-    u = np.zeros((m, n))
-    nz = s > 0
-    if nz.any():
-        u[:, nz] = b[:, nz] / s[nz]
-    _fill_orthonormal(u, np.flatnonzero(~nz))
-
-    if transposed:
-        return SvdFactors(u=v, s=s, v=u)
-    return SvdFactors(u=u, s=s, v=v)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    cutoff = max(a.shape) * np.finfo(np.float64).eps * s.max(initial=0.0)
+    return SvdFactors(u=u, s=np.where(s > cutoff, s, 0.0), v=vt.T)

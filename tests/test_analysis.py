@@ -1,0 +1,28 @@
+"""Rank correlation tests: expected values are worked out by hand."""
+
+import math
+
+import numpy as np
+import pytest
+
+from fedlens.analysis import _average_ranks, spearman
+
+
+class TestSpearman:
+    def test_ties_share_the_mean_of_their_ranks(self):
+        # sorted: 1 -> rank 1, 2 -> rank 2, the three 3s span ranks 3..5 -> 4
+        assert np.array_equal(_average_ranks([3, 1, 3, 2, 3]), [4, 1, 4, 2, 4])
+
+    def test_tied_case_by_hand(self):
+        # x ranks (1, 2.5, 2.5, 4), y ranks (1, 2, 3, 4); centred:
+        # dx = (-1.5, 0, 0, 1.5), dy = (-1.5, -0.5, 0.5, 1.5)
+        # rho = 4.5 / sqrt(4.5 * 5) = sqrt(0.9)
+        assert spearman([10, 20, 20, 30], [1, 2, 3, 4]) == pytest.approx(
+            math.sqrt(0.9), rel=1e-15)
+
+    def test_constant_side_gives_zero(self):
+        assert spearman([7, 7, 7, 7], [1, 2, 3, 4]) == 0.0
+        assert spearman([1, 2, 3, 4], [0.5] * 4) == 0.0
+
+    def test_reversed_order_gives_minus_one(self):
+        assert spearman([1, 2, 3, 4, 5], [50, 40, 30, 20, 10]) == -1.0

@@ -1,13 +1,20 @@
 """End-to-end CLI tests: run outputs, determinism, presets, dump recomputation,
 export, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fedlens
 from fedlens.analysis import CSV_HEADER, read_csv, value_map
 from fedlens.cli import main
 from fedlens.config import load_config, parse_config
-from fedlens.dumps import feature_filename, write_features
+from fedlens.dumps import feature_filename, read_features, write_features
+from fedlens.errors import ConfigError, FormatError
 from fedlens.metrics import FeatureMatrix, is_registered, relative_change
 
 CONFIG_TEMPLATE = """\
@@ -139,6 +146,17 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert "metrics.taps" in capsys.readouterr().err
 
+    def test_dumping_more_rounds_than_u16_is_rejected_up_front(self, workspace):
+        text = write_config(workspace / "longdump.cfg", workspace / "longdump_out",
+                            "dump_features = true\n").read_text()
+        text = text.replace("rounds = 4", "rounds = 65536")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.field == "fed.rounds"
+        # without dumps the same length is valid
+        assert parse_config(text.replace("dump_features = true",
+                                         "dump_features = false")).fed.rounds == 65536
+
     def test_unknown_key_reports_line_number(self, workspace, capsys):
         cfg = workspace / "badkey.cfg"
         cfg.write_text("scenario = baseline\n\n[fed]\nwarp_speed = 9\n")
@@ -237,6 +255,38 @@ class TestMetricsCommand:
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "ghost")]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestDumpHeader:
+    def fm(self, **context):
+        return FeatureMatrix(np.ones((3, 2)), [0, 1, 2], phase="pre", **context)
+
+    def test_largest_u16_round_and_layer_round_trip(self, tmp_path):
+        path = tmp_path / "edge.fplf"
+        write_features(path, self.fm(layer=65535, round=65535))
+        back = read_features(path)
+        assert (back.layer, back.round) == (65535, 65535)
+
+    @pytest.mark.parametrize("field, context", [
+        ("round", {"layer": 0, "round": 65536}),
+        ("layer", {"layer": 65536, "round": 1}),
+        ("layer", {"layer": -1, "round": 1}),
+    ])
+    def test_out_of_range_field_is_a_format_error(self, tmp_path, field, context):
+        path = tmp_path / "bad.fplf"
+        with pytest.raises(FormatError, match=field):
+            write_features(path, self.fm(**context))
+        assert not path.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(fedlens.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, fedlens.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestExport:

@@ -1,48 +1,11 @@
-"""Matrix kernel tests: every expected value comes from hand arithmetic or
-an independent numpy.linalg route (the package's own SVD is Jacobi-based
-and never consulted as its own oracle)."""
+"""SVD wrapper tests: expected values come from hand arithmetic or from
+numpy's symmetric eigensolver, so the wrapper is never its own oracle."""
 
 import numpy as np
 import pytest
 
 from fedlens import linalg
-from fedlens.errors import NumericError, ShapeError
-
-
-def naive_matmul(a, b):
-    # triple-loop reference, deliberately free of numpy matmul
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity_times_matrix(self):
-        a = np.arange(12, dtype=float).reshape(3, 4)
-        assert np.array_equal(linalg.matmul(np.eye(3), a), a)
-
-    def test_direct_arithmetic(self):
-        out = linalg.matmul([[1, 2], [3, 4]], [[0], [1]])
-        assert np.array_equal(out, [[2], [4]])
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(7, 5))
-        b = rng.normal(size=(5, 3))
-        assert np.abs(linalg.matmul(a, b) - naive_matmul(a, b)).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            linalg.matmul([[np.nan]], [[1.0]])
+from fedlens.errors import NumericError
 
 
 class TestSvd:
@@ -98,38 +61,14 @@ class TestSvd:
         rel = np.linalg.norm(u @ v - f.reconstruct()) / np.linalg.norm(u @ v)
         assert rel < 1e-8
 
+    def test_values_below_the_relative_cutoff_are_exactly_zero(self):
+        # s = (1, 1e-20): the second value is far below 2 * eps * 1
+        f = linalg.svd(np.diag([1.0, 1e-20]))
+        assert f.s[1] == 0.0
+        assert f.rank == 1
+        # the cutoff is relative: a uniformly tiny matrix keeps full rank
+        assert linalg.svd(np.diag([1e-20, 5e-21])).rank == 2
+
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
             linalg.svd([[1.0, np.inf]])
-
-
-class TestTrace:
-    def test_identity(self):
-        assert linalg.trace(np.eye(4)) == 4.0
-
-    def test_diag(self):
-        assert linalg.trace(np.diag([0.2, 0.8])) == pytest.approx(1.0, abs=1e-15)
-
-    def test_eigen_oracle(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(5, 5))
-        sym = (m + m.T) / 2
-        assert abs(linalg.trace(sym) - np.linalg.eigvalsh(sym).sum()) < 1e-10
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
-            linalg.trace(np.ones((2, 3)))
-
-    def test_cyclic_property(self):
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(4, 6))
-        b = rng.normal(size=(6, 4))
-        lhs = linalg.trace(linalg.matmul(a, b))
-        rhs = linalg.trace(linalg.matmul(b, a))
-        assert abs(lhs - rhs) < 1e-10
-
-
-def test_frobenius_matches_numpy():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(5, 7))
-    assert linalg.frobenius(a) == pytest.approx(np.linalg.norm(a), rel=1e-14)
