@@ -2,14 +2,12 @@
 
 Subcommands: run an experiment config, materialize a named preset, recompute
 metrics from feature dumps, and export a merged long-format CSV. Exit codes:
-0 success, 2 configuration problems, 3 runtime failures. FEDLENS_THREADS
-caps worker parallelism for local training.
+0 success, 2 configuration problems, 3 runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -24,22 +22,9 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _threads() -> int:
-    raw = os.environ.get("FEDLENS_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"FEDLENS_THREADS must be an integer, got {raw!r}",
-                          field="FEDLENS_THREADS") from None
-    if value < 1:
-        raise ConfigError("FEDLENS_THREADS must be at least 1",
-                          field="FEDLENS_THREADS")
-    return value
-
-
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out_dir = run_to_dir(cfg, threads=_threads())
+    out_dir = run_to_dir(cfg)
     print(f"wrote {out_dir / METRICS_CSV}")
     print(f"wrote {out_dir / ACCURACY_CSV}")
     return EXIT_OK

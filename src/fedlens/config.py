@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .dumps import U16_MAX
 from .errors import ConfigError
-from .fed import LOCAL_EPOCH_ABLATION, parse_personalization
+from .fed import LOCAL_EPOCH_ABLATION, personalized_layers
 
 SCENARIOS = ("baseline", "personalization", "pretrained", "finetune",
              "local-epochs-ablation", "residual-ablation")
@@ -220,15 +220,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("pretrain_epochs must be non-negative",
                           field="fed.pretrain_epochs")
     num_layers = cfg.num_layers
-    name, payload = parse_personalization(f.personalization)
-    if name == "successive" and not 0 <= payload <= num_layers:
-        raise ConfigError(f"successive count {payload} out of range 0..{num_layers}",
-                          field="fed.personalization")
-    if name == "skip":
-        bad = [p for p in payload if not 1 <= p <= num_layers]
-        if bad:
-            raise ConfigError(f"skip layers {bad} out of range 1..{num_layers}",
-                              field="fed.personalization")
+    name, _ = personalized_layers(f.personalization, num_layers)
     if cfg.scenario == "personalization" and name == "none":
         raise ConfigError("personalization scenario needs a mode",
                           field="fed.personalization")

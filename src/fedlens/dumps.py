@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import relative_change_records
 from .errors import FormatError
-from .metrics import (FeatureMatrix, MetricRecord, class_stats, pabs_alignment,
-                      pairwise_distances, relative_change)
+from .metrics import FeatureMatrix, MetricRecord, distance_records, feature_records
 from .nn import ParamVector, load_params, save_params
 
 FPLF_MAGIC = b"FPLF"
@@ -135,41 +135,12 @@ def metrics_from_dumps(dump_dir):
             warnings.append(
                 f"round {rnd} client {client} layer {layer}: missing {missing} dump, skipped")
             continue
-        phase_stats = {}
-        alignments = {}
-        for phase, fm in (("pre", pre), ("post", post)):
-            cs = class_stats(fm)
-            phase_stats[phase] = cs
-            records.extend([
-                MetricRecord(rnd, phase, client, layer, "sigma_w", cs.sigma_w),
-                MetricRecord(rnd, phase, client, layer, "sigma_b", cs.sigma_b),
-                MetricRecord(rnd, phase, client, layer, "tr_w", cs.tr_w),
-                MetricRecord(rnd, phase, client, layer, "tr_b", cs.tr_b),
-                MetricRecord(rnd, phase, client, layer, "tr_t", cs.tr_t),
-            ])
-            model = models.get((rnd, client, phase))
-            if model is not None:
-                weights = _interface_weight_from_vector(model, layer + 1)
-                if weights is not None:
-                    align = pabs_alignment(cs.mu, weights)
-                    alignments[phase] = align.mean_alignment
-                    records.append(MetricRecord(rnd, phase, client, layer,
-                                                "alignment", align.mean_alignment))
-        if len(alignments) == 2:
-            records.append(MetricRecord(
-                rnd, "delta", client, layer, "rel_alignment",
-                relative_change(alignments["pre"], alignments["post"])))
-        d = pairwise_distances(pre, post)
-        records.extend([
-            MetricRecord(rnd, "delta", client, layer, "dist_l1_norm", d.l1_norm),
-            MetricRecord(rnd, "delta", client, layer, "dist_mse", d.mse),
-            MetricRecord(rnd, "delta", client, layer, "dist_l1", d.l1),
-            MetricRecord(rnd, "delta", client, layer, "dist_cos", d.cosine),
-        ])
-        for name in ("sigma_w", "sigma_b", "tr_w", "tr_b", "tr_t"):
-            records.append(MetricRecord(
-                rnd, "delta", client, layer, f"rel_{name}",
-                relative_change(getattr(phase_stats["pre"], name),
-                                getattr(phase_stats["post"], name))))
+        for fm in (pre, post):
+            model = models.get((rnd, client, fm.phase))
+            weights = {} if model is None else {
+                layer: _interface_weight_from_vector(model, layer + 1)}
+            records.extend(feature_records([fm], weights))
+        records.extend(distance_records(pre, post, rnd, client, layer))
+    records.extend(relative_change_records(records))
     records.sort(key=MetricRecord.sort_key)
     return records, warnings

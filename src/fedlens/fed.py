@@ -10,16 +10,15 @@ fresh every round.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ClientDataset, balanced_eval_subset
+from .dumps import write_round_dumps
 from .errors import ConfigError, ShapeError
-from .metrics import (MetricRecord, accuracy, class_stats, extract_tap_features,
-                      linear_probe, pabs_alignment, pairwise_distances,
-                      variance_alignment_records)
+from .metrics import (FEATURE_STATS, MetricRecord, accuracy, distance_records,
+                      extract_tap_features, feature_records, linear_probe)
 from .nn import Network, ParamVector, sgd_epochs
 from .seeds import derive_seed
 
@@ -138,12 +137,12 @@ def parse_personalization(mode) -> tuple:
                       field="fed.personalization")
 
 
-def resolve_mask(mode, layout, num_layers: int) -> PersonalizationMask:
-    """Turn a personalization mode into a per-parameter boolean mask.
+def personalized_layers(mode, num_layers: int) -> tuple:
+    """(mode name, frozenset of the 1-based layers a mode keeps client-local).
 
-    Layer indices are 1-based. "classifier" marks the final layer,
-    successive:k marks layers 1..k (k == num_layers keeps every parameter
-    local), skip:a,b marks exactly those layers.
+    "classifier" marks the final layer, successive:k marks layers 1..k
+    (k == num_layers keeps every parameter local), skip:a,b marks exactly
+    those layers. Counts and layers outside the network are a ConfigError.
     """
     name, payload = parse_personalization(mode)
     if name == "none":
@@ -165,12 +164,18 @@ def resolve_mask(mode, layout, num_layers: int) -> PersonalizationMask:
     else:
         raise ConfigError(f"unknown personalization mode {name!r}",
                           field="fed.personalization")
+    return name, layers
+
+
+def resolve_mask(mode, layout, num_layers: int) -> PersonalizationMask:
+    """Turn a personalization mode into a per-parameter boolean mask."""
+    name, layers = personalized_layers(mode, num_layers)
     flags = np.zeros(sum(e.size for e in layout), dtype=bool)
     for e in layout:
         if e.layer in layers:
             flags[e.offset:e.offset + e.size] = True
     if name == "successive":
-        canonical = f"successive:{int(payload)}"
+        canonical = f"successive:{len(layers)}"
     elif name == "skip":
         canonical = "skip:" + ",".join(str(p) for p in sorted(layers))
     else:
@@ -260,20 +265,18 @@ def _accuracy_records(net: Network, ds: ClientDataset, round_index: int, phase: 
     return recs
 
 
-def _wrap_records(triples, round_index, phase, client):
-    return [MetricRecord(round_index, phase, client, layer, metric, value)
-            for layer, metric, value in triples]
-
-
-def run_federation(arch, cfg: FederationConfig, datasets, plan: MetricPlan = None,
-                   threads: int = 1) -> RunResult:
+def run_federation(arch, cfg: FederationConfig, datasets,
+                   plan: MetricPlan = None) -> RunResult:
     """Run R rounds of train/aggregate/splice with metric capture.
 
-    Evaluation rounds (multiples of eval_cadence) capture metrics from every
-    client's locally trained model (phase "pre"), then aggregate, then capture
-    the same metrics from the spliced post-aggregation model on the same local
-    evaluation data. Client order never affects results; threads only
-    parallelize the independent local-training step.
+    Clients train one after another, then the server aggregates and
+    splices. On evaluation rounds (multiples of eval_cadence) each client's
+    locally trained model (phase "pre") and its spliced post-aggregation
+    model (phase "post") are captured on the client's local evaluation
+    data, with the pre/post distances. With fine-tuning on, each post
+    model's classifier is retrained and captured as phase "tuned": accuracy
+    and the penultimate alignment only. Captures only read the models, so
+    neither capture order nor client order affects results.
     """
     if plan is None:
         plan = MetricPlan()
@@ -307,115 +310,70 @@ def run_federation(arch, cfg: FederationConfig, datasets, plan: MetricPlan = Non
                  for ds in datasets]
     counts = [ds.n_train for ds in datasets]
     m_clients = cfg.num_clients
+    records = []
 
-    if plan.dump_dir is not None:
-        from . import dumps as _dumps
+    def capture(net, m, r, phase, model=None, taps=tap_layers, stats=FEATURE_STATS):
+        """Record accuracy and feature metrics of one model; dump pre/post taps."""
+        records.extend(_accuracy_records(net, datasets[m], r, phase))
+        fms = extract_tap_features(net, eval_sets[m].train_x, eval_sets[m].train_labels,
+                                   taps, plan.eval_batch_size, phase=phase,
+                                   round_index=r, client=m)
+        weights = {t: net.interface_weight(t + 1) for t in fms}
+        records.extend(feature_records(fms.values(), weights, stats))
+        if plan.dump_dir is not None and phase in ("pre", "post"):
+            write_round_dumps(plan.dump_dir, fms, r, m, phase,
+                              model if plan.dump_models else None)
+        return fms
 
     client_params = [init_vec.copy() for _ in range(m_clients)]
-    records = []
     seed_table = []
     eval_rounds = []
-    final_state = None
 
     for r in range(1, cfg.rounds + 1):
-        seeds = [client_round_seed(cfg.seed, m, r) for m in range(m_clients)]
-        seed_table.extend((m, r, seeds[m]) for m in range(m_clients))
-
-        def train_one(m):
+        nets = []
+        for m in range(m_clients):
+            seed = client_round_seed(cfg.seed, m, r)
+            seed_table.append((m, r, seed))
             net = Network.from_vector(arch, client_params[m])
             sgd_epochs(net, datasets[m].train_x, datasets[m].train_y,
                        cfg.local_epochs, lr=cfg.lr, momentum=cfg.momentum,
-                       batch_size=cfg.batch_size, seed=seeds[m])
-            return net
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                nets = list(pool.map(train_one, range(m_clients)))
-        else:
-            nets = [train_one(m) for m in range(m_clients)]
+                       batch_size=cfg.batch_size, seed=seed)
+            nets.append(net)
         trained = [net.flatten() for net in nets]
-
-        is_eval = (r % cfg.eval_cadence == 0)
-        pre_taps = [None] * m_clients
-        if is_eval:
-            eval_rounds.append(r)
-            for m in range(m_clients):
-                records.extend(_accuracy_records(nets[m], datasets[m], r, "pre"))
-                taps = extract_tap_features(
-                    nets[m], eval_sets[m].train_x, eval_sets[m].train_labels,
-                    tap_layers, plan.eval_batch_size, phase="pre",
-                    round_index=r, client=m)
-                records.extend(_wrap_records(
-                    variance_alignment_records(nets[m], taps), r, "pre", m))
-                pre_taps[m] = taps
-                if plan.dump_dir is not None:
-                    _dumps.write_round_dumps(plan.dump_dir, taps, r, m, "pre",
-                                             trained[m] if plan.dump_models else None)
-
         shared = aggregate(trained, counts)
         new_params = [splice(shared, trained[m], mask) for m in range(m_clients)]
 
-        if is_eval:
-            post_nets = [Network.from_vector(arch, new_params[m])
-                         for m in range(m_clients)]
+        if r % cfg.eval_cadence == 0:
+            eval_rounds.append(r)
+            post_nets = [Network.from_vector(arch, pv) for pv in new_params]
             for m in range(m_clients):
-                records.extend(_accuracy_records(post_nets[m], datasets[m], r, "post"))
-                taps = extract_tap_features(
-                    post_nets[m], eval_sets[m].train_x, eval_sets[m].train_labels,
-                    tap_layers, plan.eval_batch_size, phase="post",
-                    round_index=r, client=m)
-                records.extend(_wrap_records(
-                    variance_alignment_records(post_nets[m], taps), r, "post", m))
-                if plan.dump_dir is not None:
-                    _dumps.write_round_dumps(plan.dump_dir, taps, r, m, "post",
-                                             new_params[m] if plan.dump_models else None)
+                pre_taps = capture(nets[m], m, r, "pre", trained[m])
+                post_taps = capture(post_nets[m], m, r, "post", new_params[m])
                 if plan.distances:
                     for t in tap_layers:
-                        d = pairwise_distances(pre_taps[m][t], taps[t])
-                        records.extend([
-                            MetricRecord(r, "delta", m, t, "dist_l1_norm", d.l1_norm),
-                            MetricRecord(r, "delta", m, t, "dist_mse", d.mse),
-                            MetricRecord(r, "delta", m, t, "dist_l1", d.l1),
-                            MetricRecord(r, "delta", m, t, "dist_cos", d.cosine),
-                        ])
+                        records.extend(distance_records(pre_taps[t], post_taps[t],
+                                                        r, m, t))
                     for layer in range(1, num_layers + 1):
                         slc = trained[m].layer_slice(layer)
-                        d = pairwise_distances(trained[m].values[slc],
-                                               new_params[m].values[slc])
-                        records.extend([
-                            MetricRecord(r, "delta", m, layer, "param_dist_l1_norm", d.l1_norm),
-                            MetricRecord(r, "delta", m, layer, "param_dist_mse", d.mse),
-                            MetricRecord(r, "delta", m, layer, "param_dist_l1", d.l1),
-                            MetricRecord(r, "delta", m, layer, "param_dist_cos", d.cosine),
-                        ])
+                        records.extend(distance_records(
+                            trained[m].values[slc], new_params[m].values[slc],
+                            r, m, layer, prefix="param_"))
                 if plan.finetune_eval:
                     tuned = finetune_classifier(
                         new_params[m], arch, datasets[m].train_x, datasets[m].train_y,
                         epochs=plan.finetune_epochs, lr=plan.finetune_lr,
                         momentum=plan.finetune_momentum, batch_size=plan.finetune_batch,
                         seed=derive_seed(cfg.seed, "finetune", m, r))
-                    tuned_net = Network.from_vector(arch, tuned)
-                    records.extend(_accuracy_records(tuned_net, datasets[m], r, "tuned"))
-                    pen = num_layers - 1
-                    tuned_taps = extract_tap_features(
-                        tuned_net, eval_sets[m].train_x, eval_sets[m].train_labels,
-                        (pen,), plan.eval_batch_size, phase="tuned",
-                        round_index=r, client=m)
-                    cs = class_stats(tuned_taps[pen])
-                    align = pabs_alignment(cs.mu, tuned_net.interface_weight(pen + 1))
-                    records.append(MetricRecord(r, "tuned", m, pen, "alignment",
-                                                align.mean_alignment))
+                    capture(Network.from_vector(arch, tuned), m, r, "tuned",
+                            taps=(num_layers - 1,), stats=())
             if r in plan.probe_rounds:
                 records.extend(_probe_records(cfg, plan, probe_taps, nets, post_nets,
                                               datasets, r))
-            final_state = RoundState(r, [pv.copy() for pv in trained], shared.copy(),
-                                     [pv.copy() for pv in new_params])
         client_params = new_params
 
-    if final_state is None or final_state.round != cfg.rounds:
-        final_state = RoundState(cfg.rounds, trained, shared, new_params)
     records.sort(key=MetricRecord.sort_key)
-    return RunResult(records, eval_rounds, final_state, seed_table, mask)
+    final = RoundState(cfg.rounds, trained, shared, new_params)
+    return RunResult(records, eval_rounds, final, seed_table, mask)
 
 
 def _probe_records(cfg, plan, probe_taps, pre_nets, post_nets, datasets, r):

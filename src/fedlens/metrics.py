@@ -17,7 +17,7 @@ cosine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from . import linalg
 from .errors import ShapeError
 from .nn import LayerSpec, Network, ParamVector, one_hot, sgd_epochs
 from .seeds import derive_seed
-
-PHASES = ("pre", "post", "tuned", "delta")
 
 # Exact metric names plus prefix families (probe sources, relative changes).
 REGISTERED_METRICS = frozenset({
@@ -36,6 +34,9 @@ REGISTERED_METRICS = frozenset({
     "param_dist_l1_norm", "param_dist_mse", "param_dist_l1", "param_dist_cos",
 })
 METRIC_PREFIXES = ("probe_acc_m", "rel_")
+
+# ClassStats fields that every pre/post capture records per tap
+FEATURE_STATS = ("sigma_w", "sigma_b", "tr_w", "tr_b", "tr_t")
 
 
 def is_registered(name: str) -> bool:
@@ -164,7 +165,7 @@ def weight_input_basis(weights, top: int) -> np.ndarray:
     return f.v[:, :keep]
 
 
-def pabs_alignment(class_means, next_weights, weight_basis=None) -> AlignmentResult:
+def pabs_alignment(class_means, next_weights) -> AlignmentResult:
     """Mean principal-angle cosine between class-mean rows and weight input space.
 
     The class-mean matrix (C x D) contributes the basis of its row space; the
@@ -181,11 +182,10 @@ def pabs_alignment(class_means, next_weights, weight_basis=None) -> AlignmentRes
     c = z.shape[0]
     fz = linalg.svd(z)
     basis_z = fz.v[:, :fz.rank]
-    if weight_basis is None:
-        weight_basis = weight_input_basis(w, c)
-    if basis_z.shape[1] == 0 or weight_basis.shape[1] == 0:
+    basis_w = weight_input_basis(w, c)
+    if basis_z.shape[1] == 0 or basis_w.shape[1] == 0:
         return AlignmentResult(np.zeros(0), 0.0, degenerate=True)
-    cross = weight_basis.T @ basis_z
+    cross = basis_w.T @ basis_z
     cosines = np.clip(linalg.svd(cross).s, 0.0, 1.0)
     return AlignmentResult(cosines, float(cosines.mean()))
 
@@ -273,37 +273,6 @@ def relative_change(pre: float, post: float) -> float:
     return abs(post - pre) / denom * 100.0
 
 
-def pool_features(raw, labels=None, target=(2, 2)) -> FeatureMatrix:
-    """Adaptive average pooling of an (N, H, W, C) stack, flattened row-major.
-
-    Spatial bin b along an axis of length H covers rows
-    [floor(b*H/t), floor((b+1)*H/t)), widened to at least one row so length-1
-    axes replicate instead of vanishing.
-    """
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 4:
-        raise ShapeError(f"raw features must be (N, H, W, C), got {arr.shape}")
-    n, h, w, c = arr.shape
-    th, tw = target
-
-    def edges(size, t):
-        spans = []
-        for b in range(t):
-            lo = (b * size) // t
-            hi = max(lo + 1, ((b + 1) * size) // t)
-            spans.append((lo, min(hi, size)))
-        return spans
-
-    pooled = np.zeros((n, th, tw, c))
-    for bi, (r0, r1) in enumerate(edges(h, th)):
-        for bj, (c0, c1) in enumerate(edges(w, tw)):
-            pooled[:, bi, bj, :] = arr[:, r0:r1, c0:c1, :].mean(axis=(1, 2))
-    flat = pooled.reshape(n, th * tw * c)
-    if labels is None:
-        labels = np.zeros(n, dtype=int)
-    return FeatureMatrix(flat, labels)
-
-
 def extract_tap_features(net: Network, x, labels, tap_layers=None,
                          batch_size: int = 256, phase: str = "pre",
                          round_index: int = 0, client: int = -1):
@@ -330,23 +299,31 @@ def extract_tap_features(net: Network, x, labels, tap_layers=None,
             for t in tap_layers}
 
 
-def variance_alignment_records(net: Network, taps: dict):
-    """Scatter traces, normalized variances, and alignment per tapped layer.
+def feature_records(taps, weights, stats=FEATURE_STATS):
+    """Feature-quality records of one capture, keyed by each matrix's context.
 
-    Alignment at tap l compares that tap's class means against the weights of
-    layer l+1, the layer that consumes the features; at the deepest tap this
-    is the classifier interface. Returns (layer, metric, value) tuples.
+    `taps` holds FeatureMatrix objects; each gives its round, phase, client
+    and tap layer to its records. `stats` names the ClassStats fields to
+    record. Alignment at tap l compares that tap's class means against
+    `weights[l]`, the first weight matrix of layer l+1, which consumes the
+    features; taps without a known weight get no alignment record.
     """
     out = []
-    for t in sorted(taps):
-        fm = taps[t]
+    for fm in taps:
         cs = class_stats(fm)
-        out.append((t, "sigma_w", cs.sigma_w))
-        out.append((t, "sigma_b", cs.sigma_b))
-        out.append((t, "tr_w", cs.tr_w))
-        out.append((t, "tr_b", cs.tr_b))
-        out.append((t, "tr_t", cs.tr_t))
-        weights = net.interface_weight(t + 1)
-        align = pabs_alignment(cs.mu, weights)
-        out.append((t, "alignment", align.mean_alignment))
+        out.extend(MetricRecord(fm.round, fm.phase, fm.client, fm.layer, name,
+                                getattr(cs, name)) for name in stats)
+        w = weights.get(fm.layer)
+        if w is not None:
+            out.append(MetricRecord(fm.round, fm.phase, fm.client, fm.layer,
+                                    "alignment", pabs_alignment(cs.mu, w).mean_alignment))
     return out
+
+
+def distance_records(pre, post, round_index: int, client: int, layer: int,
+                     prefix: str = ""):
+    """The four pre/post distances as phase "delta" records named <prefix>dist_*."""
+    d = pairwise_distances(pre, post)
+    return [MetricRecord(round_index, "delta", client, layer, f"{prefix}dist_{name}", value)
+            for name, value in (("l1_norm", d.l1_norm), ("mse", d.mse),
+                                ("l1", d.l1), ("cos", d.cosine))]

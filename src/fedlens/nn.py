@@ -104,9 +104,6 @@ class ParamVector:
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
 
-    def same_layout(self, other: "ParamVector") -> bool:
-        return self.layout == other.layout
-
     def layer_slice(self, layer: int) -> slice:
         """Contiguous span of all tensors belonging to a 1-based layer index."""
         entries = [e for e in self.layout if e.layer == layer]
@@ -115,9 +112,6 @@ class ParamVector:
         start = entries[0].offset
         stop = entries[-1].offset + entries[-1].size
         return slice(start, stop)
-
-    def num_layers(self) -> int:
-        return max(e.layer for e in self.layout)
 
 
 def _relu(x):
@@ -189,12 +183,6 @@ class Network:
     @classmethod
     def from_vector(cls, specs, pv: ParamVector) -> "Network":
         return cls(specs).load_vector(pv)
-
-    def copy(self) -> "Network":
-        out = Network(self.specs)
-        for src, dst in zip(self._tensor_list(), out._tensor_list()):
-            dst[...] = src
-        return out
 
     def _tensor_list(self):
         return [arr for tensors in self.params for arr in tensors]
@@ -326,25 +314,6 @@ class Network:
             g = g @ w
         g_in = g_out + g
         return g_in, list(reversed(grads_rev))
-
-
-def forward(net: Network, x):
-    return net.forward(x)
-
-
-def loss_and_grad(net: Network, x, y):
-    return net.loss_and_grad(x, y)
-
-
-def init_params(net: Network, scheme: str = "uniform", seed: int = 0, vector=None) -> Network:
-    """Initialize in place: fresh uniform fan-in weights, or load a vector bit-exactly."""
-    if scheme == "uniform":
-        return net.init_random(seed)
-    if scheme == "vector":
-        if vector is None:
-            raise ShapeError("scheme 'vector' needs a ParamVector")
-        return net.load_vector(vector)
-    raise ShapeError(f"unknown init scheme {scheme!r}")
 
 
 def sgd_epochs(net: Network, x, y, epochs: int, lr: float = 0.01,

@@ -78,7 +78,7 @@ def build_plan(cfg: ExperimentConfig, dump_dir=None) -> MetricPlan:
     )
 
 
-def execute(cfg: ExperimentConfig, threads: int = 1, dump_dir=None) -> RunOutput:
+def execute(cfg: ExperimentConfig, dump_dir=None) -> RunOutput:
     """Run one experiment in memory; file writing happens in run_to_dir."""
     arch = build_arch(cfg)
     datasets = build_datasets(cfg)
@@ -104,7 +104,7 @@ def execute(cfg: ExperimentConfig, threads: int = 1, dump_dir=None) -> RunOutput
         batch_size=cfg.fed.batch_size, eval_cadence=cfg.fed.eval_cadence,
         personalization=cfg.fed.personalization, init=init, seed=cfg.fed.seed)
     plan = build_plan(cfg, dump_dir=dump_dir)
-    result = run_federation(arch, fed_cfg, datasets, plan, threads=threads)
+    result = run_federation(arch, fed_cfg, datasets, plan)
     manifest = _render_manifest(cfg, result)
     return RunOutput(cfg, result, manifest)
 
@@ -124,12 +124,12 @@ def _render_manifest(cfg: ExperimentConfig, result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_to_dir(cfg: ExperimentConfig, threads: int = 1) -> Path:
+def run_to_dir(cfg: ExperimentConfig) -> Path:
     """Execute and write metrics.csv, accuracy.csv, manifest.txt, and dumps."""
     out_dir = Path(cfg.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_dir = out_dir / DUMP_SUBDIR if cfg.output.dump_features else None
-    run = execute(cfg, threads=threads, dump_dir=dump_dir)
+    run = execute(cfg, dump_dir=dump_dir)
     acc = [r for r in run.result.records if r.metric in ACCURACY_METRICS]
     rest = [r for r in run.result.records if r.metric not in ACCURACY_METRICS]
     (out_dir / METRICS_CSV).write_text(records_to_csv(rest), newline="\n")

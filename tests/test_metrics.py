@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from fedlens.errors import ShapeError
-from fedlens.metrics import (FeatureMatrix, accuracy, class_stats,
-                             extract_tap_features, is_registered,
-                             linear_probe, pabs_alignment, pairwise_distances,
-                             pool_features, relative_change,
-                             variance_alignment_records)
+from fedlens.metrics import (FEATURE_STATS, FeatureMatrix, accuracy, class_stats,
+                             distance_records, extract_tap_features, feature_records,
+                             is_registered, linear_probe, pabs_alignment,
+                             pairwise_distances, relative_change)
 from fedlens.nn import LayerSpec, Network
 
 
@@ -245,30 +244,6 @@ class TestRelativeChange:
             assert 0.0 <= relative_change(pre, post) <= 100.0
 
 
-class TestPoolFeatures:
-    def test_2x2_input_is_identity(self):
-        arr = np.random.default_rng(43).normal(size=(3, 2, 2, 5))
-        fm = pool_features(arr)
-        assert np.array_equal(fm.values, arr.reshape(3, 20))
-
-    def test_constant_map(self):
-        fm = pool_features(np.full((2, 7, 5, 3), 4.25))
-        assert np.all(fm.values == 4.25)
-
-    def test_4x4_quadrant_means(self):
-        arr = np.arange(16, dtype=float).reshape(1, 4, 4, 1)
-        fm = pool_features(arr)
-        grid = arr[0, :, :, 0]
-        want = [grid[:2, :2].mean(), grid[:2, 2:].mean(),
-                grid[2:, :2].mean(), grid[2:, 2:].mean()]
-        assert np.array_equal(fm.values, [want])
-
-    def test_length_one_axes_replicate(self):
-        fm = pool_features(np.full((1, 1, 1, 2), 9.0))
-        assert fm.values.shape == (1, 8)
-        assert np.all(fm.values == 9.0)
-
-
 class TestAccuracy:
     def test_one_hot_logits(self):
         labels = np.array([0, 2, 1])
@@ -281,6 +256,40 @@ class TestAccuracy:
     def test_confident_wrong(self):
         logits = np.array([[10.0, 0.0], [10.0, 0.0]])
         assert accuracy(logits, [1, 1]) == 0.0
+
+
+class TestCaptureRecords:
+    def fm(self):
+        rng = np.random.default_rng(53)
+        return FeatureMatrix(rng.normal(size=(12, 4)), [0, 1, 2] * 4, layer=2,
+                             phase="post", round=4, client=1)
+
+    def test_keys_come_from_the_feature_matrix(self):
+        records = feature_records([self.fm()], {})
+        assert {(r.round, r.phase, r.client, r.layer) for r in records} == {(4, "post", 1, 2)}
+        # no weight for the tap: variances only, no alignment
+        assert [r.metric for r in records] == list(FEATURE_STATS)
+
+    def test_alignment_only_capture(self):
+        fm = self.fm()
+        w = np.random.default_rng(54).normal(size=(5, 4))
+        records = feature_records([fm], {2: w}, stats=())
+        assert [r.metric for r in records] == ["alignment"]
+        assert records[0].value == pabs_alignment(class_stats(fm).mu, w).mean_alignment
+
+    def test_distance_records_carry_the_prefix(self):
+        rng = np.random.default_rng(55)
+        a, b = rng.normal(size=(2, 7))
+        d = pairwise_distances(a, b)
+        records = distance_records(a, b, 3, 0, 1, prefix="param_")
+        assert {r.metric: r.value for r in records} == {
+            "param_dist_l1_norm": d.l1_norm, "param_dist_mse": d.mse,
+            "param_dist_l1": d.l1, "param_dist_cos": d.cosine}
+        assert {(r.round, r.phase, r.client, r.layer) for r in records} == {(3, "delta", 0, 1)}
+
+
+def interface_weights(net):
+    return {t: net.interface_weight(t + 1) for t in range(net.num_layers)}
 
 
 class TestTapSweep:
@@ -298,11 +307,13 @@ class TestTapSweep:
         net, x, labels = self.make_net_and_data()
         full = extract_tap_features(net, x, labels, batch_size=len(x))
         batched = extract_tap_features(net, x, labels, batch_size=16)
-        rec_full = variance_alignment_records(net, full)
-        rec_batched = variance_alignment_records(net, batched)
-        for (la, ma, va), (lb, mb, vb) in zip(rec_full, rec_batched):
-            assert (la, ma) == (lb, mb)
-            assert abs(va - vb) < 1e-10
+        weights = interface_weights(net)
+        rec_full = feature_records(full.values(), weights)
+        rec_batched = feature_records(batched.values(), weights)
+        assert len(rec_full) == len(rec_batched)
+        for a, b in zip(rec_full, rec_batched):
+            assert (a.layer, a.metric) == (b.layer, b.metric)
+            assert abs(a.value - b.value) < 1e-10
 
     def test_identity_deep_linear_preserves_sigma(self):
         dim = 4
@@ -318,9 +329,9 @@ class TestTapSweep:
     def test_record_count_and_registered_names(self):
         net, x, labels = self.make_net_and_data()
         taps = extract_tap_features(net, x, labels)
-        records = variance_alignment_records(net, taps)
+        records = feature_records(taps.values(), interface_weights(net))
         assert len(records) == net.num_layers * 6  # 6 metrics per tap
-        assert all(is_registered(metric) for _, metric, _ in records)
+        assert all(is_registered(r.metric) for r in records)
 
     def test_tap_out_of_range(self):
         net, x, labels = self.make_net_and_data()
