@@ -90,14 +90,6 @@ def write_round_dumps(dump_dir, taps: dict, round_index: int, client: int,
         save_params(model, root / model_filename(round_index, client, phase))
 
 
-def _interface_weight_from_vector(pv: ParamVector, layer: int):
-    """First 2-D tensor of a 1-based layer, the matrix consuming its inputs."""
-    for e in pv.layout:
-        if e.layer == layer and len(e.shape) == 2:
-            return pv.values[e.offset:e.offset + e.size].reshape(e.shape)
-    return None
-
-
 def metrics_from_dumps(dump_dir):
     """Recompute feature metrics from dump files.
 
@@ -138,7 +130,7 @@ def metrics_from_dumps(dump_dir):
         for fm in (pre, post):
             model = models.get((rnd, client, fm.phase))
             weights = {} if model is None else {
-                layer: _interface_weight_from_vector(model, layer + 1)}
+                layer: model.interface_weight(layer + 1)}
             records.extend(feature_records([fm], weights))
         records.extend(distance_records(pre, post, rnd, client, layer))
     records.extend(relative_change_records(records))

@@ -248,8 +248,7 @@ def finetune_classifier(model: ParamVector, arch, x, y, epochs: int = 10,
     """Retrain only the final layer on local data; the rest stays bit-exact."""
     net = Network.from_vector(arch, model)
     sgd_epochs(net, x, y, epochs, lr=lr, momentum=momentum,
-               batch_size=batch_size, seed=seed,
-               trainable_layers={net.num_layers})
+               batch_size=batch_size, seed=seed, train_from=net.num_layers)
     return net.flatten()
 
 
@@ -284,7 +283,7 @@ def run_federation(arch, cfg: FederationConfig, datasets,
         raise ConfigError(f"{cfg.num_clients} clients but {len(datasets)} datasets",
                           field="fed.num_clients")
     template = Network(arch)
-    layout = template.layout()
+    layout = template.layout
     num_layers = template.num_layers
     mask = resolve_mask(cfg.personalization, layout, num_layers)
     if isinstance(cfg.init, ParamVector):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ShapeError
-from .nn import LayerSpec, Network, ParamVector, one_hot, sgd_epochs
+from .nn import LayerSpec, Network, one_hot, sgd_epochs
 from .seeds import derive_seed
 
 # Exact metric names plus prefix families (probe sources, relative changes).
@@ -228,8 +228,6 @@ def linear_probe(train_features: FeatureMatrix, test_features: FeatureMatrix,
 def _as_rows(obj) -> np.ndarray:
     if isinstance(obj, FeatureMatrix):
         return obj.values
-    if isinstance(obj, ParamVector):
-        return obj.values.reshape(1, -1)
     arr = np.asarray(obj, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)

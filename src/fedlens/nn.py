@@ -113,6 +113,13 @@ class ParamVector:
         stop = entries[-1].offset + entries[-1].size
         return slice(start, stop)
 
+    def interface_weight(self, layer: int) -> np.ndarray:
+        """First 2-D tensor of a 1-based layer, the matrix consuming its inputs."""
+        for e in self.layout:
+            if e.layer == layer and len(e.shape) == 2:
+                return self.values[e.offset:e.offset + e.size].reshape(e.shape)
+        raise ShapeError(f"no weight matrix for layer {layer}")
+
 
 def _relu(x):
     return np.maximum(x, 0.0)
@@ -121,8 +128,11 @@ def _relu(x):
 class Network:
     """A chain of LayerSpec layers ending in a linear classifier.
 
-    The final layer's out_dim is the class count; training minimizes mean
-    softmax cross-entropy of the logits.
+    All parameters live in one contiguous float64 vector, `values`, laid out
+    as `layout` says; `params[l][i]` is a reshaped view of tensor i of layer
+    l + 1, so writes through either form show up in the other. The final
+    layer's out_dim is the class count; training minimizes mean softmax
+    cross-entropy of the logits.
     """
 
     def __init__(self, specs):
@@ -134,7 +144,18 @@ class Network:
                 raise ShapeError(
                     f"layer dims do not chain: {a.out_dim} then {b.in_dim}")
         self.specs = specs
-        self.params = [[np.zeros(s) for s in spec.tensor_shapes()] for spec in specs]
+        entries, starts, offset = [], [], 0
+        for layer, spec in enumerate(specs, start=1):
+            starts.append(offset)
+            for shape in spec.tensor_shapes():
+                entries.append(LayoutEntry(layer=layer, shape=shape, offset=offset))
+                offset += entries[-1].size
+        self.layout = tuple(entries)
+        self._layer_starts = tuple(starts)
+        self.values = np.zeros(offset)
+        self.params = [[self.values[e.offset:e.offset + e.size].reshape(e.shape)
+                        for e in self.layout if e.layer == layer]
+                       for layer in range(1, len(specs) + 1)]
 
     @property
     def num_layers(self) -> int:
@@ -148,19 +169,16 @@ class Network:
     def num_classes(self) -> int:
         return self.specs[-1].out_dim
 
-    def layout(self):
-        entries = []
-        offset = 0
-        for li, tensors in enumerate(self.params):
-            for arr in tensors:
-                entries.append(LayoutEntry(layer=li + 1, shape=arr.shape, offset=offset))
-                offset += arr.size
-        return tuple(entries)
+    def layer_start(self, layer: int) -> int:
+        """Offset in `values` where the parameters of a 1-based layer begin."""
+        if not 1 <= layer <= self.num_layers:
+            raise ShapeError(f"layer index {layer} out of range 1..{self.num_layers}")
+        return self._layer_starts[layer - 1]
 
     def init_random(self, seed: int = 0) -> "Network":
         """Uniform weights in +-1/sqrt(fan_in); biases zero. Deterministic."""
         rng = np.random.default_rng(seed)
-        for spec, tensors in zip(self.specs, self.params):
+        for tensors in self.params:
             for arr in tensors:
                 if arr.ndim == 2:
                     bound = 1.0 / np.sqrt(arr.shape[1])
@@ -170,31 +188,17 @@ class Network:
         return self
 
     def flatten(self) -> ParamVector:
-        flat = np.concatenate([arr.ravel() for tensors in self.params for arr in tensors])
-        return ParamVector(flat, self.layout())
+        return ParamVector(self.values.copy(), self.layout)
 
     def load_vector(self, pv: ParamVector) -> "Network":
-        if pv.layout != self.layout():
+        if pv.layout != self.layout:
             raise FormatError("parameter layout does not match this architecture")
-        for entry, arr in zip(pv.layout, self._tensor_list()):
-            arr[...] = pv.values[entry.offset:entry.offset + entry.size].reshape(entry.shape)
+        self.values[...] = pv.values
         return self
 
     @classmethod
     def from_vector(cls, specs, pv: ParamVector) -> "Network":
         return cls(specs).load_vector(pv)
-
-    def _tensor_list(self):
-        return [arr for tensors in self.params for arr in tensors]
-
-    def add_delta(self, delta: np.ndarray, layers=None) -> None:
-        """Add a flat delta in place; only the listed 1-based layers if given."""
-        offset = 0
-        for li, tensors in enumerate(self.params):
-            for arr in tensors:
-                if layers is None or (li + 1) in layers:
-                    arr += delta[offset:offset + arr.size].reshape(arr.shape)
-                offset += arr.size
 
     def interface_weight(self, layer: int) -> np.ndarray:
         """Weight matrix multiplying the features entering a 1-based layer.
@@ -202,8 +206,7 @@ class Network:
         For residual blocks this is the first inner weight, the matrix that
         directly consumes the block input.
         """
-        if not 1 <= layer <= self.num_layers:
-            raise ShapeError(f"layer index {layer} out of range 1..{self.num_layers}")
+        self.layer_start(layer)  # range check
         return self.params[layer - 1][0]
 
     def _check_batch(self, x):
@@ -253,20 +256,24 @@ class Network:
                 taps.append(h)
         return h, taps
 
-    def loss_and_grad(self, x, y):
-        """Mean softmax cross-entropy and its gradient as a ParamVector.
+    def loss_and_grad(self, x, y, train_from: int = 1):
+        """Mean softmax cross-entropy and its gradient as a flat array.
 
-        y is one-hot with the classifier's class count.
+        The gradient covers `values[layer_start(train_from):]`, the parameters
+        of layers train_from..L; backward stops there. y is one-hot with the
+        classifier's class count.
         """
         x = self._check_batch(x)
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (x.shape[0], self.num_classes):
             raise ShapeError(
                 f"labels must be one-hot ({x.shape[0]}, {self.num_classes}), got {y.shape}")
+        self.layer_start(train_from)  # range check
+        first = train_from - 1
         h = x
         caches = []
         for idx in range(self.num_layers):
-            h, cache = self._layer_forward(idx, h, keep_cache=True)
+            h, cache = self._layer_forward(idx, h, keep_cache=idx >= first)
             if not np.isfinite(h).all():
                 raise NumericError(f"non-finite activation leaving layer {idx + 1}")
             caches.append(cache)
@@ -281,13 +288,15 @@ class Network:
         p = expz / expz.sum(axis=1, keepdims=True)
         g = (p - y) / n
 
-        grads = [None] * self.num_layers
-        for idx in range(self.num_layers - 1, -1, -1):
-            g, grads[idx] = self._layer_backward(idx, g, caches[idx])
-        flat = np.concatenate([arr.ravel() for tensors in grads for arr in tensors])
-        return loss, ParamVector(flat, self.layout())
+        grads = []
+        for idx in range(self.num_layers - 1, first - 1, -1):
+            g, layer_grads = self._layer_backward(idx, g, caches[idx], input_grad=idx > first)
+            grads.append(layer_grads)
+        return loss, np.concatenate([arr.ravel() for tensors in reversed(grads)
+                                     for arr in tensors])
 
-    def _layer_backward(self, idx, g_out, cache):
+    def _layer_backward(self, idx, g_out, cache, input_grad):
+        """Parameter gradients of one layer, and the gradient of its input if asked."""
         spec = self.specs[idx]
         tensors = self.params[idx]
         if spec.kind in ("linear", "linear_relu"):
@@ -297,7 +306,7 @@ class Network:
             grads = [gw]
             if spec.has_bias:
                 grads.append(g_pre.sum(axis=0))
-            g_in = g_pre @ tensors[0]
+            g_in = g_pre @ tensors[0] if input_grad else None
             return g_in, grads
         inner_inputs, pre_acts = cache
         step = 2 if spec.has_bias else 1
@@ -311,22 +320,22 @@ class Network:
             if spec.has_bias:
                 grads_rev.append(g.sum(axis=0))
             grads_rev.append(gw)
-            g = g @ w
-        g_in = g_out + g
+            if i > 0 or input_grad:
+                g = g @ w
+        g_in = g_out + g if input_grad else None
         return g_in, list(reversed(grads_rev))
 
 
 def sgd_epochs(net: Network, x, y, epochs: int, lr: float = 0.01,
                momentum: float = 0.5, batch_size: int = 64, seed: int = 0,
-               trainable_layers=None) -> Network:
+               train_from: int = 1) -> Network:
     """Train in place with mini-batch SGD and classical momentum.
 
     Velocity starts at zero on every call: v <- momentum*v + g, then
     theta <- theta - lr*v. Each epoch reshuffles with the generator seeded
     once per call, so the whole batch schedule is a pure function of `seed`.
-    epochs == 0 returns the network untouched. When `trainable_layers` is
-    given, only those 1-based layers are updated; the rest keep their exact
-    bit patterns.
+    epochs == 0 returns the network untouched. Only layers train_from..L
+    (1-based) are updated; the layers below keep their exact bit patterns.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -336,19 +345,19 @@ def sgd_epochs(net: Network, x, y, epochs: int, lr: float = 0.01,
         raise ShapeError("inputs and labels differ in length")
     if epochs < 0:
         raise ShapeError("epochs must be non-negative")
+    tail = net.values[net.layer_start(train_from):]
     if epochs == 0:
         return net
     rng = np.random.default_rng(seed)
     n = len(x)
-    velocity = np.zeros(sum(e.size for e in net.layout()))
-    layers = None if trainable_layers is None else set(trainable_layers)
+    velocity = np.zeros(tail.size)
     for _ in range(epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = perm[start:start + batch_size]
-            _, grad = net.loss_and_grad(x[idx], y[idx])
-            velocity = momentum * velocity + grad.values
-            net.add_delta(-lr * velocity, layers=layers)
+            _, grad = net.loss_and_grad(x[idx], y[idx], train_from)
+            velocity = momentum * velocity + grad
+            tail += -lr * velocity
     return net
 
 

@@ -33,7 +33,7 @@ def random_vectors(rng, count, size=17):
 
 
 class TestMasks:
-    layout = Network(ARCH).layout()
+    layout = Network(ARCH).layout
 
     def test_none_is_all_false(self):
         mask = resolve_mask("none", self.layout, 3)
@@ -44,7 +44,7 @@ class TestMasks:
         assert mask.flags.all()
 
     def test_successive_two_of_five(self):
-        layout = Network(mlp_specs(4, [5, 5, 5, 5], 2)).layout()
+        layout = Network(mlp_specs(4, [5, 5, 5, 5], 2)).layout
         mask = resolve_mask("successive:2", layout, 5)
         marked = {e.layer for e in layout if mask.flags[e.offset]}
         assert marked == {1, 2}
@@ -131,7 +131,7 @@ class TestAggregate:
 
     def test_splice_restores_masked_coordinates(self):
         rng = np.random.default_rng(61)
-        layout = Network(ARCH).layout()
+        layout = Network(ARCH).layout
         shared = ParamVector(rng.normal(size=sum(e.size for e in layout)), layout)
         residue = ParamVector(rng.normal(size=shared.size), layout)
         mask = resolve_mask("successive:1", layout, 3)

@@ -1,8 +1,11 @@
 """Network tests: forward taps, backprop vs finite differences, SGD
-semantics, init determinism, and the binary parameter format."""
+semantics, the flat parameter buffer, init determinism, and the binary
+parameter format."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlens.errors import FormatError, NumericError, ShapeError
 from fedlens.nn import (LayerSpec, Network, load_params, mlp_specs, one_hot,
@@ -32,8 +35,8 @@ def fd_gradient_check(net, x, y, coords, h=1e-5):
             else:
                 down = loss
         numeric = (up - down) / (2 * h)
-        denom = max(abs(numeric), abs(grad.values[i]), 1e-8)
-        worst = max(worst, abs(numeric - grad.values[i]) / denom)
+        denom = max(abs(numeric), abs(grad[i]), 1e-8)
+        worst = max(worst, abs(numeric - grad[i]) / denom)
     net.load_vector(theta)
     return worst
 
@@ -158,7 +161,7 @@ class TestSgd:
         theta = net.flatten()
         perm = np.random.default_rng(4).permutation(len(x))
         _, grad = net.loss_and_grad(x[perm], y[perm])
-        want = theta.values - 0.05 * grad.values
+        want = theta.values - 0.05 * grad
         sgd_epochs(net, x, y, epochs=1, lr=0.05, momentum=0.0,
                    batch_size=len(x), seed=4)
         assert np.array_equal(net.flatten().values, want)
@@ -180,12 +183,89 @@ class TestSgd:
         net, x, y = self.make_problem(seed=7)
         before = net.flatten()
         sgd_epochs(net, x, y, epochs=2, batch_size=2, seed=8,
-                   trainable_layers={2})
+                   train_from=2)
         after = net.flatten()
         s1 = before.layer_slice(1)
         s2 = before.layer_slice(2)
         assert np.array_equal(after.values[s1], before.values[s1])
         assert not np.array_equal(after.values[s2], before.values[s2])
+
+    def test_backward_stop_step_matches_full_gradient_tail(self):
+        # one momentum-0 step training only the classifier moves exactly its
+        # coordinates, by the full gradient of the same permuted batch
+        net = Network(mlp_specs(3, [5, 5], 2, residual=True)).init_random(seed=20)
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(6, 3))
+        y = one_hot(rng.integers(0, 2, size=6), 2)
+        theta = net.flatten()
+        perm = np.random.default_rng(22).permutation(len(x))
+        _, grad = net.loss_and_grad(x[perm], y[perm])
+        head = theta.layer_slice(net.num_layers)
+        sgd_epochs(net, x, y, epochs=1, lr=0.05, momentum=0.0,
+                   batch_size=len(x), seed=22, train_from=net.num_layers)
+        after = net.flatten().values
+        want = theta.values[head] - 0.05 * grad[head]
+        assert np.array_equal(after[head], want)
+        assert np.array_equal(after[:head.start], theta.values[:head.start])
+
+    @pytest.mark.parametrize("train_from", [1, 2, 3])
+    def test_partial_gradient_is_tail_of_full_gradient(self, train_from):
+        # the residual block sits at layer 2 and also as layer 1 (input width
+        # equals the hidden width), so both stop positions cross a block
+        net = Network(mlp_specs(4, [4, 4], 3, residual=True)).init_random(seed=23)
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(7, 4))
+        y = one_hot(rng.integers(0, 3, size=7), 3)
+        loss, full = net.loss_and_grad(x, y)
+        part_loss, part = net.loss_and_grad(x, y, train_from)
+        assert part_loss == loss
+        assert np.array_equal(part, full[net.layer_start(train_from):])
+
+    @pytest.mark.parametrize("train_from", [0, 4, 7])
+    def test_train_from_out_of_range_rejected(self, train_from):
+        _, x, y = self.make_problem()
+        net = Network(mlp_specs(2, [4, 4], 2)).init_random(seed=25)
+        before = net.flatten().values.copy()
+        for epochs in (0, 2):
+            with pytest.raises(ShapeError, match="out of range"):
+                sgd_epochs(net, x, y, epochs=epochs, train_from=train_from)
+        with pytest.raises(ShapeError, match="out of range"):
+            net.loss_and_grad(x, y, train_from)
+        assert np.array_equal(net.flatten().values, before)
+
+
+small_specs = st.builds(
+    mlp_specs,
+    input_dim=st.integers(1, 4),
+    hidden=st.lists(st.integers(1, 4), max_size=3),
+    num_classes=st.integers(1, 3),
+    activation=st.sampled_from(["relu", "linear"]),
+    residual=st.booleans(),
+    residual_width=st.integers(0, 3),
+    residual_inner=st.integers(1, 3))
+
+
+class TestFlatBuffer:
+    @settings(max_examples=60, deadline=None)
+    @given(specs=small_specs, seed=st.integers(0, 2**16))
+    def test_params_are_views_of_values(self, specs, seed):
+        net = Network(specs).init_random(seed=seed)
+        entries = iter(net.layout)
+        for tensors in net.params:
+            for arr in tensors:
+                e = next(entries)
+                assert np.shares_memory(arr, net.values)
+                assert arr.shape == e.shape
+                arr[...] = np.arange(arr.size).reshape(arr.shape) + e.offset + 0.5
+                flat = net.flatten()
+                assert np.array_equal(flat.values[e.offset:e.offset + e.size],
+                                      arr.ravel())
+        other = Network(specs).load_vector(net.flatten())
+        assert other.flatten().values.tobytes() == net.values.tobytes()
+        assert not np.shares_memory(other.values, net.values)
+        pv = net.flatten()
+        for layer in range(1, net.num_layers + 1):
+            assert np.array_equal(pv.interface_weight(layer), net.interface_weight(layer))
 
 
 class TestInitAndVectors:
@@ -199,7 +279,7 @@ class TestInitAndVectors:
         pv = net.flatten()
         other = Network(mlp_specs(4, [6], 3)).load_vector(pv)
         assert np.array_equal(other.flatten().values, pv.values)
-        assert other.layout() == pv.layout
+        assert other.layout == pv.layout
 
     def test_layout_mismatch_rejected(self):
         pv = Network(mlp_specs(4, [6], 3)).flatten()
