@@ -71,8 +71,13 @@ def read_features(path, client: int = -1) -> FeatureMatrix:
         raise FormatError(
             f"{path}: expected {need} bytes, found mismatch at offset "
             f"{min(len(data), need)}")
-    values = np.frombuffer(data, dtype="<f4", count=n * dim,
-                           offset=FPLF_HEADER.size).astype(np.float64).reshape(n, dim)
+    values = np.frombuffer(data, dtype="<f4", count=n * dim, offset=FPLF_HEADER.size)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        # dumps are written from finite taps, so this is a damaged payload
+        raise FormatError(f"{path}: non-finite feature value at offset "
+                          f"{FPLF_HEADER.size + 4 * int(bad[0])}")
+    values = values.astype(np.float64).reshape(n, dim)
     labels = np.frombuffer(data, dtype="<u2", count=n,
                            offset=FPLF_HEADER.size + n * dim * 4).astype(int)
     return FeatureMatrix(values, labels, layer=layer, phase=_PHASE_NAME[phase],

@@ -10,13 +10,14 @@ fresh every round.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ClientDataset, balanced_eval_subset
 from .dumps import write_round_dumps
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .metrics import (FEATURE_STATS, MetricRecord, accuracy, distance_records,
                       extract_tap_features, feature_records, linear_probe)
 from .nn import Network, ParamVector, sgd_epochs
@@ -252,6 +253,15 @@ def finetune_classifier(model: ParamVector, arch, x, y, epochs: int = 10,
     return net.flatten()
 
 
+@contextmanager
+def _located(round_index: int, client: int, stage: str):
+    """Re-raise a NumericError with the round, client and stage it came from."""
+    try:
+        yield
+    except NumericError as exc:
+        raise NumericError(f"round {round_index}, client {client}, {stage}: {exc}") from exc
+
+
 def _accuracy_records(net: Network, ds: ClientDataset, round_index: int, phase: str):
     recs = []
     logits, _ = net.forward(ds.train_x)
@@ -275,7 +285,8 @@ def run_federation(arch, cfg: FederationConfig, datasets,
     data, with the pre/post distances. With fine-tuning on, each post
     model's classifier is retrained and captured as phase "tuned": accuracy
     and the penultimate alignment only. Captures only read the models, so
-    neither capture order nor client order affects results.
+    neither capture order nor client order affects results. A NumericError
+    from local training or fine-tuning names its round and client.
     """
     if plan is None:
         plan = MetricPlan()
@@ -334,9 +345,10 @@ def run_federation(arch, cfg: FederationConfig, datasets,
             seed = client_round_seed(cfg.seed, m, r)
             seed_table.append((m, r, seed))
             net = Network.from_vector(arch, client_params[m])
-            sgd_epochs(net, datasets[m].train_x, datasets[m].train_y,
-                       cfg.local_epochs, lr=cfg.lr, momentum=cfg.momentum,
-                       batch_size=cfg.batch_size, seed=seed)
+            with _located(r, m, "local training"):
+                sgd_epochs(net, datasets[m].train_x, datasets[m].train_y,
+                           cfg.local_epochs, lr=cfg.lr, momentum=cfg.momentum,
+                           batch_size=cfg.batch_size, seed=seed)
             nets.append(net)
         trained = [net.flatten() for net in nets]
         shared = aggregate(trained, counts)
@@ -358,11 +370,13 @@ def run_federation(arch, cfg: FederationConfig, datasets,
                             trained[m].values[slc], new_params[m].values[slc],
                             r, m, layer, prefix="param_"))
                 if plan.finetune_eval:
-                    tuned = finetune_classifier(
-                        new_params[m], arch, datasets[m].train_x, datasets[m].train_y,
-                        epochs=plan.finetune_epochs, lr=plan.finetune_lr,
-                        momentum=plan.finetune_momentum, batch_size=plan.finetune_batch,
-                        seed=derive_seed(cfg.seed, "finetune", m, r))
+                    with _located(r, m, "fine-tuning"):
+                        tuned = finetune_classifier(
+                            new_params[m], arch, datasets[m].train_x, datasets[m].train_y,
+                            epochs=plan.finetune_epochs, lr=plan.finetune_lr,
+                            momentum=plan.finetune_momentum,
+                            batch_size=plan.finetune_batch,
+                            seed=derive_seed(cfg.seed, "finetune", m, r))
                     capture(Network.from_vector(arch, tuned), m, r, "tuned",
                             taps=(num_layers - 1,), stats=())
             if r in plan.probe_rounds:

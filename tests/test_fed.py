@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedlens.data import generate_federation_data, make_domain_specs
-from fedlens.errors import ConfigError, ShapeError
+from fedlens.errors import ConfigError, NumericError, ShapeError
 from fedlens.fed import (LOCAL_EPOCH_ABLATION, FederationConfig, MetricPlan,
                          aggregate, client_round_seed, finetune_classifier,
                          pretrain, resolve_mask, run_federation, splice)
@@ -232,6 +232,17 @@ class TestRunFederation:
         assert all(is_registered(r.metric) for r in result.records)
         phases = {r.phase for r in result.records}
         assert phases == {"pre", "post", "tuned", "delta"}
+
+    def test_numeric_error_names_round_and_client(self):
+        datasets = small_federation(num_clients=3)
+        datasets[1].train_x[5, 0] = np.inf
+        cfg = FederationConfig(num_clients=3, local_epochs=1, rounds=2,
+                               batch_size=16, seed=29)
+        with pytest.raises(NumericError, match=r"^round 1, client 1, local training: "
+                                               r"non-finite activation leaving layer 1$") as info:
+            run_federation(ARCH, cfg, datasets, MetricPlan(eval_per_class=5))
+        assert isinstance(info.value.__cause__, NumericError)
+        assert str(info.value.__cause__) == "non-finite activation leaving layer 1"
 
     def test_dataset_count_mismatch(self):
         with pytest.raises(ConfigError):

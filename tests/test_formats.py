@@ -1,0 +1,93 @@
+"""Damaged binary files: every truncation and every single-bit flip of a
+small FPNV parameter file or FPLF feature dump either loads or raises a
+FormatError naming the file, never another exception."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fedlens.dumps import FPLF_HEADER, read_features, write_features
+from fedlens.errors import FormatError
+from fedlens.metrics import FeatureMatrix
+from fedlens.nn import Network, load_params, mlp_specs, save_params
+
+
+def damaged(blob: bytes):
+    """Every proper prefix of blob, then blob with each single bit flipped."""
+    for cut in range(len(blob)):
+        yield blob[:cut]
+    for i in range(len(blob)):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[i] ^= 1 << bit
+            yield bytes(flipped)
+
+
+def assert_loads_or_format_error(load, blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "damaged.bin"
+        for variant in damaged(blob):
+            path.write_bytes(variant)
+            try:
+                load(path)
+            except FormatError as exc:
+                assert str(path) in str(exc)
+
+
+def fpnv_blob(specs, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.fpnv"
+        save_params(Network(specs).init_random(seed=seed).flatten(), path)
+        return path.read_bytes()
+
+
+def fplf_blob(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    fm = FeatureMatrix(rng.normal(size=(n, dim)), rng.integers(0, 4, size=n),
+                       layer=2, phase="post", round=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.fplf"
+        write_features(path, fm)
+        return path.read_bytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(input_dim=st.integers(1, 3), hidden=st.lists(st.integers(1, 3), max_size=2),
+       num_classes=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(input_dim=3, hidden=[2], num_classes=2, seed=0)
+def test_damaged_fpnv_loads_or_raises_format_error(input_dim, hidden, num_classes, seed):
+    blob = fpnv_blob(mlp_specs(input_dim, hidden, num_classes), seed)
+    assert_loads_or_format_error(load_params, blob)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 3), dim=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(n=3, dim=2, seed=0)
+def test_damaged_fplf_loads_or_raises_format_error(n, dim, seed):
+    assert_loads_or_format_error(read_features, fplf_blob(n, dim, seed))
+
+
+def test_fpnv_dims_overflowing_int64_are_a_format_error(tmp_path):
+    # byte 100 is the ndims of the classifier weight; bit 2 turns 2 into 6,
+    # so float payload bytes are read as dims whose product overflows int64
+    blob = bytearray(fpnv_blob(mlp_specs(3, (2,), 2), 0))
+    assert blob[100] == 2
+    blob[100] ^= 1 << 2
+    path = tmp_path / "model.fpnv"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="truncated"):
+        load_params(path)
+
+
+def test_non_finite_fplf_payload_names_file_and_offset(tmp_path):
+    blob = bytearray(fplf_blob(3, 2, 0))
+    at = FPLF_HEADER.size + 4 * 1           # second float32 of the payload
+    blob[at:at + 4] = np.array([np.inf], dtype="<f4").tobytes()
+    path = tmp_path / "features.fplf"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"non-finite feature value at offset {at}"):
+        read_features(path)

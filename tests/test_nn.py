@@ -1,12 +1,16 @@
 """Network tests: forward taps, backprop vs finite differences, SGD
-semantics, the flat parameter buffer, init determinism, and the binary
-parameter format."""
+semantics, the flat parameter buffer, the once-per-epoch frozen prefix, init
+determinism, and the binary parameter format."""
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fedlens import nn
 from fedlens.errors import FormatError, NumericError, ShapeError
 from fedlens.nn import (LayerSpec, Network, load_params, mlp_specs, one_hot,
                         save_params, sgd_epochs)
@@ -217,7 +221,8 @@ class TestSgd:
         x = rng.normal(size=(7, 4))
         y = one_hot(rng.integers(0, 3, size=7), 3)
         loss, full = net.loss_and_grad(x, y)
-        part_loss, part = net.loss_and_grad(x, y, train_from)
+        _, taps = net.forward(x)
+        part_loss, part = net.loss_and_grad(taps[train_from - 1], y, train_from)
         assert part_loss == loss
         assert np.array_equal(part, full[net.layer_start(train_from):])
 
@@ -266,6 +271,114 @@ class TestFlatBuffer:
         pv = net.flatten()
         for layer in range(1, net.num_layers + 1):
             assert np.array_equal(pv.interface_weight(layer), net.interface_weight(layer))
+
+
+def reference_sgd(net, x, y, epochs, lr, momentum, batch_size, seed, train_from):
+    """sgd_epochs as a plain loop: a full forward and backward per minibatch."""
+    start = net.layer_start(train_from)
+    rng = np.random.default_rng(seed)
+    velocity = np.zeros(net.values.size - start)
+    for _ in range(epochs):
+        perm = rng.permutation(len(x))
+        for lo in range(0, len(x), batch_size):
+            idx = perm[lo:lo + batch_size]
+            _, grad = net.loss_and_grad(x[idx], y[idx])
+            velocity = momentum * velocity + grad[start:]
+            net.values[start:] += -lr * velocity
+
+
+class TestFrozenPrefix:
+    """Frozen layers run once per stack of an epoch's minibatches."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(specs=small_specs, data=st.data())
+    def test_matches_per_minibatch_reference_bitwise(self, specs, data):
+        train_from = data.draw(st.integers(1, len(specs)), label="train_from")
+        batch_size = data.draw(st.integers(1, 6), label="batch_size")
+        n = (data.draw(st.integers(0, 5), label="full_batches") * batch_size
+             + data.draw(st.integers(0, batch_size - 1), label="remainder"))
+        assume(n > 0)
+        # small stacks split an epoch into several frozen forwards
+        stack_rows = data.draw(st.sampled_from([1, 4, 12, nn._STACK_ROWS]), label="stack_rows")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, specs[0].in_dim))
+        y = one_hot(rng.integers(0, specs[-1].out_dim, size=n), specs[-1].out_dim)
+        net = Network(specs).init_random(seed=seed)
+        ref = Network(specs).load_vector(net.flatten())
+        with mock.patch.object(nn, "_STACK_ROWS", stack_rows):
+            sgd_epochs(net, x, y, epochs=2, lr=0.1, momentum=0.5, batch_size=batch_size,
+                       seed=seed, train_from=train_from)
+        reference_sgd(ref, x, y, epochs=2, lr=0.1, momentum=0.5, batch_size=batch_size,
+                      seed=seed, train_from=train_from)
+        assert net.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("train_from", [1, 2, 3])
+    def test_one_loss_and_grad_call_per_minibatch(self, monkeypatch, train_from):
+        rows = []
+        real = Network.loss_and_grad
+
+        def counting(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return real(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "loss_and_grad", counting)
+        net = Network(mlp_specs(3, [4, 4], 2)).init_random(seed=26)
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(23, 3))
+        y = one_hot(rng.integers(0, 2, size=23), 2)
+        sgd_epochs(net, x, y, epochs=3, batch_size=5, seed=28, train_from=train_from)
+        assert len(rows) == 3 * math.ceil(23 / 5)
+        assert rows == [5, 5, 5, 5, 3] * 3
+
+    @pytest.mark.parametrize("train_from, stacks", [(1, [1, 1, 1]), (2, [2, 1])])
+    def test_stacks_gathered_per_epoch(self, monkeypatch, train_from, stacks):
+        # without frozen layers only one minibatch is gathered at a time
+        shapes = []
+        real = Network._frozen_forward
+
+        def recording(self, h, stop):
+            shapes.append(h.shape)
+            return real(self, h, stop)
+
+        monkeypatch.setattr(Network, "_frozen_forward", recording)
+        monkeypatch.setattr(nn, "_STACK_ROWS", 8)
+        net = Network(mlp_specs(3, [4], 2)).init_random(seed=30)
+        x = np.random.default_rng(31).normal(size=(11, 3))
+        sgd_epochs(net, x, one_hot(np.arange(11) % 2, 2), epochs=1, batch_size=4,
+                   train_from=train_from)
+        assert [s[0] for s in shapes] == stacks
+        assert [s[1] for s in shapes] == [4] * (len(stacks) - 1) + [3]
+
+    def test_non_finite_frozen_activation_names_layer(self):
+        net = Network(mlp_specs(2, [2, 2], 2))
+        net.params[0][0][...] = np.eye(2)
+        net.params[1][0][...] = 1e308
+        before = net.values.copy()
+        x = np.ones((5, 2))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="leaving layer 2"):
+                sgd_epochs(net, x, one_hot([0, 1, 0, 1, 0], 2), epochs=1,
+                           batch_size=2, train_from=3)
+        assert net.values.tobytes() == before.tobytes()
+
+    def test_non_finite_classifier_activation_names_layer(self):
+        # only the classifier trains; layer numbers stay those of the network
+        net = Network(mlp_specs(2, [2, 2], 2))
+        net.params[0][0][...] = np.eye(2)
+        net.params[1][0][...] = np.eye(2)
+        net.params[2][0][...] = 1e308
+        before = net.values.copy()
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="leaving layer 3"):
+                sgd_epochs(net, np.ones((5, 2)), one_hot([0, 1, 0, 1, 0], 2), epochs=1,
+                           batch_size=2, train_from=3)
+        assert net.values.tobytes() == before.tobytes()
+
+    def test_loss_and_grad_checks_the_width_of_its_layer(self):
+        net = Network(mlp_specs(3, [4], 2)).init_random(seed=29)
+        with pytest.raises(ShapeError, match=r"batch must be \(n, 4\)"):
+            net.loss_and_grad(np.ones((2, 3)), one_hot([0, 1], 2), 2)
 
 
 class TestInitAndVectors:
