@@ -1,4 +1,4 @@
-"""Working with metric record logs: selection, deltas, CSV round-trips."""
+"""Working with metric record logs: deltas, rank correlation, CSV round-trips."""
 
 from __future__ import annotations
 
@@ -10,28 +10,6 @@ from .errors import FormatError
 from .metrics import MetricRecord, relative_change
 
 CSV_HEADER = "round,phase,client,layer,metric,value"
-
-
-def select(records, round=None, phase=None, client=None, layer=None, metric=None):
-    """Records matching every given field; each filter is a value or a set."""
-
-    def match(value, want):
-        if want is None:
-            return True
-        if isinstance(want, (set, frozenset, list, tuple, range)):
-            return value in want
-        return value == want
-
-    return [r for r in records
-            if match(r.round, round) and match(r.phase, phase)
-            and match(r.client, client) and match(r.layer, layer)
-            and match(r.metric, metric)]
-
-
-def value_map(records):
-    """Index records by (round, phase, client, layer, metric)."""
-    return {(r.round, r.phase, r.client, r.layer, r.metric): r.value
-            for r in records}
 
 
 def relative_change_records(records):
@@ -70,16 +48,6 @@ def spearman(xs, ys) -> float:
     dx, dy = rx - rx.mean(), ry - ry.mean()
     denom = np.sqrt((dx @ dx) * (dy @ dy))
     return float(dx @ dy / denom) if denom > 0 else 0.0
-
-
-def mean_over(records, metric, layers=None, rounds=None, phase=None, clients=None):
-    """Mean value per layer of one metric, optionally restricted."""
-    chosen = select(records, metric=metric, phase=phase, layer=layers,
-                    round=rounds, client=clients)
-    per_layer = {}
-    for r in chosen:
-        per_layer.setdefault(r.layer, []).append(r.value)
-    return {layer: sum(vals) / len(vals) for layer, vals in sorted(per_layer.items())}
 
 
 def records_to_csv(records) -> str:

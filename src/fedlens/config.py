@@ -9,6 +9,7 @@ run manifests embed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -219,6 +220,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if f.pretrain_epochs < 0:
         raise ConfigError("pretrain_epochs must be non-negative",
                           field="fed.pretrain_epochs")
+    if f.batch_size < 1:
+        raise ConfigError("batch_size must be positive", field="fed.batch_size")
     num_layers = cfg.num_layers
     name, _ = personalized_layers(f.personalization, num_layers)
     if cfg.scenario == "personalization" and name == "none":
@@ -238,6 +241,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for knob in ("probe_epochs", "probe_batch", "finetune_epochs", "finetune_batch"):
         if getattr(mt, knob) < 1:
             raise ConfigError(f"{knob} must be positive", field=f"metrics.{knob}")
+    # the range tests are negated so that NaN fails them too
+    rates = {"fed.lr": f.lr, "metrics.probe_lr": mt.probe_lr,
+             "metrics.finetune_lr": mt.finetune_lr}
+    for key, lr in rates.items():
+        if not 0.0 < lr < math.inf:
+            raise ConfigError("learning rate must be positive and finite", field=key)
+    momenta = {"fed.momentum": f.momentum, "metrics.finetune_momentum": mt.finetune_momentum}
+    for key, momentum in momenta.items():
+        if not 0.0 <= momentum < 1.0:
+            raise ConfigError("momentum must be in [0, 1)", field=key)
     if not cfg.output.dir:
         raise ConfigError("output dir must be set", field="output.dir")
 

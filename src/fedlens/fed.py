@@ -20,43 +20,11 @@ from .dumps import write_round_dumps
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import (FEATURE_STATS, MetricRecord, accuracy, distance_records,
                       extract_tap_features, feature_records, linear_probe)
-from .nn import Network, ParamVector, sgd_epochs
+from .nn import Network, ParamVector, mlp_specs, sgd_epochs
 from .seeds import derive_seed
 
 # (local epochs, rounds) pairs holding the total local-epoch budget at 100
 LOCAL_EPOCH_ABLATION = ((5, 20), (10, 10), (20, 5))
-
-
-@dataclass
-class FederationConfig:
-    """Knobs of one federated run; `init` is "random" or a ParamVector."""
-
-    num_clients: int
-    local_epochs: int = 10
-    rounds: int = 50
-    lr: float = 0.01
-    momentum: float = 0.5
-    batch_size: int = 64
-    eval_cadence: int = 2
-    personalization: str = "none"
-    init: object = "random"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_clients < 1:
-            raise ConfigError("need at least one client", field="fed.num_clients")
-        if self.local_epochs < 0:
-            raise ConfigError("local epochs must be non-negative", field="fed.local_epochs")
-        if self.rounds < 1:
-            raise ConfigError("need at least one round", field="fed.rounds")
-        if self.eval_cadence < 1:
-            raise ConfigError("eval cadence must be positive", field="fed.eval_cadence")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be positive", field="fed.batch_size")
-        if not self.lr > 0:
-            raise ConfigError("learning rate must be positive", field="fed.lr")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must be in [0, 1)", field="fed.momentum")
 
 
 @dataclass(frozen=True)
@@ -66,28 +34,6 @@ class PersonalizationMask:
     mode: str
     layers: frozenset
     flags: np.ndarray
-
-
-@dataclass
-class MetricPlan:
-    """What to measure at evaluation rounds."""
-
-    tap_layers: tuple = None          # None = every layer input
-    eval_per_class: int = 40
-    eval_batch_size: int = 256
-    distances: bool = True
-    probe_rounds: tuple = ()
-    probe_taps: tuple = None          # None = penultimate tap only
-    probe_epochs: int = 100
-    probe_lr: float = 0.01
-    probe_batch: int = 64
-    finetune_eval: bool = False
-    finetune_epochs: int = 10
-    finetune_lr: float = 0.01
-    finetune_momentum: float = 0.1
-    finetune_batch: int = 64
-    dump_dir: object = None
-    dump_models: bool = False
 
 
 @dataclass
@@ -254,12 +200,12 @@ def finetune_classifier(model: ParamVector, arch, x, y, epochs: int = 10,
 
 
 @contextmanager
-def _located(round_index: int, client: int, stage: str):
-    """Re-raise a NumericError with the round, client and stage it came from."""
+def _located(where: str):
+    """Re-raise a NumericError prefixed with the stage it came from."""
     try:
         yield
     except NumericError as exc:
-        raise NumericError(f"round {round_index}, client {client}, {stage}: {exc}") from exc
+        raise NumericError(f"{where}: {exc}") from exc
 
 
 def _accuracy_records(net: Network, ds: ClientDataset, round_index: int, phase: str):
@@ -274,93 +220,89 @@ def _accuracy_records(net: Network, ds: ClientDataset, round_index: int, phase: 
     return recs
 
 
-def run_federation(arch, cfg: FederationConfig, datasets,
-                   plan: MetricPlan = None) -> RunResult:
-    """Run R rounds of train/aggregate/splice with metric capture.
+def build_arch(cfg):
+    """Layer specs of an ExperimentConfig's network."""
+    return mlp_specs(cfg.data.input_dim, cfg.model.hidden, cfg.data.classes,
+                     activation=cfg.model.activation, residual=cfg.model.residual,
+                     residual_width=cfg.model.residual_width,
+                     residual_inner=cfg.model.residual_inner)
 
-    Clients train one after another, then the server aggregates and
-    splices. On evaluation rounds (multiples of eval_cadence) each client's
-    locally trained model (phase "pre") and its spliced post-aggregation
-    model (phase "post") are captured on the client's local evaluation
-    data, with the pre/post distances. With fine-tuning on, each post
-    model's classifier is retrained and captured as phase "tuned": accuracy
-    and the penultimate alignment only. Captures only read the models, so
-    neither capture order nor client order affects results. A NumericError
-    from local training or fine-tuning names its round and client.
+
+def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
+    """Run an ExperimentConfig's rounds of train/aggregate/splice with capture.
+
+    `cfg` has passed `validate_config`; there is one client per dataset.
+    Every client starts from the seeded random init, first trained on the
+    pooled data when `fed.pretrain_epochs` > 0. Clients train one after
+    another, then the server aggregates and splices. On evaluation rounds
+    (multiples of eval_cadence) each client's locally trained model (phase
+    "pre") and its spliced post-aggregation model (phase "post") are
+    captured on the client's local evaluation data, with the pre/post
+    distances. In the finetune scenario each post model's classifier is
+    retrained and captured as phase "tuned": accuracy and the penultimate
+    alignment only. Captures only read the models, so neither capture order
+    nor client order affects results. A NumericError from pretraining names
+    that stage; one from local training or fine-tuning names its round,
+    client and stage.
     """
-    if plan is None:
-        plan = MetricPlan()
-    if len(datasets) != cfg.num_clients:
-        raise ConfigError(f"{cfg.num_clients} clients but {len(datasets)} datasets",
-                          field="fed.num_clients")
-    template = Network(arch)
-    layout = template.layout
-    num_layers = template.num_layers
-    mask = resolve_mask(cfg.personalization, layout, num_layers)
-    if isinstance(cfg.init, ParamVector):
-        if cfg.init.layout != layout:
-            raise ConfigError("init vector does not match the architecture",
-                              field="fed.init")
-        init_vec = cfg.init.copy()
-    elif cfg.init == "random":
-        init_vec = Network(arch).init_random(derive_seed(cfg.seed, "init")).flatten()
-    else:
-        raise ConfigError(f"unknown init {cfg.init!r}", field="fed.init")
-
-    tap_layers = (tuple(range(num_layers)) if plan.tap_layers is None
-                  else tuple(sorted(set(plan.tap_layers))))
-    for t in tap_layers:
-        if not 0 <= t < num_layers:
-            raise ConfigError(f"tap layer {t} out of range 0..{num_layers - 1}",
-                              field="metrics.taps")
-    probe_taps = ((num_layers - 1,) if plan.probe_taps is None
-                  else tuple(sorted(set(plan.probe_taps))))
-    eval_sets = [balanced_eval_subset(ds, plan.eval_per_class,
-                                      derive_seed(cfg.seed, "evalsubset", ds.client_id))
+    fed, mt = cfg.fed, cfg.metrics
+    arch = build_arch(cfg)
+    net = Network(arch).init_random(derive_seed(fed.seed, "init"))
+    if fed.pretrain_epochs > 0:
+        with _located("pretraining"):
+            pretrain(net, np.concatenate([ds.train_x for ds in datasets]),
+                     np.concatenate([ds.train_y for ds in datasets]),
+                     fed.pretrain_epochs, lr=fed.lr, momentum=fed.momentum,
+                     batch_size=fed.batch_size, seed=derive_seed(fed.seed, "pretrain"))
+    init_vec = net.flatten()
+    num_layers = net.num_layers
+    mask = resolve_mask(fed.personalization, net.layout, num_layers)
+    tap_layers = tuple(sorted(set(mt.taps))) or tuple(range(num_layers))
+    eval_sets = [balanced_eval_subset(ds, mt.eval_per_class,
+                                      derive_seed(fed.seed, "evalsubset", ds.client_id))
                  for ds in datasets]
     counts = [ds.n_train for ds in datasets]
-    m_clients = cfg.num_clients
+    m_clients = len(datasets)
     records = []
 
     def capture(net, m, r, phase, model=None, taps=tap_layers, stats=FEATURE_STATS):
         """Record accuracy and feature metrics of one model; dump pre/post taps."""
         records.extend(_accuracy_records(net, datasets[m], r, phase))
         fms = extract_tap_features(net, eval_sets[m].train_x, eval_sets[m].train_labels,
-                                   taps, plan.eval_batch_size, phase=phase,
-                                   round_index=r, client=m)
+                                   taps, phase=phase, round_index=r, client=m)
         weights = {t: net.interface_weight(t + 1) for t in fms}
         records.extend(feature_records(fms.values(), weights, stats))
-        if plan.dump_dir is not None and phase in ("pre", "post"):
-            write_round_dumps(plan.dump_dir, fms, r, m, phase,
-                              model if plan.dump_models else None)
+        if dump_dir is not None and phase in ("pre", "post"):
+            write_round_dumps(dump_dir, fms, r, m, phase,
+                              model if cfg.output.dump_models else None)
         return fms
 
     client_params = [init_vec.copy() for _ in range(m_clients)]
     seed_table = []
     eval_rounds = []
 
-    for r in range(1, cfg.rounds + 1):
+    for r in range(1, fed.rounds + 1):
         nets = []
         for m in range(m_clients):
-            seed = client_round_seed(cfg.seed, m, r)
+            seed = client_round_seed(fed.seed, m, r)
             seed_table.append((m, r, seed))
             net = Network.from_vector(arch, client_params[m])
-            with _located(r, m, "local training"):
+            with _located(f"round {r}, client {m}, local training"):
                 sgd_epochs(net, datasets[m].train_x, datasets[m].train_y,
-                           cfg.local_epochs, lr=cfg.lr, momentum=cfg.momentum,
-                           batch_size=cfg.batch_size, seed=seed)
+                           fed.local_epochs, lr=fed.lr, momentum=fed.momentum,
+                           batch_size=fed.batch_size, seed=seed)
             nets.append(net)
         trained = [net.flatten() for net in nets]
         shared = aggregate(trained, counts)
         new_params = [splice(shared, trained[m], mask) for m in range(m_clients)]
 
-        if r % cfg.eval_cadence == 0:
+        if r % fed.eval_cadence == 0:
             eval_rounds.append(r)
             post_nets = [Network.from_vector(arch, pv) for pv in new_params]
             for m in range(m_clients):
                 pre_taps = capture(nets[m], m, r, "pre", trained[m])
                 post_taps = capture(post_nets[m], m, r, "post", new_params[m])
-                if plan.distances:
+                if mt.distances:
                     for t in tap_layers:
                         records.extend(distance_records(pre_taps[t], post_taps[t],
                                                         r, m, t))
@@ -369,48 +311,45 @@ def run_federation(arch, cfg: FederationConfig, datasets,
                         records.extend(distance_records(
                             trained[m].values[slc], new_params[m].values[slc],
                             r, m, layer, prefix="param_"))
-                if plan.finetune_eval:
-                    with _located(r, m, "fine-tuning"):
+                if cfg.scenario == "finetune":
+                    with _located(f"round {r}, client {m}, fine-tuning"):
                         tuned = finetune_classifier(
                             new_params[m], arch, datasets[m].train_x, datasets[m].train_y,
-                            epochs=plan.finetune_epochs, lr=plan.finetune_lr,
-                            momentum=plan.finetune_momentum,
-                            batch_size=plan.finetune_batch,
-                            seed=derive_seed(cfg.seed, "finetune", m, r))
+                            epochs=mt.finetune_epochs, lr=mt.finetune_lr,
+                            momentum=mt.finetune_momentum, batch_size=mt.finetune_batch,
+                            seed=derive_seed(fed.seed, "finetune", m, r))
                     capture(Network.from_vector(arch, tuned), m, r, "tuned",
                             taps=(num_layers - 1,), stats=())
-            if r in plan.probe_rounds:
-                records.extend(_probe_records(cfg, plan, probe_taps, nets, post_nets,
+            if r in mt.probe_rounds:
+                records.extend(_probe_records(cfg, num_layers - 1, nets, post_nets,
                                               datasets, r))
         client_params = new_params
 
     records.sort(key=MetricRecord.sort_key)
-    final = RoundState(cfg.rounds, trained, shared, new_params)
+    final = RoundState(fed.rounds, trained, shared, new_params)
     return RunResult(records, eval_rounds, final, seed_table, mask)
 
 
-def _probe_records(cfg, plan, probe_taps, pre_nets, post_nets, datasets, r):
-    """Linear-probe accuracies: post model per dataset, pre models on foreign data."""
+def _probe_records(cfg, t, pre_nets, post_nets, datasets, r):
+    """Linear-probe accuracies on tap t: post model per dataset, pre models on
+    foreign data."""
+    mt = cfg.metrics
     out = []
-    for t in probe_taps:
-        for d, ds in enumerate(datasets):
-            if len(ds.test_x) == 0:
+    for d, ds in enumerate(datasets):
+        if len(ds.test_x) == 0:
+            continue
+
+        def probe(net, tag):
+            train_fm = extract_tap_features(net, ds.train_x, ds.train_labels, (t,))[t]
+            test_fm = extract_tap_features(net, ds.test_x, ds.test_labels, (t,))[t]
+            return linear_probe(train_fm, test_fm, epochs=mt.probe_epochs,
+                                lr=mt.probe_lr, batch_size=mt.probe_batch,
+                                seed=derive_seed(cfg.fed.seed, "probe", r, d, t, tag))
+
+        out.append(MetricRecord(r, "post", d, t, "probe_acc", probe(post_nets[d], "post")))
+        for m in range(len(datasets)):
+            if m == d:
                 continue
-
-            def probe(net, tag):
-                train_fm = extract_tap_features(
-                    net, ds.train_x, ds.train_labels, (t,), plan.eval_batch_size)[t]
-                test_fm = extract_tap_features(
-                    net, ds.test_x, ds.test_labels, (t,), plan.eval_batch_size)[t]
-                return linear_probe(train_fm, test_fm, epochs=plan.probe_epochs,
-                                    lr=plan.probe_lr, batch_size=plan.probe_batch,
-                                    seed=derive_seed(cfg.seed, "probe", r, d, t, tag))
-
-            out.append(MetricRecord(r, "post", d, t, "probe_acc",
-                                    probe(post_nets[d], "post")))
-            for m in range(cfg.num_clients):
-                if m == d:
-                    continue
-                out.append(MetricRecord(r, "pre", d, t, f"probe_acc_m{m}",
-                                        probe(pre_nets[m], f"pre{m}")))
+            out.append(MetricRecord(r, "pre", d, t, f"probe_acc_m{m}",
+                                    probe(pre_nets[m], f"pre{m}")))
     return out

@@ -5,15 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import records_to_csv
 from .config import ExperimentConfig, render_config
 from .data import (generate_federation_data, load_idx, make_domain_specs,
                    merge_train_test)
 from .errors import ConfigError
-from .fed import FederationConfig, MetricPlan, RunResult, pretrain, run_federation
-from .nn import Network, mlp_specs
+from .fed import RunResult, run_federation
 from .seeds import derive_seed
 
 METRICS_CSV = "metrics.csv"
@@ -25,16 +22,8 @@ ACCURACY_METRICS = ("train_acc", "test_acc")
 
 @dataclass
 class RunOutput:
-    config: ExperimentConfig
     result: RunResult
     manifest: str
-
-
-def build_arch(cfg: ExperimentConfig):
-    return mlp_specs(cfg.data.input_dim, cfg.model.hidden, cfg.data.classes,
-                     activation=cfg.model.activation, residual=cfg.model.residual,
-                     residual_width=cfg.model.residual_width,
-                     residual_inner=cfg.model.residual_inner)
 
 
 def build_datasets(cfg: ExperimentConfig):
@@ -58,55 +47,16 @@ def build_datasets(cfg: ExperimentConfig):
     return datasets
 
 
-def build_plan(cfg: ExperimentConfig, dump_dir=None) -> MetricPlan:
-    mt = cfg.metrics
-    return MetricPlan(
-        tap_layers=mt.taps if mt.taps else None,
-        eval_per_class=mt.eval_per_class,
-        distances=mt.distances,
-        probe_rounds=tuple(mt.probe_rounds),
-        probe_epochs=mt.probe_epochs,
-        probe_lr=mt.probe_lr,
-        probe_batch=mt.probe_batch,
-        finetune_eval=(cfg.scenario == "finetune"),
-        finetune_epochs=mt.finetune_epochs,
-        finetune_lr=mt.finetune_lr,
-        finetune_momentum=mt.finetune_momentum,
-        finetune_batch=mt.finetune_batch,
-        dump_dir=dump_dir,
-        dump_models=cfg.output.dump_models,
-    )
-
-
 def execute(cfg: ExperimentConfig, dump_dir=None) -> RunOutput:
     """Run one experiment in memory; file writing happens in run_to_dir."""
-    arch = build_arch(cfg)
     datasets = build_datasets(cfg)
     for ds in datasets:
         if ds.train_x.shape[1] != cfg.data.input_dim:
             raise ConfigError(
                 f"dataset dim {ds.train_x.shape[1]} does not match input_dim "
                 f"{cfg.data.input_dim}", field="data.input_dim")
-
-    init = "random"
-    if cfg.fed.pretrain_epochs > 0:
-        pooled_x = np.concatenate([ds.train_x for ds in datasets])
-        pooled_y = np.concatenate([ds.train_y for ds in datasets])
-        net = Network(arch).init_random(derive_seed(cfg.fed.seed, "init"))
-        init = pretrain(net, pooled_x, pooled_y, cfg.fed.pretrain_epochs,
-                        lr=cfg.fed.lr, momentum=cfg.fed.momentum,
-                        batch_size=cfg.fed.batch_size,
-                        seed=derive_seed(cfg.fed.seed, "pretrain"))
-
-    fed_cfg = FederationConfig(
-        num_clients=cfg.data.clients, local_epochs=cfg.fed.local_epochs,
-        rounds=cfg.fed.rounds, lr=cfg.fed.lr, momentum=cfg.fed.momentum,
-        batch_size=cfg.fed.batch_size, eval_cadence=cfg.fed.eval_cadence,
-        personalization=cfg.fed.personalization, init=init, seed=cfg.fed.seed)
-    plan = build_plan(cfg, dump_dir=dump_dir)
-    result = run_federation(arch, fed_cfg, datasets, plan)
-    manifest = _render_manifest(cfg, result)
-    return RunOutput(cfg, result, manifest)
+    result = run_federation(cfg, datasets, dump_dir)
+    return RunOutput(result, _render_manifest(cfg, result))
 
 
 def _render_manifest(cfg: ExperimentConfig, result: RunResult) -> str:

@@ -1,10 +1,13 @@
-"""Shared test plumbing: session timing and suite ordering.
+"""Shared test plumbing: session timing, suite ordering and record lookups.
 
 The acceptance module asserts a wall-clock budget for the whole suite, so
 it must run last; everything else keeps collection order.
 """
 
 import time
+from dataclasses import replace
+
+from fedlens.config import ExperimentConfig, validate_config
 
 _SESSION_START = time.monotonic()
 
@@ -15,3 +18,48 @@ def session_elapsed() -> float:
 
 def pytest_collection_modifyitems(config, items):
     items.sort(key=lambda item: item.path.name == "test_acceptance.py")
+
+
+def small_config(clients, scenario="baseline", metrics=None, **fed):
+    """A validated config of the 6-8-8-3 test network (mlp_specs(6, [8, 8], 3))
+    with `clients` clients, 5 evaluation rows per class, the given [metrics]
+    values and the given [fed] values."""
+    cfg = ExperimentConfig(scenario=scenario)
+    cfg.data = replace(cfg.data, clients=clients, classes=3, input_dim=6)
+    cfg.model = replace(cfg.model, hidden=(8, 8))
+    cfg.metrics = replace(cfg.metrics, eval_per_class=5, **(metrics or {}))
+    cfg.fed = replace(cfg.fed, **fed)
+    validate_config(cfg)
+    return cfg
+
+
+def select(records, round=None, phase=None, client=None, layer=None, metric=None):
+    """Records matching every given field; each filter is a value or a set."""
+
+    def match(value, want):
+        if want is None:
+            return True
+        if isinstance(want, (set, frozenset, list, tuple, range)):
+            return value in want
+        return value == want
+
+    return [r for r in records
+            if match(r.round, round) and match(r.phase, phase)
+            and match(r.client, client) and match(r.layer, layer)
+            and match(r.metric, metric)]
+
+
+def value_map(records):
+    """Index records by (round, phase, client, layer, metric)."""
+    return {(r.round, r.phase, r.client, r.layer, r.metric): r.value
+            for r in records}
+
+
+def mean_over(records, metric, layers=None, rounds=None, phase=None, clients=None):
+    """Mean value per layer of one metric, optionally restricted."""
+    chosen = select(records, metric=metric, phase=phase, layer=layers,
+                    round=rounds, client=clients)
+    per_layer = {}
+    for r in chosen:
+        per_layer.setdefault(r.layer, []).append(r.value)
+    return {layer: sum(vals) / len(vals) for layer, vals in sorted(per_layer.items())}

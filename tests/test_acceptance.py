@@ -10,15 +10,13 @@ cached for all later tests in this module.
 import time
 
 import numpy as np
-from conftest import session_elapsed
+from conftest import mean_over, select, session_elapsed, small_config, value_map
 
-from fedlens.analysis import (mean_over, read_csv, relative_change_records,
-                              select, spearman, value_map)
+from fedlens.analysis import read_csv, relative_change_records, spearman
 from fedlens.config import parse_config, preset
 from fedlens.data import generate_federation_data, make_domain_specs
 from fedlens.dumps import metrics_from_dumps
-from fedlens.fed import (FederationConfig, MetricPlan, aggregate,
-                         client_round_seed, run_federation)
+from fedlens.fed import aggregate, client_round_seed, run_federation
 from fedlens.metrics import class_stats, pabs_alignment
 from fedlens.nn import (LayerSpec, LayoutEntry, Network, ParamVector,
                         mlp_specs, one_hot, sgd_epochs)
@@ -218,13 +216,13 @@ def test_training_gradients_and_aggregation_invariants():
     arch2 = mlp_specs(6, [8, 8], 3)
     specs = make_domain_specs(1, 3, 6, seed=202, anchor_scale=2.0)
     datasets = generate_federation_data(specs, 60, 30, seed=202)
-    cfg = FederationConfig(num_clients=1, local_epochs=2, rounds=4,
-                           batch_size=16, eval_cadence=4, seed=203)
-    result = run_federation(arch2, cfg, datasets, MetricPlan(eval_per_class=5))
+    cfg = small_config(1, local_epochs=2, rounds=4, batch_size=16, eval_cadence=4,
+                       seed=203)
+    result = run_federation(cfg, datasets)
     central = Network(arch2).init_random(derive_seed(203, "init"))
     for r in range(1, 5):
         sgd_epochs(central, datasets[0].train_x, datasets[0].train_y, epochs=2,
-                   lr=cfg.lr, momentum=cfg.momentum, batch_size=16,
+                   lr=cfg.fed.lr, momentum=cfg.fed.momentum, batch_size=16,
                    seed=client_round_seed(203, 0, r))
     assert (result.final.post[0].values.tobytes()
             == central.flatten().values.tobytes())

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import value_map
+
 import fedlens
-from fedlens.analysis import CSV_HEADER, read_csv, value_map
+from fedlens.analysis import CSV_HEADER, read_csv
 from fedlens.cli import main
 from fedlens.config import load_config, parse_config
 from fedlens.dumps import feature_filename, read_features, write_features
@@ -44,6 +46,27 @@ eval_per_class = 5
 [output]
 dir = {out_dir}
 {output_extra}"""
+
+
+# (field, bad value, other keys set with it): each is a config error that
+# `fedlens run` reports before it generates data or creates the output dir
+BAD_VALUES = [
+    ("fed.batch_size", "0", {"fed.pretrain_epochs": "1"}),
+    ("fed.batch_size", "0", {}),
+    ("fed.lr", "0.0", {}),
+    ("fed.lr", "nan", {}),
+    ("fed.lr", "inf", {}),
+    ("fed.momentum", "1.0", {}),
+    ("fed.momentum", "-0.1", {}),
+    ("fed.momentum", "nan", {}),
+    ("metrics.probe_lr", "-1.0", {}),
+    ("metrics.finetune_lr", "-0.5", {}),
+    ("metrics.finetune_momentum", "1.0", {}),
+    ("data.clients", "0", {}),
+    ("fed.rounds", "0", {}),
+    ("fed.local_epochs", "-1", {}),
+    ("fed.eval_cadence", "0", {}),
+]
 
 
 def write_config(path, out_dir, output_extra=""):
@@ -139,6 +162,20 @@ class TestRun:
         # without dumps the same length is valid
         assert parse_config(text.replace("dump_features = true",
                                          "dump_features = false")).fed.rounds == 65536
+
+    @pytest.mark.parametrize("field, value, also", BAD_VALUES,
+                             ids=[f"{f}={v}" + "+pretraining" * bool(a)
+                                  for f, v, a in BAD_VALUES])
+    def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, field, value, also):
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "bad.cfg", out_dir)
+        # a repeated section header reopens the section; the last value wins
+        for key, text in {**also, field: value}.items():
+            section, _, name = key.partition(".")
+            cfg.write_text(cfg.read_text() + f"\n[{section}]\n{name} = {text}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert not out_dir.exists()
 
     def test_unknown_key_reports_line_number(self, workspace, capsys):
         cfg = workspace / "badkey.cfg"

@@ -1,0 +1,90 @@
+"""Config boundary properties: every valid config survives render and parse."""
+
+import math
+from dataclasses import fields, is_dataclass
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fedlens.config import (SCENARIOS, ExperimentConfig, parse_config, render_config,
+                            validate_config)
+from fedlens.dumps import U16_MAX
+from fedlens.fed import personalized_layers
+
+# one value per line, without the surrounding blanks that the parser strips
+LINE_TEXT = (st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                     max_size=12)
+             .map(str.strip))
+POSITIVE = st.integers(min_value=1)
+RATE = st.floats(min_value=0.0, max_value=math.inf, exclude_min=True, exclude_max=True)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+# fields that validate_config leaves unchecked take any value of their type
+BY_TYPE = {bool: st.booleans(), int: st.integers(), float: st.floats(allow_nan=False),
+           str: LINE_TEXT, tuple: st.lists(st.integers(), max_size=6).map(tuple)}
+
+
+def checked_fields(num_layers):
+    """Strategies for the fields whose values validate_config restricts."""
+    return {
+        "data.kind": st.sampled_from(("synthetic", "idx")),
+        "data.clients": POSITIVE,
+        "data.classes": st.integers(min_value=2),
+        "data.rotation": st.sampled_from(("random", "identity")),
+        "data.label_noise": UNIT,
+        "model.activation": st.sampled_from(("relu", "linear")),
+        "fed.rounds": POSITIVE,
+        "fed.local_epochs": st.integers(min_value=0),
+        "fed.lr": RATE,
+        "fed.momentum": UNIT,
+        "fed.batch_size": POSITIVE,
+        "fed.eval_cadence": POSITIVE,
+        "fed.personalization": st.one_of(
+            st.sampled_from(("none", "classifier")),
+            st.integers(0, num_layers).map(lambda k: f"successive:{k}"),
+            st.lists(st.integers(1, num_layers), min_size=1, max_size=3).map(
+                lambda layers: "skip:" + ",".join(map(str, layers)))),
+        "fed.pretrain_epochs": st.integers(min_value=0),
+        "metrics.taps": st.lists(st.integers(0, num_layers - 1), max_size=4).map(tuple),
+        "metrics.eval_per_class": POSITIVE,
+        "metrics.probe_rounds": st.lists(POSITIVE, max_size=4).map(tuple),
+        "metrics.probe_epochs": POSITIVE,
+        "metrics.probe_lr": RATE,
+        "metrics.probe_batch": POSITIVE,
+        "metrics.finetune_epochs": POSITIVE,
+        "metrics.finetune_lr": RATE,
+        "metrics.finetune_momentum": UNIT,
+        "metrics.finetune_batch": POSITIVE,
+        "output.dir": LINE_TEXT.filter(bool),
+    }
+
+
+@st.composite
+def valid_configs(draw):
+    cfg = ExperimentConfig(scenario=draw(st.sampled_from(SCENARIOS)))
+    cfg.model.hidden = draw(st.lists(POSITIVE, min_size=1, max_size=7).map(tuple))
+    rules = checked_fields(cfg.num_layers)
+    rules["model.hidden"] = st.just(cfg.model.hidden)
+    for top in fields(cfg):
+        section = getattr(cfg, top.name)
+        if not is_dataclass(section):
+            continue
+        for f in fields(section):
+            default = getattr(section, f.name)
+            setattr(section, f.name,
+                    draw(rules.get(f"{top.name}.{f.name}", BY_TYPE[type(default)])))
+    d = cfg.data
+    d.scale_min, d.scale_max = sorted((d.scale_min, d.scale_max))
+    assume(d.kind == "synthetic" or d.idx_dir)
+    if cfg.output.dump_features:
+        cfg.fed.rounds = min(cfg.fed.rounds, U16_MAX)
+    mode, _ = personalized_layers(cfg.fed.personalization, cfg.num_layers)
+    assume(cfg.scenario != "personalization" or mode != "none")
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_configs())
+def test_render_then_parse_gives_back_the_config(cfg):
+    validate_config(cfg)
+    assert parse_config(render_config(cfg)) == cfg

@@ -4,11 +4,13 @@ pretraining, classifier fine-tuning, and bit-exact reproducibility."""
 import numpy as np
 import pytest
 
+from conftest import small_config
+
 from fedlens.data import generate_federation_data, make_domain_specs
 from fedlens.errors import ConfigError, NumericError, ShapeError
-from fedlens.fed import (LOCAL_EPOCH_ABLATION, FederationConfig, MetricPlan,
-                         aggregate, client_round_seed, finetune_classifier,
-                         pretrain, resolve_mask, run_federation, splice)
+from fedlens.fed import (LOCAL_EPOCH_ABLATION, aggregate, build_arch, client_round_seed,
+                         finetune_classifier, pretrain, resolve_mask, run_federation,
+                         splice)
 from fedlens.metrics import accuracy, is_registered
 from fedlens.nn import (LayerSpec, LayoutEntry, Network, ParamVector,
                         mlp_specs, one_hot, sgd_epochs)
@@ -143,13 +145,13 @@ class TestAggregate:
 class TestRunFederation:
     def test_single_client_equals_centralized(self):
         datasets = small_federation(num_clients=1)
-        cfg = FederationConfig(num_clients=1, local_epochs=2, rounds=3,
-                               batch_size=16, eval_cadence=1, seed=13)
-        result = run_federation(ARCH, cfg, datasets, MetricPlan(eval_per_class=5))
+        cfg = small_config(1, local_epochs=2, rounds=3, batch_size=16,
+                           eval_cadence=1, seed=13)
+        result = run_federation(cfg, datasets)
         central = Network(ARCH).init_random(derive_seed(13, "init"))
         for r in range(1, 4):
             sgd_epochs(central, datasets[0].train_x, datasets[0].train_y,
-                       epochs=2, lr=cfg.lr, momentum=cfg.momentum,
+                       epochs=2, lr=cfg.fed.lr, momentum=cfg.fed.momentum,
                        batch_size=16, seed=client_round_seed(13, 0, r))
         assert (result.final.post[0].values.tobytes()
                 == central.flatten().values.tobytes())
@@ -171,19 +173,17 @@ class TestRunFederation:
 
     def test_zero_local_epochs_pipeline_no_op(self):
         datasets = small_federation(num_clients=3)
-        cfg = FederationConfig(num_clients=3, local_epochs=0, rounds=2,
-                               eval_cadence=1, seed=23)
-        result = run_federation(ARCH, cfg, datasets, MetricPlan(eval_per_class=5))
+        cfg = small_config(3, local_epochs=0, rounds=2, eval_cadence=1, seed=23)
+        result = run_federation(cfg, datasets)
         init = Network(ARCH).init_random(derive_seed(23, "init")).flatten()
         for pv in result.final.post:
             assert pv.values.tobytes() == init.values.tobytes()
 
     def test_capture_schedule(self):
         datasets = small_federation(num_clients=3)
-        cfg = FederationConfig(num_clients=3, local_epochs=1, rounds=2,
-                               batch_size=32, eval_cadence=1, seed=25)
-        plan = MetricPlan(eval_per_class=5, distances=False)
-        result = run_federation(ARCH, cfg, datasets, plan)
+        cfg = small_config(3, metrics={"distances": False}, local_epochs=1, rounds=2,
+                           batch_size=32, eval_cadence=1, seed=25)
+        result = run_federation(cfg, datasets)
         assert result.eval_rounds == [1, 2]
         for m in range(3):
             for phase in ("pre", "post"):
@@ -194,23 +194,20 @@ class TestRunFederation:
 
     def test_successive_zero_equals_no_personalization(self):
         datasets = small_federation(num_clients=3)
-        plan = MetricPlan(eval_per_class=5)
         runs = []
         for mode in ("none", "successive:0"):
-            cfg = FederationConfig(num_clients=3, local_epochs=1, rounds=2,
-                                   batch_size=32, eval_cadence=1,
-                                   personalization=mode, seed=29)
-            runs.append(run_federation(ARCH, cfg, datasets, plan))
+            cfg = small_config(3, local_epochs=1, rounds=2, batch_size=32,
+                               eval_cadence=1, personalization=mode, seed=29)
+            runs.append(run_federation(cfg, datasets))
         assert runs[0].records == runs[1].records
         assert (runs[0].final.shared.values.tobytes()
                 == runs[1].final.shared.values.tobytes())
 
     def test_personalized_layers_never_leave_the_client(self):
         datasets = small_federation(num_clients=3)
-        cfg = FederationConfig(num_clients=3, local_epochs=1, rounds=3,
-                               batch_size=32, eval_cadence=3,
-                               personalization="successive:1", seed=31)
-        result = run_federation(ARCH, cfg, datasets, MetricPlan(eval_per_class=5))
+        cfg = small_config(3, local_epochs=1, rounds=3, batch_size=32, eval_cadence=3,
+                           personalization="successive:1", seed=31)
+        result = run_federation(cfg, datasets)
         mask = result.mask
         assert mask.layers == frozenset({1})
         shared_part = result.final.post[0].values[~mask.flags]
@@ -224,11 +221,12 @@ class TestRunFederation:
 
     def test_metric_names_all_registered(self):
         datasets = small_federation(num_clients=2)
-        cfg = FederationConfig(num_clients=2, local_epochs=1, rounds=2,
-                               batch_size=32, eval_cadence=2, seed=33)
-        plan = MetricPlan(eval_per_class=5, probe_rounds=(2,), probe_epochs=5,
-                          finetune_eval=True, finetune_epochs=1)
-        result = run_federation(ARCH, cfg, datasets, plan)
+        cfg = small_config(2, scenario="finetune",
+                           metrics={"probe_rounds": (2,), "probe_epochs": 5,
+                                    "finetune_epochs": 1},
+                           local_epochs=1, rounds=2, batch_size=32, eval_cadence=2,
+                           seed=33)
+        result = run_federation(cfg, datasets)
         assert all(is_registered(r.metric) for r in result.records)
         phases = {r.phase for r in result.records}
         assert phases == {"pre", "post", "tuned", "delta"}
@@ -236,18 +234,25 @@ class TestRunFederation:
     def test_numeric_error_names_round_and_client(self):
         datasets = small_federation(num_clients=3)
         datasets[1].train_x[5, 0] = np.inf
-        cfg = FederationConfig(num_clients=3, local_epochs=1, rounds=2,
-                               batch_size=16, seed=29)
+        cfg = small_config(3, local_epochs=1, rounds=2, batch_size=16, seed=29)
         with pytest.raises(NumericError, match=r"^round 1, client 1, local training: "
                                                r"non-finite activation leaving layer 1$") as info:
-            run_federation(ARCH, cfg, datasets, MetricPlan(eval_per_class=5))
+            run_federation(cfg, datasets)
         assert isinstance(info.value.__cause__, NumericError)
         assert str(info.value.__cause__) == "non-finite activation leaving layer 1"
 
-    def test_dataset_count_mismatch(self):
-        with pytest.raises(ConfigError):
-            run_federation(ARCH, FederationConfig(num_clients=2),
-                           small_federation(num_clients=3))
+    def test_numeric_error_names_pretraining(self):
+        cfg = small_config(3, local_epochs=1, rounds=2, batch_size=16, seed=29,
+                           lr=1e200, pretrain_epochs=5)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match=r"^pretraining: non-finite activation "
+                                    r"leaving layer 2$") as info:
+            run_federation(cfg, small_federation(num_clients=3))
+        assert isinstance(info.value.__cause__, NumericError)
+        assert str(info.value.__cause__) == "non-finite activation leaving layer 2"
+
+    def test_arch_comes_from_the_data_and_model_sections(self):
+        assert build_arch(small_config(3)) == ARCH
 
 
 class TestPretrain:
