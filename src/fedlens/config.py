@@ -192,6 +192,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("need at least one client", field="data.clients")
     if d.classes < 2:
         raise ConfigError("need at least two classes", field="data.classes")
+    if d.input_dim < 1:
+        raise ConfigError("input_dim must be positive", field="data.input_dim")
+    if d.kind == "synthetic":
+        for key in ("train_per_client", "test_per_client"):
+            if getattr(d, key) < d.classes:
+                raise ConfigError(f"{key} must be at least classes ({d.classes})",
+                                  field=f"data.{key}")
+    for key in ("anchor_scale", "offset_scale", "scale_min", "scale_max"):
+        if not math.isfinite(getattr(d, key)):
+            raise ConfigError(f"{key} must be finite", field=f"data.{key}")
+    if not 0.0 < d.within_class_scale < math.inf:
+        raise ConfigError("within_class_scale must be positive and finite",
+                          field="data.within_class_scale")
     if d.rotation not in ("random", "identity"):
         raise ConfigError(f"unknown rotation {d.rotation!r}", field="data.rotation")
     if not 0.0 <= d.label_noise < 1.0:
@@ -206,6 +219,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if m.activation not in ("relu", "linear"):
         raise ConfigError(f"unknown activation {m.activation!r}",
                           field="model.activation")
+    if m.residual_width < 0:
+        raise ConfigError("residual_width must be non-negative",
+                          field="model.residual_width")
+    if m.residual_inner < 1:
+        raise ConfigError("residual_inner must be positive", field="model.residual_inner")
     f = cfg.fed
     if f.rounds < 1:
         raise ConfigError("rounds must be positive", field="fed.rounds")
@@ -235,6 +253,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if mt.eval_per_class < 1:
         raise ConfigError("eval_per_class must be positive",
                           field="metrics.eval_per_class")
+    if d.kind == "synthetic" and d.balanced and d.label_noise == 0.0:
+        # balanced draws give every class at least count // classes rows
+        rows = min(d.train_per_client, d.test_per_client) // d.classes
+        if mt.eval_per_class > rows:
+            raise ConfigError(f"eval_per_class exceeds the {rows} rows each class has",
+                              field="metrics.eval_per_class")
     if any(r < 1 for r in mt.probe_rounds):
         raise ConfigError("probe rounds must be positive",
                           field="metrics.probe_rounds")

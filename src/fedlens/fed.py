@@ -3,7 +3,7 @@
 Each round every client trains locally for E epochs from its current start
 point, the server forms a sample-count-weighted average of the trained
 parameter vectors, and every client's next start point is that average with
-its personalized (masked) coordinates spliced back in. Masked coordinates
+the coordinates of its personalized layers spliced back in. Those coordinates
 never leave the client and are never mixed by the average. Momentum starts
 fresh every round.
 """
@@ -27,15 +27,6 @@ from .seeds import derive_seed
 LOCAL_EPOCH_ABLATION = ((5, 20), (10, 10), (20, 5))
 
 
-@dataclass(frozen=True)
-class PersonalizationMask:
-    """Per-parameter exclusion mask; True coordinates stay client-local."""
-
-    mode: str
-    layers: frozenset
-    flags: np.ndarray
-
-
 @dataclass
 class RoundState:
     """Snapshot of one round: locally trained, averaged, and spliced vectors."""
@@ -48,86 +39,53 @@ class RoundState:
 
 @dataclass
 class RunResult:
+    """A run's sorted records and its last round; the rest derives from the config."""
+
     records: list
-    eval_rounds: list
     final: RoundState
-    seed_table: list
-    mask: PersonalizationMask
 
 
-def parse_personalization(mode) -> tuple:
-    """Normalize a personalization mode to (name, payload)."""
-    if mode is None:
-        return ("none", None)
-    if isinstance(mode, tuple):
-        return mode
-    text = str(mode).strip()
+def personalized_layers(mode: str, num_layers: int) -> tuple:
+    """(canonical mode, frozenset of the 1-based layers a mode keeps client-local).
+
+    "none" (or an empty mode) marks no layer, "classifier" the final layer,
+    successive:k layers 1..k (k == num_layers keeps every parameter local)
+    and skip:a,b exactly the listed layers, at least one. The canonical mode
+    parses back to the same pair. A malformed mode, or a count or layer
+    outside the network, is a ConfigError on fed.personalization.
+    """
+    text = mode.strip()
+    name, colon, arg = text.partition(":")
     if text in ("none", ""):
-        return ("none", None)
+        return "none", frozenset()
     if text == "classifier":
-        return ("classifier", None)
-    if text.startswith("successive:"):
+        return "classifier", frozenset({num_layers})
+    if colon and name == "successive":
         try:
-            return ("successive", int(text.split(":", 1)[1]))
+            k = int(arg)
         except ValueError:
             raise ConfigError(f"bad successive count in {text!r}",
                               field="fed.personalization") from None
-    if text.startswith("skip:"):
-        body = text.split(":", 1)[1]
-        try:
-            layers = tuple(sorted({int(p) for p in body.split(",") if p.strip()}))
-        except ValueError:
-            raise ConfigError(f"bad layer list in {text!r}",
-                              field="fed.personalization") from None
-        return ("skip", layers)
-    raise ConfigError(f"unknown personalization mode {text!r}",
-                      field="fed.personalization")
-
-
-def personalized_layers(mode, num_layers: int) -> tuple:
-    """(mode name, frozenset of the 1-based layers a mode keeps client-local).
-
-    "classifier" marks the final layer, successive:k marks layers 1..k
-    (k == num_layers keeps every parameter local), skip:a,b marks exactly
-    those layers. Counts and layers outside the network are a ConfigError.
-    """
-    name, payload = parse_personalization(mode)
-    if name == "none":
-        layers = frozenset()
-    elif name == "classifier":
-        layers = frozenset({num_layers})
-    elif name == "successive":
-        k = int(payload)
         if not 0 <= k <= num_layers:
             raise ConfigError(f"successive count {k} out of range 0..{num_layers}",
                               field="fed.personalization")
-        layers = frozenset(range(1, k + 1))
-    elif name == "skip":
-        layers = frozenset(int(p) for p in payload)
-        bad = [p for p in layers if not 1 <= p <= num_layers]
-        if bad:
-            raise ConfigError(f"skip layers {sorted(bad)} out of range 1..{num_layers}",
+        return f"successive:{k}", frozenset(range(1, k + 1))
+    if colon and name == "skip":
+        try:
+            layers = frozenset(int(p) for p in arg.split(",") if p.strip())
+        except ValueError:
+            raise ConfigError(f"bad layer list in {text!r}",
+                              field="fed.personalization") from None
+        if not layers:
+            raise ConfigError(f"skip names no layer in {text!r}",
                               field="fed.personalization")
-    else:
-        raise ConfigError(f"unknown personalization mode {name!r}",
-                          field="fed.personalization")
-    return name, layers
-
-
-def resolve_mask(mode, layout, num_layers: int) -> PersonalizationMask:
-    """Turn a personalization mode into a per-parameter boolean mask."""
-    name, layers = personalized_layers(mode, num_layers)
-    flags = np.zeros(sum(e.size for e in layout), dtype=bool)
-    for e in layout:
-        if e.layer in layers:
-            flags[e.offset:e.offset + e.size] = True
-    if name == "successive":
-        canonical = f"successive:{len(layers)}"
-    elif name == "skip":
-        canonical = "skip:" + ",".join(str(p) for p in sorted(layers))
-    else:
-        canonical = name
-    return PersonalizationMask(canonical, layers, flags)
+        bad = sorted(p for p in layers if not 1 <= p <= num_layers)
+        if bad:
+            raise ConfigError(f"skip layers {bad} out of range 1..{num_layers}",
+                              field="fed.personalization")
+        return "skip:" + ",".join(str(p) for p in sorted(layers)), layers
+    raise ConfigError(f"unknown personalization mode {text!r}",
+                      field="fed.personalization")
 
 
 def aggregate(models, counts) -> ParamVector:
@@ -137,8 +95,8 @@ def aggregate(models, counts) -> ParamVector:
     so any input permutation yields bit-identical output, and the result is
     clipped into the elementwise [min, max] envelope of the inputs, which
     keeps the mean convex and makes averaging identical vectors an exact
-    no-op. Masked coordinates are superseded by `splice`, which restores each
-    client's own values.
+    no-op. Personalized coordinates are superseded by `splice`, which
+    restores each client's own values.
     """
     models = list(models)
     if not models:
@@ -163,12 +121,16 @@ def aggregate(models, counts) -> ParamVector:
     return ParamVector(acc, layout)
 
 
-def splice(shared: ParamVector, residue: ParamVector, mask: PersonalizationMask) -> ParamVector:
-    """Shared vector with the client's masked coordinates restored bit-exactly."""
+def splice(shared: ParamVector, residue: ParamVector, local) -> ParamVector:
+    """Shared vector with the client's local coordinates restored bit-exactly.
+
+    `local` is a boolean array over the vector, True where a coordinate
+    stays with the client.
+    """
     if shared.layout != residue.layout:
         raise ShapeError("shared and residue layouts differ")
     out = shared.values.copy()
-    out[mask.flags] = residue.values[mask.flags]
+    out[local] = residue.values[local]
     return ParamVector(out, shared.layout)
 
 
@@ -256,7 +218,9 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
                      batch_size=fed.batch_size, seed=derive_seed(fed.seed, "pretrain"))
     init_vec = net.flatten()
     num_layers = net.num_layers
-    mask = resolve_mask(fed.personalization, net.layout, num_layers)
+    local = np.zeros(init_vec.size, dtype=bool)
+    for layer in personalized_layers(fed.personalization, num_layers)[1]:
+        local[init_vec.layer_slice(layer)] = True
     tap_layers = tuple(sorted(set(mt.taps))) or tuple(range(num_layers))
     eval_sets = [balanced_eval_subset(ds, mt.eval_per_class,
                                       derive_seed(fed.seed, "evalsubset", ds.client_id))
@@ -278,26 +242,22 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
         return fms
 
     client_params = [init_vec.copy() for _ in range(m_clients)]
-    seed_table = []
-    eval_rounds = []
 
     for r in range(1, fed.rounds + 1):
         nets = []
         for m in range(m_clients):
-            seed = client_round_seed(fed.seed, m, r)
-            seed_table.append((m, r, seed))
             net = Network.from_vector(arch, client_params[m])
             with _located(f"round {r}, client {m}, local training"):
                 sgd_epochs(net, datasets[m].train_x, datasets[m].train_y,
                            fed.local_epochs, lr=fed.lr, momentum=fed.momentum,
-                           batch_size=fed.batch_size, seed=seed)
+                           batch_size=fed.batch_size,
+                           seed=client_round_seed(fed.seed, m, r))
             nets.append(net)
         trained = [net.flatten() for net in nets]
         shared = aggregate(trained, counts)
-        new_params = [splice(shared, trained[m], mask) for m in range(m_clients)]
+        new_params = [splice(shared, trained[m], local) for m in range(m_clients)]
 
         if r % fed.eval_cadence == 0:
-            eval_rounds.append(r)
             post_nets = [Network.from_vector(arch, pv) for pv in new_params]
             for m in range(m_clients):
                 pre_taps = capture(nets[m], m, r, "pre", trained[m])
@@ -326,8 +286,7 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
         client_params = new_params
 
     records.sort(key=MetricRecord.sort_key)
-    final = RoundState(fed.rounds, trained, shared, new_params)
-    return RunResult(records, eval_rounds, final, seed_table, mask)
+    return RunResult(records, RoundState(fed.rounds, trained, shared, new_params))
 
 
 def _probe_records(cfg, t, pre_nets, post_nets, datasets, r):

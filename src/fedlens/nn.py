@@ -122,10 +122,6 @@ class ParamVector:
         raise ShapeError(f"no weight matrix for layer {layer}")
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
 class Network:
     """A chain of LayerSpec layers ending in a linear classifier.
 
@@ -224,26 +220,27 @@ class Network:
         spec = self.specs[idx]
         tensors = self.params[idx]
         if spec.kind in ("linear", "linear_relu"):
-            w = tensors[0]
-            u = h @ w.T
+            u = h @ tensors[0].T
             if spec.has_bias:
-                u = u + tensors[1]
-            out = _relu(u) if spec.kind == "linear_relu" else u
-            cache = (h, u) if keep_cache else None
-            return out, cache
+                u += tensors[1]
+            if spec.kind == "linear_relu":
+                # backward needs only u > 0, which relu leaves unchanged
+                np.maximum(u, 0.0, out=u)
+            return u, ((h, u) if keep_cache else None)
         # residual block: out = h + f(h)
         inner_inputs = []
         pre_acts = []
         g = h
         step = 2 if spec.has_bias else 1
         for i in range(spec.inner_layers):
-            w = tensors[i * step]
             inner_inputs.append(g)
-            u = g @ w.T
+            u = g @ tensors[i * step].T
             if spec.has_bias:
-                u = u + tensors[i * step + 1]
+                u += tensors[i * step + 1]
+            if i < spec.inner_layers - 1:
+                np.maximum(u, 0.0, out=u)
             pre_acts.append(u)
-            g = _relu(u) if i < spec.inner_layers - 1 else u
+            g = u
         out = h + g
         cache = (inner_inputs, pre_acts) if keep_cache else None
         return out, cache
@@ -292,7 +289,10 @@ class Network:
         loss = float((np.log(sums[:, 0]) - (z * y).sum(axis=1)).sum()) / n
         if not math.isfinite(loss):
             raise NumericError("loss is not finite")
-        g = (expz / sums - y) / n
+        expz /= sums
+        expz -= y
+        expz /= n
+        g = expz
         grad = np.empty(self.values.size - start)
         for idx in range(self.num_layers - 1, first - 1, -1):
             g = self._layer_backward(idx, g, caches[idx], grad, start, input_grad=idx > first)

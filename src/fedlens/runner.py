@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import records_to_csv
@@ -10,7 +9,7 @@ from .config import ExperimentConfig, render_config
 from .data import (generate_federation_data, load_idx, make_domain_specs,
                    merge_train_test)
 from .errors import ConfigError
-from .fed import RunResult, run_federation
+from .fed import RunResult, client_round_seed, personalized_layers, run_federation
 from .seeds import derive_seed
 
 METRICS_CSV = "metrics.csv"
@@ -18,12 +17,6 @@ ACCURACY_CSV = "accuracy.csv"
 MANIFEST = "manifest.txt"
 DUMP_SUBDIR = "dumps"
 ACCURACY_METRICS = ("train_acc", "test_acc")
-
-
-@dataclass
-class RunOutput:
-    result: RunResult
-    manifest: str
 
 
 def build_datasets(cfg: ExperimentConfig):
@@ -47,7 +40,7 @@ def build_datasets(cfg: ExperimentConfig):
     return datasets
 
 
-def execute(cfg: ExperimentConfig, dump_dir=None) -> RunOutput:
+def execute(cfg: ExperimentConfig, dump_dir=None) -> RunResult:
     """Run one experiment in memory; file writing happens in run_to_dir."""
     datasets = build_datasets(cfg)
     for ds in datasets:
@@ -55,22 +48,26 @@ def execute(cfg: ExperimentConfig, dump_dir=None) -> RunOutput:
             raise ConfigError(
                 f"dataset dim {ds.train_x.shape[1]} does not match input_dim "
                 f"{cfg.data.input_dim}", field="data.input_dim")
-    result = run_federation(cfg, datasets, dump_dir)
-    return RunOutput(result, _render_manifest(cfg, result))
+    return run_federation(cfg, datasets, dump_dir)
 
 
-def _render_manifest(cfg: ExperimentConfig, result: RunResult) -> str:
+def _render_manifest(cfg: ExperimentConfig) -> str:
+    """The canonical config plus the values a run derives from it."""
+    f = cfg.fed
+    eval_rounds = range(f.eval_cadence, f.rounds + 1, f.eval_cadence)
     lines = [render_config(cfg).rstrip(), "", "# derived values"]
-    lines.append(f"# mask = {result.mask.mode}")
-    lines.append(f"# eval rounds = {','.join(str(r) for r in result.eval_rounds)}")
-    lines.append(f"# init seed = {derive_seed(cfg.fed.seed, 'init')}")
-    if cfg.fed.pretrain_epochs > 0:
-        lines.append(f"# pretrain seed = {derive_seed(cfg.fed.seed, 'pretrain')}")
+    lines.append(f"# mask = {personalized_layers(f.personalization, cfg.num_layers)[0]}")
+    lines.append(f"# eval rounds = {','.join(str(r) for r in eval_rounds)}")
+    lines.append(f"# init seed = {derive_seed(f.seed, 'init')}")
+    if f.pretrain_epochs > 0:
+        lines.append(f"# pretrain seed = {derive_seed(f.seed, 'pretrain')}")
     for m in range(cfg.data.clients):
         lines.append(f"# eval subset seed client {m} = "
-                     f"{derive_seed(cfg.fed.seed, 'evalsubset', m)}")
-    for client, rnd, seed in result.seed_table:
-        lines.append(f"# train seed client {client} round {rnd} = {seed}")
+                     f"{derive_seed(f.seed, 'evalsubset', m)}")
+    for r in range(1, f.rounds + 1):
+        for m in range(cfg.data.clients):
+            lines.append(f"# train seed client {m} round {r} = "
+                         f"{client_round_seed(f.seed, m, r)}")
     return "\n".join(lines) + "\n"
 
 
@@ -79,10 +76,10 @@ def run_to_dir(cfg: ExperimentConfig) -> Path:
     out_dir = Path(cfg.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_dir = out_dir / DUMP_SUBDIR if cfg.output.dump_features else None
-    run = execute(cfg, dump_dir=dump_dir)
-    acc = [r for r in run.result.records if r.metric in ACCURACY_METRICS]
-    rest = [r for r in run.result.records if r.metric not in ACCURACY_METRICS]
+    records = execute(cfg, dump_dir=dump_dir).records
+    acc = [r for r in records if r.metric in ACCURACY_METRICS]
+    rest = [r for r in records if r.metric not in ACCURACY_METRICS]
     (out_dir / METRICS_CSV).write_text(records_to_csv(rest), newline="\n")
     (out_dir / ACCURACY_CSV).write_text(records_to_csv(acc), newline="\n")
-    (out_dir / MANIFEST).write_text(run.manifest, newline="\n")
+    (out_dir / MANIFEST).write_text(_render_manifest(cfg), newline="\n")
     return out_dir

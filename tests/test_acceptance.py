@@ -36,7 +36,7 @@ def _preset_run(preset_name, sub_name, seed, probe_rounds=()):
         cfg = dict(preset(preset_name, seed=seed))[sub_name]
         if probe_rounds:
             cfg.metrics.probe_rounds = tuple(probe_rounds)
-        _RUNS[key] = execute(cfg).result
+        _RUNS[key] = execute(cfg)
     return _RUNS[key]
 
 
@@ -67,6 +67,11 @@ def finetune_run(seed):
                        probe_rounds=(22, 24, 26, 28, 30))
 
 
+def eval_rounds(result):
+    """The rounds a run captured, in order."""
+    return sorted({r.round for r in result.records})
+
+
 def majority(flags) -> bool:
     return sum(bool(f) for f in flags) >= 2
 
@@ -80,7 +85,7 @@ def rel_sigma_means(result):
 def train_acc_gap_points(result):
     """Mean (pre - post) local train accuracy over rounds 5..25, in points."""
     vm = value_map(select(result.records, metric="train_acc"))
-    rounds = [r for r in result.eval_rounds if 5 <= r <= 25]
+    rounds = [r for r in eval_rounds(result) if 5 <= r <= 25]
     diffs = [vm[(r, "pre", m, -1, "train_acc")]
              - vm[(r, "post", m, -1, "train_acc")]
              for r in rounds for m in range(CLIENTS)]
@@ -283,7 +288,7 @@ def test_feature_vs_parameter_distance_depth_trends():
 def test_alignment_change_peaks_at_classifier_interface():
     res = heterogeneous_run(SEEDS[0])
     vm = value_map(relative_change_records(res.records))
-    rounds = [r for r in res.eval_rounds if r > 5]
+    rounds = [r for r in eval_rounds(res) if r > 5]
     hits = 0
     for r in rounds:
         pen = np.mean([vm[(r, "delta", m, PEN_TAP, "rel_alignment")]
@@ -310,7 +315,7 @@ def test_pretrained_init_reduces_feature_disruption():
     flags = []
     for s in SEEDS:
         pre, rnd = pretrained_runs(s)
-        assert pre.eval_rounds == rnd.eval_rounds  # matched rounds
+        assert eval_rounds(pre) == eval_rounds(rnd)  # matched rounds
         v_pre = float(np.mean(list(rel_sigma_means(pre).values())))
         v_rnd = float(np.mean(list(rel_sigma_means(rnd).values())))
         detail.append((v_pre, v_rnd))
@@ -324,7 +329,7 @@ def test_classifier_finetune_recovers_accuracy_and_alignment():
     for s in SEEDS:
         res = finetune_run(s)
         vm = value_map(res.records)
-        cells = [(r, m) for r in res.eval_rounds if r > 5
+        cells = [(r, m) for r in eval_rounds(res) if r > 5
                  for m in range(CLIENTS)]
         hits = sum(
             1 for r, m in cells
@@ -343,7 +348,7 @@ def test_post_aggregation_features_generalize_better():
     for s in SEEDS:
         res = finetune_run(s)
         vm = value_map(res.records)
-        rounds = [r for r in (22, 24, 26, 28, 30) if r in res.eval_rounds]
+        rounds = [r for r in (22, 24, 26, 28, 30) if r in eval_rounds(res)]
         assert rounds
         ok = 0
         total = 0

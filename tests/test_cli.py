@@ -66,6 +66,18 @@ BAD_VALUES = [
     ("fed.rounds", "0", {}),
     ("fed.local_epochs", "-1", {}),
     ("fed.eval_cadence", "0", {}),
+    ("fed.personalization", "skip:", {}),
+    ("data.input_dim", "0", {}),
+    ("data.train_per_client", "0", {}),
+    ("data.test_per_client", "2", {}),
+    ("data.anchor_scale", "nan", {}),
+    ("data.offset_scale", "inf", {}),
+    ("data.scale_min", "-inf", {}),
+    ("data.scale_max", "nan", {}),
+    ("data.within_class_scale", "0.0", {}),
+    ("model.residual_width", "-1", {}),
+    ("model.residual_inner", "0", {}),
+    ("metrics.eval_per_class", "6", {}),
 ]
 
 

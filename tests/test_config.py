@@ -3,12 +3,14 @@
 import math
 from dataclasses import fields, is_dataclass
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedlens.config import (SCENARIOS, ExperimentConfig, parse_config, render_config,
                             validate_config)
 from fedlens.dumps import U16_MAX
+from fedlens.errors import ConfigError
 from fedlens.fed import personalized_layers
 
 # one value per line, without the surrounding blanks that the parser strips
@@ -18,6 +20,7 @@ LINE_TEXT = (st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")
 POSITIVE = st.integers(min_value=1)
 RATE = st.floats(min_value=0.0, max_value=math.inf, exclude_min=True, exclude_max=True)
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 # fields that validate_config leaves unchecked take any value of their type
 BY_TYPE = {bool: st.booleans(), int: st.integers(), float: st.floats(allow_nan=False),
@@ -30,9 +33,17 @@ def checked_fields(num_layers):
         "data.kind": st.sampled_from(("synthetic", "idx")),
         "data.clients": POSITIVE,
         "data.classes": st.integers(min_value=2),
+        "data.input_dim": POSITIVE,
+        "data.anchor_scale": FINITE,
+        "data.within_class_scale": RATE,
+        "data.scale_min": FINITE,
+        "data.scale_max": FINITE,
+        "data.offset_scale": FINITE,
         "data.rotation": st.sampled_from(("random", "identity")),
         "data.label_noise": UNIT,
         "model.activation": st.sampled_from(("relu", "linear")),
+        "model.residual_width": st.integers(min_value=0),
+        "model.residual_inner": POSITIVE,
         "fed.rounds": POSITIVE,
         "fed.local_epochs": st.integers(min_value=0),
         "fed.lr": RATE,
@@ -76,6 +87,13 @@ def valid_configs(draw):
     d = cfg.data
     d.scale_min, d.scale_max = sorted((d.scale_min, d.scale_max))
     assume(d.kind == "synthetic" or d.idx_dir)
+    if d.kind == "synthetic":
+        d.train_per_client = max(d.train_per_client, d.classes)
+        d.test_per_client = max(d.test_per_client, d.classes)
+        if d.balanced and d.label_noise == 0.0:
+            cfg.metrics.eval_per_class = min(
+                cfg.metrics.eval_per_class,
+                min(d.train_per_client, d.test_per_client) // d.classes)
     if cfg.output.dump_features:
         cfg.fed.rounds = min(cfg.fed.rounds, U16_MAX)
     mode, _ = personalized_layers(cfg.fed.personalization, cfg.num_layers)
@@ -88,3 +106,21 @@ def valid_configs(draw):
 def test_render_then_parse_gives_back_the_config(cfg):
     validate_config(cfg)
     assert parse_config(render_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("train, test", [(12, 15), (15, 12)])
+def test_eval_rows_per_class_are_bounded_by_both_splits(train, test):
+    # 3 balanced classes: 12 rows give 4 per class, too few for 5
+    cfg = ExperimentConfig()
+    cfg.data.classes, cfg.data.train_per_client, cfg.data.test_per_client = 3, train, test
+    cfg.metrics.eval_per_class = 4
+    validate_config(cfg)
+    cfg.metrics.eval_per_class = 5
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    assert info.value.field == "metrics.eval_per_class"
+    # label noise or unbalanced draws leave the per-class counts to data generation
+    cfg.data.label_noise = 0.1
+    validate_config(cfg)
+    cfg.data.label_noise, cfg.data.balanced = 0.0, False
+    validate_config(cfg)

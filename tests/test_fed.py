@@ -1,16 +1,22 @@
-"""Federation protocol tests: masks, weighted aggregation, round scheduling,
-pretraining, classifier fine-tuning, and bit-exact reproducibility."""
+"""Federation protocol tests: personalized layers, weighted aggregation, round
+scheduling, pretraining, classifier fine-tuning, and bit-exact reproducibility."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_config
+
+from fedlens.config import validate_config
 
 from fedlens.data import generate_federation_data, make_domain_specs
 from fedlens.errors import ConfigError, NumericError, ShapeError
 from fedlens.fed import (LOCAL_EPOCH_ABLATION, aggregate, build_arch, client_round_seed,
-                         finetune_classifier, pretrain, resolve_mask, run_federation,
-                         splice)
+                         finetune_classifier, personalized_layers, pretrain,
+                         run_federation, splice)
 from fedlens.metrics import accuracy, is_registered
 from fedlens.nn import (LayerSpec, LayoutEntry, Network, ParamVector,
                         mlp_specs, one_hot, sgd_epochs)
@@ -34,43 +40,109 @@ def random_vectors(rng, count, size=17):
     return [ParamVector(rng.normal(size=size), layout) for _ in range(count)]
 
 
-class TestMasks:
-    layout = Network(ARCH).layout
+def kept_layers(mode, hidden=(8, 8)):
+    """Layers that every client keeps local after one round under `mode`.
 
+    Each layer's span of every client's next start point must be either
+    fully the client's own trained values or fully the shared average.
+    """
+    cfg = small_config(3, local_epochs=1, rounds=1, batch_size=32, eval_cadence=2,
+                       personalization=mode, seed=31)
+    cfg.model = replace(cfg.model, hidden=tuple(hidden))
+    validate_config(cfg)
+    final = run_federation(cfg, small_federation(num_clients=3)).final
+    kept = set()
+    for layer in range(1, len(hidden) + 2):
+        slc = final.shared.layer_slice(layer)
+        sides = {(np.array_equal(post.values[slc], pre.values[slc]),
+                  np.array_equal(post.values[slc], final.shared.values[slc]))
+                 for pre, post in zip(final.pre, final.post)}
+        assert sides in ({(True, False)}, {(False, True)}), (layer, sides)
+        if sides == {(True, False)}:
+            kept.add(layer)
+    return kept
+
+
+class TestMasks:
     def test_none_is_all_false(self):
-        mask = resolve_mask("none", self.layout, 3)
-        assert not mask.flags.any()
+        assert kept_layers("none") == set()
 
     def test_successive_full_depth_keeps_everything_local(self):
-        mask = resolve_mask("successive:3", self.layout, 3)
-        assert mask.flags.all()
+        assert kept_layers("successive:3") == {1, 2, 3}
 
     def test_successive_two_of_five(self):
-        layout = Network(mlp_specs(4, [5, 5, 5, 5], 2)).layout
-        mask = resolve_mask("successive:2", layout, 5)
-        marked = {e.layer for e in layout if mask.flags[e.offset]}
-        assert marked == {1, 2}
-        for e in layout:
-            span = mask.flags[e.offset:e.offset + e.size]
-            assert span.all() if e.layer <= 2 else not span.any()
+        assert kept_layers("successive:2", hidden=(5, 5, 5, 5)) == {1, 2}
 
     def test_classifier_marks_final_layer(self):
-        mask = resolve_mask("classifier", self.layout, 3)
-        marked = {e.layer for e in self.layout if mask.flags[e.offset]}
-        assert marked == {3}
+        assert kept_layers("classifier") == {3}
 
     def test_skip_exact_layers(self):
-        mask = resolve_mask("skip:1,3", self.layout, 3)
-        marked = {e.layer for e in self.layout if mask.flags[e.offset]}
-        assert marked == {1, 3}
+        assert kept_layers("skip:1,3") == {1, 3}
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_mask("successive:4", self.layout, 3)
-        with pytest.raises(ConfigError):
-            resolve_mask("skip:0", self.layout, 3)
-        with pytest.raises(ConfigError):
-            resolve_mask("sideways", self.layout, 3)
+        for mode in ("successive:4", "skip:0", "sideways"):
+            with pytest.raises(ConfigError):
+                personalized_layers(mode, 3)
+
+
+# every way a mode can be written: padding, spacing inside the argument,
+# repeated and empty items of a skip list
+PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def valid_modes(draw):
+    """(L, mode text, the documented (canonical mode, layer set))."""
+    num_layers = draw(st.integers(1, 8), label="L")
+    kind = draw(st.sampled_from(["none", "classifier", "successive", "skip"]))
+    if kind == "none":
+        body, want = draw(st.sampled_from(["none", ""])), ("none", frozenset())
+    elif kind == "classifier":
+        body, want = "classifier", ("classifier", frozenset({num_layers}))
+    elif kind == "successive":
+        k = draw(st.integers(0, num_layers), label="k")
+        body = f"successive:{draw(PAD)}{k}{draw(PAD)}"
+        want = (f"successive:{k}", frozenset(range(1, k + 1)))
+    else:
+        layers = draw(st.lists(st.integers(1, num_layers), min_size=1, max_size=6))
+        items = [f"{draw(PAD)}{p}{draw(PAD)}" for p in layers]
+        items += draw(st.lists(PAD, max_size=2))
+        body = "skip:" + ",".join(items)
+        want = ("skip:" + ",".join(str(p) for p in sorted(set(layers))),
+                frozenset(layers))
+    return num_layers, f"{draw(PAD)}{body}{draw(PAD)}", want
+
+
+@st.composite
+def bad_modes(draw):
+    """(L, a mode that is malformed, names no layer, or leaves the network)."""
+    num_layers = draw(st.integers(1, 8), label="L")
+    return num_layers, draw(st.one_of(
+        st.sampled_from(["sideways", "Classifier", "successive", "skip", "successive:",
+                         "successive:two", "successive:1.5", "successive :1", "skip:a",
+                         "skip:1;2", "skip:", "skip: ,", "skip:,,"]),
+        st.integers(num_layers + 1, 20).map(lambda k: f"successive:{k}"),
+        st.integers(-5, -1).map(lambda k: f"successive:{k}"),
+        st.lists(st.integers(1, num_layers), max_size=3).flatmap(
+            lambda good: st.sampled_from([0, -1, num_layers + 1]).map(
+                lambda bad: "skip:" + ",".join(map(str, good + [bad]))))))
+
+
+class TestPersonalizedLayers:
+    @settings(max_examples=300, deadline=None)
+    @given(valid_modes())
+    def test_documented_layers_and_canonical_round_trip(self, case):
+        num_layers, mode, want = case
+        assert personalized_layers(mode, num_layers) == want
+        assert personalized_layers(want[0], num_layers) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(bad_modes())
+    def test_bad_modes_are_config_errors(self, case):
+        num_layers, mode = case
+        with pytest.raises(ConfigError) as info:
+            personalized_layers(mode, num_layers)
+        assert info.value.field == "fed.personalization"
 
 
 class TestAggregate:
@@ -136,10 +208,11 @@ class TestAggregate:
         layout = Network(ARCH).layout
         shared = ParamVector(rng.normal(size=sum(e.size for e in layout)), layout)
         residue = ParamVector(rng.normal(size=shared.size), layout)
-        mask = resolve_mask("successive:1", layout, 3)
-        out = splice(shared, residue, mask)
-        assert np.array_equal(out.values[mask.flags], residue.values[mask.flags])
-        assert np.array_equal(out.values[~mask.flags], shared.values[~mask.flags])
+        local = np.zeros(shared.size, dtype=bool)
+        local[shared.layer_slice(1)] = True
+        out = splice(shared, residue, local)
+        assert np.array_equal(out.values[local], residue.values[local])
+        assert np.array_equal(out.values[~local], shared.values[~local])
 
 
 class TestRunFederation:
@@ -184,7 +257,7 @@ class TestRunFederation:
         cfg = small_config(3, metrics={"distances": False}, local_epochs=1, rounds=2,
                            batch_size=32, eval_cadence=1, seed=25)
         result = run_federation(cfg, datasets)
-        assert result.eval_rounds == [1, 2]
+        assert sorted({r.round for r in result.records}) == [1, 2]
         for m in range(3):
             for phase in ("pre", "post"):
                 acc = [r for r in result.records
@@ -208,16 +281,18 @@ class TestRunFederation:
         cfg = small_config(3, local_epochs=1, rounds=3, batch_size=32, eval_cadence=3,
                            personalization="successive:1", seed=31)
         result = run_federation(cfg, datasets)
-        mask = result.mask
-        assert mask.layers == frozenset({1})
-        shared_part = result.final.post[0].values[~mask.flags]
+        _, layers = personalized_layers(cfg.fed.personalization, 3)
+        assert layers == frozenset({1})
+        local = np.zeros(result.final.shared.size, dtype=bool)
+        local[result.final.shared.layer_slice(1)] = True
+        shared_part = result.final.post[0].values[~local]
         for m in range(3):
             post = result.final.post[m].values
             pre = result.final.pre[m].values
-            # masked span: the client's own trained values, bit-exact
-            assert np.array_equal(post[mask.flags], pre[mask.flags])
-            # unmasked span: one shared average for everyone
-            assert np.array_equal(post[~mask.flags], shared_part)
+            # local span: the client's own trained values, bit-exact
+            assert np.array_equal(post[local], pre[local])
+            # the rest: one shared average for everyone
+            assert np.array_equal(post[~local], shared_part)
 
     def test_metric_names_all_registered(self):
         datasets = small_federation(num_clients=2)

@@ -381,6 +381,71 @@ class TestFrozenPrefix:
             net.loss_and_grad(np.ones((2, 3)), one_hot([0, 1], 2), 2)
 
 
+def reference_loss_and_grad(net, h, y, train_from):
+    """loss_and_grad of layers train_from..L with every step out of place.
+
+    Each layer is a chain of (W, b) maps with relu after every map of a
+    linear_relu layer and after all but the last map of a residual block.
+    """
+    layers = []
+    for spec, tensors in zip(net.specs[train_from - 1:], net.params[train_from - 1:]):
+        assert spec.has_bias
+        ws = tensors[0::2]
+        relus = ([True] * (len(ws) - 1) + [False] if spec.kind == "residual"
+                 else [spec.kind == "linear_relu"])
+        inputs, pre_acts, g = [], [], h
+        for w, b, relu in zip(ws, tensors[1::2], relus):
+            inputs.append(g)
+            u = g @ w.T
+            u = u + b
+            pre_acts.append(u)
+            g = np.maximum(u, 0.0) if relu else u
+        layers.append((ws, relus, inputs, pre_acts, spec.kind == "residual"))
+        h = h + g if spec.kind == "residual" else g
+    n = h.shape[0]
+    z = h - h.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    sums = expz.sum(axis=1, keepdims=True)
+    loss = float((np.log(sums[:, 0]) - (z * y).sum(axis=1)).sum()) / n
+    g_out = (expz / sums - y) / n
+    parts = []
+    for ws, relus, inputs, pre_acts, residual in reversed(layers):
+        g, layer_parts = g_out, []
+        for j in reversed(range(len(ws))):
+            if relus[j]:
+                g = g * (pre_acts[j] > 0)
+            layer_parts = [(g.T @ inputs[j]).ravel(), g.sum(axis=0)] + layer_parts
+            g = g @ ws[j]
+        g_out = g_out + g if residual else g
+        parts = layer_parts + parts
+    return loss, np.concatenate(parts)
+
+
+class TestInPlaceKernels:
+    """The forward and the softmax gradient reuse their own buffers only."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(specs=small_specs, data=st.data())
+    def test_match_out_of_place_reference_and_leave_inputs_alone(self, specs, data):
+        train_from = data.draw(st.integers(1, len(specs)), label="train_from")
+        n = data.draw(st.integers(1, 9), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        net = Network(specs)
+        net.values[...] = rng.normal(size=net.values.size)
+        x = rng.normal(size=(n, specs[0].in_dim))
+        y = one_hot(rng.integers(0, specs[-1].out_dim, size=n), specs[-1].out_dim)
+        batch = x.copy()
+        _, taps = net.forward(x)
+        saved = [t.copy() for t in taps]
+        h = taps[train_from - 1]
+        loss, grad = net.loss_and_grad(h, y, train_from)
+        ref_loss, ref_grad = reference_loss_and_grad(net, h, y, train_from)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert x.tobytes() == batch.tobytes()
+        assert all(t.tobytes() == s.tobytes() for t, s in zip(taps, saved))
+
+
 class TestInitAndVectors:
     def test_same_seed_identical(self):
         a = Network(mlp_specs(4, [8, 8], 3)).init_random(seed=10).flatten()
