@@ -1,15 +1,38 @@
-"""Working with metric record logs: deltas, rank correlation, CSV round-trips."""
+"""Metric records and their logs: relative changes and CSV round-trips."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import FormatError
-from .metrics import MetricRecord, relative_change
 
 CSV_HEADER = "round,phase,client,layer,metric,value"
+METRICS_CSV = "metrics.csv"
+ACCURACY_CSV = "accuracy.csv"
+
+
+@dataclass(frozen=True)
+class MetricRecord:
+    """One scalar observation; layer -1 marks whole-model metrics."""
+
+    round: int
+    phase: str
+    client: int
+    layer: int
+    metric: str
+    value: float
+
+    def sort_key(self):
+        return (self.round, self.phase, self.client, self.layer, self.metric)
+
+
+def relative_change(pre: float, post: float) -> float:
+    """Symmetric percentage change |post-pre| / (|pre|+|post|) * 100."""
+    denom = abs(pre) + abs(post)
+    if denom == 0.0:
+        return 0.0
+    return abs(post - pre) / denom * 100.0
 
 
 def relative_change_records(records):
@@ -28,26 +51,6 @@ def relative_change_records(records):
                                     relative_change(phases["pre"], phases["post"])))
     out.sort(key=MetricRecord.sort_key)
     return out
-
-
-def _average_ranks(values) -> np.ndarray:
-    """1-based ranks; tied values share the mean of the ranks they span."""
-    x = np.asarray(values, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.append(starts[1:], x.size)
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
-
-
-def spearman(xs, ys) -> float:
-    """Spearman rank correlation; 0.0 when either side is constant."""
-    rx, ry = _average_ranks(xs), _average_ranks(ys)
-    dx, dy = rx - rx.mean(), ry - ry.mean()
-    denom = np.sqrt((dx @ dx) * (dy @ dy))
-    return float(dx @ dy / denom) if denom > 0 else 0.0
 
 
 def records_to_csv(records) -> str:
@@ -76,6 +79,9 @@ def read_csv(path):
         if len(parts) != 6:
             raise FormatError(f"{path}: line {i}: expected 6 fields, got {len(parts)}")
         rnd, phase, client, layer, metric, value = parts
-        records.append(MetricRecord(int(rnd), phase, int(client), int(layer),
-                                    metric, float(value)))
+        try:
+            records.append(MetricRecord(int(rnd), phase, int(client), int(layer),
+                                        metric, float(value)))
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {i}: {exc}") from None
     return records

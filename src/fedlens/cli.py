@@ -2,7 +2,9 @@
 
 Subcommands: run an experiment config, materialize a named preset, recompute
 metrics from feature dumps, and export a merged long-format CSV. Exit codes:
-0 success, 2 configuration problems, 3 runtime failures.
+0 success, 2 configuration problems, 3 runtime failures. `run` and `metrics`
+import the numpy engine when they are called, so the other commands start
+without it.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import read_csv, records_to_csv, relative_change_records, write_csv
+from .analysis import (ACCURACY_CSV, METRICS_CSV, read_csv, records_to_csv,
+                       relative_change_records, write_csv)
 from .config import load_config, preset, preset_names, render_config
-from .dumps import metrics_from_dumps
 from .errors import ConfigError
-from .runner import ACCURACY_CSV, METRICS_CSV, run_to_dir
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -23,6 +24,7 @@ EXIT_RUNTIME = 3
 
 
 def _cmd_run(args) -> int:
+    from .runner import run_to_dir
     cfg = load_config(args.config)
     out_dir = run_to_dir(cfg)
     print(f"wrote {out_dir / METRICS_CSV}")
@@ -42,6 +44,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from .dumps import metrics_from_dumps
     dump_dir = Path(args.dump_dir)
     if not dump_dir.is_dir():
         raise ConfigError(f"dump directory {dump_dir} does not exist")

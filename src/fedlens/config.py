@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .dumps import U16_MAX
 from .errors import ConfigError
-from .fed import LOCAL_EPOCH_ABLATION, personalized_layers
 
 SCENARIOS = ("baseline", "personalization", "pretrained", "finetune",
              "local-epochs-ablation", "residual-ablation")
+# feature dumps store round, layer and label as u16
+U16_MAX = 0xFFFF
+# (local epochs, rounds) pairs holding the total local-epoch budget at 100
+LOCAL_EPOCH_ABLATION = ((5, 20), (10, 10), (20, 5))
 
 
 @dataclass
@@ -178,6 +180,49 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text)
 
 
+def personalized_layers(mode: str, num_layers: int) -> tuple:
+    """(canonical mode, frozenset of the 1-based layers a mode keeps client-local).
+
+    "none" (or an empty mode) marks no layer, "classifier" the final layer,
+    successive:k layers 1..k (k == num_layers keeps every parameter local)
+    and skip:a,b exactly the listed layers, at least one. The canonical mode
+    parses back to the same pair. A malformed mode, or a count or layer
+    outside the network, is a ConfigError on fed.personalization.
+    """
+    text = mode.strip()
+    name, colon, arg = text.partition(":")
+    if text in ("none", ""):
+        return "none", frozenset()
+    if text == "classifier":
+        return "classifier", frozenset({num_layers})
+    if colon and name == "successive":
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ConfigError(f"bad successive count in {text!r}",
+                              field="fed.personalization") from None
+        if not 0 <= k <= num_layers:
+            raise ConfigError(f"successive count {k} out of range 0..{num_layers}",
+                              field="fed.personalization")
+        return f"successive:{k}", frozenset(range(1, k + 1))
+    if colon and name == "skip":
+        try:
+            layers = frozenset(int(p) for p in arg.split(",") if p.strip())
+        except ValueError:
+            raise ConfigError(f"bad layer list in {text!r}",
+                              field="fed.personalization") from None
+        if not layers:
+            raise ConfigError(f"skip names no layer in {text!r}",
+                              field="fed.personalization")
+        bad = sorted(p for p in layers if not 1 <= p <= num_layers)
+        if bad:
+            raise ConfigError(f"skip layers {bad} out of range 1..{num_layers}",
+                              field="fed.personalization")
+        return "skip:" + ",".join(str(p) for p in sorted(layers)), layers
+    raise ConfigError(f"unknown personalization mode {text!r}",
+                      field="fed.personalization")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     """Cross-field checks; raises ConfigError naming the offending field."""
     if cfg.scenario not in SCENARIOS:
@@ -253,9 +298,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if mt.eval_per_class < 1:
         raise ConfigError("eval_per_class must be positive",
                           field="metrics.eval_per_class")
-    if d.kind == "synthetic" and d.balanced and d.label_noise == 0.0:
-        # balanced draws give every class at least count // classes rows
-        rows = min(d.train_per_client, d.test_per_client) // d.classes
+    if d.kind == "synthetic" and d.balanced:
+        # balanced draws give every class at least count // classes rows;
+        # label noise relabels training rows only
+        rows = d.test_per_client // d.classes
+        if d.label_noise == 0.0:
+            rows = min(rows, d.train_per_client // d.classes)
         if mt.eval_per_class > rows:
             raise ConfigError(f"eval_per_class exceeds the {rows} rows each class has",
                               field="metrics.eval_per_class")

@@ -15,15 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import relative_change_records
+from .analysis import MetricRecord, relative_change_records
+from .config import U16_MAX
 from .errors import FormatError
-from .metrics import FeatureMatrix, MetricRecord, distance_records, feature_records
+from .metrics import FeatureMatrix, distance_records, feature_records
 from .nn import ParamVector, load_params, save_params
 
 FPLF_MAGIC = b"FPLF"
 FPLF_VERSION = 1
 FPLF_HEADER = struct.Struct("<4sHIIHBH")
-U16_MAX = 0xFFFF
 U32_MAX = 0xFFFFFFFF
 _PHASE_CODE = {"pre": 0, "post": 1}
 _PHASE_NAME = {0: "pre", 1: "post"}

@@ -15,16 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import MetricRecord
+from .config import personalized_layers
 from .data import ClientDataset, balanced_eval_subset
 from .dumps import write_round_dumps
-from .errors import ConfigError, NumericError, ShapeError
-from .metrics import (FEATURE_STATS, MetricRecord, accuracy, distance_records,
-                      extract_tap_features, feature_records, linear_probe)
+from .errors import NumericError, ShapeError
+from .metrics import (FEATURE_STATS, accuracy, distance_records, extract_tap_features,
+                      feature_records, linear_probe)
 from .nn import Network, ParamVector, mlp_specs, sgd_epochs
 from .seeds import derive_seed
-
-# (local epochs, rounds) pairs holding the total local-epoch budget at 100
-LOCAL_EPOCH_ABLATION = ((5, 20), (10, 10), (20, 5))
 
 
 @dataclass
@@ -43,49 +42,6 @@ class RunResult:
 
     records: list
     final: RoundState
-
-
-def personalized_layers(mode: str, num_layers: int) -> tuple:
-    """(canonical mode, frozenset of the 1-based layers a mode keeps client-local).
-
-    "none" (or an empty mode) marks no layer, "classifier" the final layer,
-    successive:k layers 1..k (k == num_layers keeps every parameter local)
-    and skip:a,b exactly the listed layers, at least one. The canonical mode
-    parses back to the same pair. A malformed mode, or a count or layer
-    outside the network, is a ConfigError on fed.personalization.
-    """
-    text = mode.strip()
-    name, colon, arg = text.partition(":")
-    if text in ("none", ""):
-        return "none", frozenset()
-    if text == "classifier":
-        return "classifier", frozenset({num_layers})
-    if colon and name == "successive":
-        try:
-            k = int(arg)
-        except ValueError:
-            raise ConfigError(f"bad successive count in {text!r}",
-                              field="fed.personalization") from None
-        if not 0 <= k <= num_layers:
-            raise ConfigError(f"successive count {k} out of range 0..{num_layers}",
-                              field="fed.personalization")
-        return f"successive:{k}", frozenset(range(1, k + 1))
-    if colon and name == "skip":
-        try:
-            layers = frozenset(int(p) for p in arg.split(",") if p.strip())
-        except ValueError:
-            raise ConfigError(f"bad layer list in {text!r}",
-                              field="fed.personalization") from None
-        if not layers:
-            raise ConfigError(f"skip names no layer in {text!r}",
-                              field="fed.personalization")
-        bad = sorted(p for p in layers if not 1 <= p <= num_layers)
-        if bad:
-            raise ConfigError(f"skip layers {bad} out of range 1..{num_layers}",
-                              field="fed.personalization")
-        return "skip:" + ",".join(str(p) for p in sorted(layers)), layers
-    raise ConfigError(f"unknown personalization mode {text!r}",
-                      field="fed.personalization")
 
 
 def aggregate(models, counts) -> ParamVector:

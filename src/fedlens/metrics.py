@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .analysis import MetricRecord
 from .errors import ShapeError
 from .nn import LayerSpec, Network, one_hot, sgd_epochs
 from .seeds import derive_seed
@@ -93,21 +94,6 @@ class AlignmentResult:
     cosines: np.ndarray
     mean_alignment: float
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class MetricRecord:
-    """One scalar observation; layer -1 marks whole-model metrics."""
-
-    round: int
-    phase: str
-    client: int
-    layer: int
-    metric: str
-    value: float
-
-    def sort_key(self):
-        return (self.round, self.phase, self.client, self.layer, self.metric)
 
 
 @dataclass(frozen=True)
@@ -263,12 +249,24 @@ def pairwise_distances(pre, post) -> PairwiseDistances:
     return PairwiseDistances(l1_norm, mse, l1, float(cos.mean()))
 
 
-def relative_change(pre: float, post: float) -> float:
-    """Symmetric percentage change |post-pre| / (|pre|+|post|) * 100."""
-    denom = abs(pre) + abs(post)
-    if denom == 0.0:
-        return 0.0
-    return abs(post - pre) / denom * 100.0
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    x = np.asarray(values, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def spearman(xs, ys) -> float:
+    """Spearman rank correlation; 0.0 when either side is constant."""
+    rx, ry = _average_ranks(xs), _average_ranks(ys)
+    dx, dy = rx - rx.mean(), ry - ry.mean()
+    denom = np.sqrt((dx @ dx) * (dy @ dy))
+    return float(dx @ dy / denom) if denom > 0 else 0.0
 
 
 def extract_tap_features(net: Network, x, labels, tap_layers=None,

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .analysis import records_to_csv
-from .config import ExperimentConfig, render_config
+from .analysis import ACCURACY_CSV, METRICS_CSV, records_to_csv
+from .config import ExperimentConfig, personalized_layers, render_config
 from .data import (generate_federation_data, load_idx, make_domain_specs,
                    merge_train_test)
 from .errors import ConfigError
-from .fed import RunResult, client_round_seed, personalized_layers, run_federation
+from .fed import RunResult, client_round_seed, run_federation
 from .seeds import derive_seed
 
-METRICS_CSV = "metrics.csv"
-ACCURACY_CSV = "accuracy.csv"
 MANIFEST = "manifest.txt"
 DUMP_SUBDIR = "dumps"
 ACCURACY_METRICS = ("train_acc", "test_acc")

@@ -12,12 +12,12 @@ import time
 import numpy as np
 from conftest import mean_over, select, session_elapsed, small_config, value_map
 
-from fedlens.analysis import read_csv, relative_change_records, spearman
+from fedlens.analysis import read_csv, relative_change_records
 from fedlens.config import parse_config, preset
 from fedlens.data import generate_federation_data, make_domain_specs
 from fedlens.dumps import metrics_from_dumps
 from fedlens.fed import aggregate, client_round_seed, run_federation
-from fedlens.metrics import class_stats, pabs_alignment
+from fedlens.metrics import class_stats, pabs_alignment, spearman
 from fedlens.nn import (LayerSpec, LayoutEntry, Network, ParamVector,
                         mlp_specs, one_hot, sgd_epochs)
 from fedlens.runner import execute, run_to_dir

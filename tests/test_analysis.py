@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fedlens.analysis import _average_ranks, spearman
+from fedlens.metrics import _average_ranks, spearman
 
 
 class TestSpearman:

@@ -12,12 +12,12 @@ import pytest
 from conftest import value_map
 
 import fedlens
-from fedlens.analysis import CSV_HEADER, read_csv
+from fedlens.analysis import CSV_HEADER, read_csv, relative_change
 from fedlens.cli import main
 from fedlens.config import load_config, parse_config
 from fedlens.dumps import feature_filename, read_features, write_features
 from fedlens.errors import ConfigError, FormatError
-from fedlens.metrics import FeatureMatrix, is_registered, relative_change
+from fedlens.metrics import FeatureMatrix, is_registered
 
 CONFIG_TEMPLATE = """\
 scenario = baseline
@@ -78,6 +78,7 @@ BAD_VALUES = [
     ("model.residual_width", "-1", {}),
     ("model.residual_inner", "0", {}),
     ("metrics.eval_per_class", "6", {}),
+    ("metrics.eval_per_class", "6", {"data.label_noise": "0.1"}),
 ]
 
 
@@ -176,7 +177,7 @@ class TestRun:
                                          "dump_features = false")).fed.rounds == 65536
 
     @pytest.mark.parametrize("field, value, also", BAD_VALUES,
-                             ids=[f"{f}={v}" + "+pretraining" * bool(a)
+                             ids=[f"{f}={v}" + "".join(f"+{k}={t}" for k, t in a.items())
                                   for f, v, a in BAD_VALUES])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, field, value, also):
         out_dir = tmp_path / "out"
@@ -330,6 +331,22 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "False"
 
 
+def test_config_preset_and_export_leave_numpy_unloaded(baseline_run, tmp_path):
+    code = ("import sys\n"
+            "from fedlens.cli import main\n"
+            "from fedlens.config import load_config\n"
+            "cfg, run, out = sys.argv[1:]\n"
+            "load_config(cfg)\n"
+            "assert main(['preset', 'baseline', '--out', out]) == 0\n"
+            "assert main(['export', run, '--long', '--out', out + '/long.csv']) == 0\n"
+            "print('numpy' in sys.modules)")
+    argv = [sys.executable, "-c", code, str(baseline_run["cfg"]), str(baseline_run["out"]),
+            str(tmp_path)]
+    out = subprocess.run(argv, env=package_env(), check=True, capture_output=True,
+                         text=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+
 def test_blas_thread_count_does_not_change_outputs(tmp_path):
     outputs = []
     for threads in ("1", "2"):
@@ -361,3 +378,10 @@ class TestExport:
     def test_missing_run_dir_exits_2(self, tmp_path, capsys):
         assert main(["export", str(tmp_path)]) == 2
         assert "metrics.csv" in capsys.readouterr().err
+
+    def test_unparsable_value_exits_3_naming_file_and_line(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(f"{CSV_HEADER}\n2,pre,0,0,sigma_w,abc\n")
+        assert main(["export", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"FormatError: {metrics}: line 2: " in err

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedlens.config import (SCENARIOS, ExperimentConfig, parse_config, render_config,
-                            validate_config)
-from fedlens.dumps import U16_MAX
+from fedlens.config import (SCENARIOS, U16_MAX, ExperimentConfig, parse_config,
+                            personalized_layers, render_config, validate_config)
 from fedlens.errors import ConfigError
-from fedlens.fed import personalized_layers
 
 # one value per line, without the surrounding blanks that the parser strips
 LINE_TEXT = (st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
@@ -90,10 +88,11 @@ def valid_configs(draw):
     if d.kind == "synthetic":
         d.train_per_client = max(d.train_per_client, d.classes)
         d.test_per_client = max(d.test_per_client, d.classes)
-        if d.balanced and d.label_noise == 0.0:
-            cfg.metrics.eval_per_class = min(
-                cfg.metrics.eval_per_class,
-                min(d.train_per_client, d.test_per_client) // d.classes)
+        if d.balanced:
+            rows = d.test_per_client // d.classes
+            if d.label_noise == 0.0:
+                rows = min(rows, d.train_per_client // d.classes)
+            cfg.metrics.eval_per_class = min(cfg.metrics.eval_per_class, rows)
     if cfg.output.dump_features:
         cfg.fed.rounds = min(cfg.fed.rounds, U16_MAX)
     mode, _ = personalized_layers(cfg.fed.personalization, cfg.num_layers)
@@ -119,8 +118,13 @@ def test_eval_rows_per_class_are_bounded_by_both_splits(train, test):
     with pytest.raises(ConfigError) as info:
         validate_config(cfg)
     assert info.value.field == "metrics.eval_per_class"
-    # label noise or unbalanced draws leave the per-class counts to data generation
+    # label noise relabels training rows only, so the test split still bounds
     cfg.data.label_noise = 0.1
-    validate_config(cfg)
+    if test < train:
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+    else:
+        validate_config(cfg)
+    # unbalanced draws leave the per-class counts to data generation
     cfg.data.label_noise, cfg.data.balanced = 0.0, False
     validate_config(cfg)

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import small_config
 
-from fedlens.config import validate_config
+from fedlens.config import LOCAL_EPOCH_ABLATION, personalized_layers, validate_config
 
 from fedlens.data import generate_federation_data, make_domain_specs
 from fedlens.errors import ConfigError, NumericError, ShapeError
-from fedlens.fed import (LOCAL_EPOCH_ABLATION, aggregate, build_arch, client_round_seed,
-                         finetune_classifier, personalized_layers, pretrain,
-                         run_federation, splice)
+from fedlens.fed import (aggregate, build_arch, client_round_seed, finetune_classifier,
+                         pretrain, run_federation, splice)
 from fedlens.metrics import accuracy, is_registered
 from fedlens.nn import (LayerSpec, LayoutEntry, Network, ParamVector,
                         mlp_specs, one_hot, sgd_epochs)
