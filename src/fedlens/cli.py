@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .analysis import (ACCURACY_CSV, METRICS_CSV, read_csv, records_to_csv,
                        relative_change_records, write_csv)
-from .config import load_config, preset, preset_names, render_config
+from .config import PRESETS, load_config, preset, render_config
 from .errors import ConfigError
 
 EXIT_OK = 0
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_preset = sub.add_parser("preset", help="write a named preset config")
-    p_preset.add_argument("name", help="one of: " + ", ".join(preset_names()))
+    p_preset.add_argument("name", help="one of: " + ", ".join(PRESETS))
     p_preset.add_argument("--out", default=None, help="directory for config files")
     p_preset.set_defaults(func=_cmd_preset)
 

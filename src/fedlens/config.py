@@ -366,31 +366,14 @@ def _base_config(seed: int = 1) -> ExperimentConfig:
 
 def preset(name: str, seed: int = 1):
     """Named experiment presets; returns a list of (name, config) pairs."""
-    builders = {
-        "baseline": _preset_baseline,
-        "iid-control": _preset_iid,
-        "personalization-classifier": _preset_classifier,
-        "personalization-successive": _preset_successive,
-        "personalization-skip": _preset_skip,
-        "pretrained": _preset_pretrained,
-        "finetune": _preset_finetune,
-        "local-epochs-ablation": _preset_local_epochs,
-        "residual-ablation": _preset_residual,
-    }
-    if name not in builders:
+    if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}, expected one of "
-                          f"{', '.join(sorted(builders))}")
-    out = builders[name](seed)
+                          f"{', '.join(sorted(PRESETS))}")
+    out = PRESETS[name](seed)
     for sub_name, cfg in out:
         cfg.output.dir = f"runs/{sub_name}"
         validate_config(cfg)
     return out
-
-
-def preset_names():
-    return ("baseline", "iid-control", "personalization-classifier",
-            "personalization-successive", "personalization-skip", "pretrained",
-            "finetune", "local-epochs-ablation", "residual-ablation")
 
 
 def _preset_baseline(seed):
@@ -400,9 +383,6 @@ def _preset_baseline(seed):
 def _preset_iid(seed):
     cfg = _base_config(seed)
     cfg.data.rotation = "identity"
-    cfg.data.scale_min = 1.0
-    cfg.data.scale_max = 1.0
-    cfg.data.offset_scale = 0.0
     return [("iid-control", cfg)]
 
 
@@ -484,3 +464,17 @@ def _preset_residual(seed):
         tag = "on" if flag else "off"
         out.append((f"residual-{tag}", cfg))
     return out
+
+
+# preset name -> builder of its (name, config) pairs
+PRESETS = {
+    "baseline": _preset_baseline,
+    "iid-control": _preset_iid,
+    "personalization-classifier": _preset_classifier,
+    "personalization-successive": _preset_successive,
+    "personalization-skip": _preset_skip,
+    "pretrained": _preset_pretrained,
+    "finetune": _preset_finetune,
+    "local-epochs-ablation": _preset_local_epochs,
+    "residual-ablation": _preset_residual,
+}

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .nn import labels_of, one_hot
 from .seeds import derive_seed
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -42,8 +41,6 @@ class DomainSpec:
 
     def __post_init__(self):
         c, n = self.num_classes, self.input_dim
-        if c < 2 or n < 1:
-            raise ShapeError("need at least two classes and one input dimension")
         if self.class_means.shape != (c, n):
             raise ShapeError(f"class_means must be ({c}, {n})")
         if self.rotation.shape != (n, n):
@@ -53,10 +50,6 @@ class DomainSpec:
             raise ShapeError(f"rotation is not orthogonal (error {err:.2e})")
         if self.scaling.shape != (n,) or self.offset.shape != (n,):
             raise ShapeError(f"scaling and offset must be ({n},)")
-        if not self.within_class_scale > 0:
-            raise ShapeError("within_class_scale must be positive")
-        if not 0.0 <= self.label_noise < 1.0:
-            raise ShapeError("label_noise must be in [0, 1)")
 
     def transform(self, v: np.ndarray) -> np.ndarray:
         """Apply the domain distortion to rows of v."""
@@ -65,29 +58,17 @@ class DomainSpec:
 
 @dataclass
 class ClientDataset:
-    """One client's train/test split with one-hot labels."""
+    """One client's train/test split; labels are integer class ids."""
 
     client_id: int
     train_x: np.ndarray
-    train_y: np.ndarray
+    train_labels: np.ndarray
     test_x: np.ndarray
-    test_y: np.ndarray
+    test_labels: np.ndarray
 
     @property
     def n_train(self) -> int:
         return len(self.train_x)
-
-    @property
-    def num_classes(self) -> int:
-        return self.train_y.shape[1]
-
-    @property
-    def train_labels(self) -> np.ndarray:
-        return labels_of(self.train_y)
-
-    @property
-    def test_labels(self) -> np.ndarray:
-        return labels_of(self.test_y)
 
 
 def haar_rotation(n: int, rng) -> np.ndarray:
@@ -106,8 +87,6 @@ def make_domain_specs(num_clients: int, num_classes: int, input_dim: int, seed: 
     rotation "identity" with scale_range (1, 1) and offset_scale 0 makes all
     clients draw from the same distribution.
     """
-    if rotation not in ("random", "identity"):
-        raise ConfigError(f"unknown rotation mode {rotation!r}", field="rotation")
     anchors = np.random.default_rng(derive_seed(seed, "anchors")).normal(
         size=(num_classes, input_dim)) * anchor_scale
     lo, hi = scale_range
@@ -140,7 +119,7 @@ def _draw_split(spec: DomainSpec, count: int, balanced: bool, rng, with_noise: b
         shift = rng.integers(1, c, size=count)
         labels = np.where(flip, (labels + shift) % c, labels)
     perm = rng.permutation(count)
-    return x[perm], one_hot(labels[perm], c)
+    return x[perm], labels[perm]
 
 
 def generate_federation_data(specs, n_train: int, n_test: int, seed: int,
@@ -153,25 +132,19 @@ def generate_federation_data(specs, n_train: int, n_test: int, seed: int,
         if (sp.num_classes, sp.input_dim) != (base.num_classes, base.input_dim):
             raise ConfigError("domain specs disagree on classes or input dim",
                               field="data")
-    if n_train < base.num_classes or n_test < base.num_classes:
-        raise ConfigError("need at least one sample per class in each split",
-                          field="data")
     datasets = []
     for m, sp in enumerate(specs):
         rng = np.random.default_rng(derive_seed(seed, "samples", m))
-        train_x, train_y = _draw_split(sp, n_train, balanced, rng, with_noise=True)
-        test_x, test_y = _draw_split(sp, n_test, balanced, rng, with_noise=False)
-        datasets.append(ClientDataset(m, train_x, train_y, test_x, test_y))
+        train = _draw_split(sp, n_train, balanced, rng, with_noise=True)
+        test = _draw_split(sp, n_test, balanced, rng, with_noise=False)
+        datasets.append(ClientDataset(m, *train, *test))
     return datasets
 
 
-def _subset_split(x, y, per_class: int, rng):
-    if len(x) == 0:
-        return x, y
-    labels = labels_of(y)
+def _subset_split(x, labels, per_class: int, rng):
     picks = []
     deficient = {}
-    for c in range(y.shape[1]):
+    for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         if len(idx) < per_class:
             deficient[c] = len(idx)
@@ -182,17 +155,15 @@ def _subset_split(x, y, per_class: int, rng):
         raise ValueError(f"insufficient samples for {per_class} per class: {detail}")
     idx = np.concatenate(picks)
     idx = idx[rng.permutation(len(idx))]
-    return x[idx], y[idx]
+    return x[idx], labels[idx]
 
 
 def balanced_eval_subset(ds: ClientDataset, per_class: int, seed: int) -> ClientDataset:
-    """Exactly per_class samples of every class from each non-empty split."""
-    if per_class < 1:
-        raise ValueError("per_class must be positive")
+    """Exactly per_class samples of every class present in each split."""
     rng = np.random.default_rng(seed)
-    train_x, train_y = _subset_split(ds.train_x, ds.train_y, per_class, rng)
-    test_x, test_y = _subset_split(ds.test_x, ds.test_y, per_class, rng)
-    return ClientDataset(ds.client_id, train_x, train_y, test_x, test_y)
+    train = _subset_split(ds.train_x, ds.train_labels, per_class, rng)
+    test = _subset_split(ds.test_x, ds.test_labels, per_class, rng)
+    return ClientDataset(ds.client_id, *train, *test)
 
 
 def _read_idx(path, expect_magic, kind):
@@ -225,14 +196,8 @@ def _read_idx(path, expect_magic, kind):
     return np.frombuffer(data, dtype=np.uint8, offset=head)
 
 
-def load_idx(images_path, labels_path, max_per_class=None, normalize: bool = True,
-             client_id: int = 0) -> ClientDataset:
-    """Load big-endian IDX image/label files into a train-only ClientDataset.
-
-    The test split is left empty; callers pair two loads when they have a
-    separate held-out file. max_per_class keeps the first k occurrences of
-    each class in file order.
-    """
+def load_idx(images_path, labels_path):
+    """Big-endian IDX image/label files as (pixels / 255, integer labels)."""
     images = _read_idx(images_path, IDX_IMAGE_MAGIC, "images")
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "labels")
     if len(images) != len(labels):
@@ -240,38 +205,4 @@ def load_idx(images_path, labels_path, max_per_class=None, normalize: bool = Tru
             f"{images_path}: {len(images)} images but {len(labels)} labels")
     if len(labels) == 0:
         raise FormatError(f"{images_path}: empty dataset")
-    if max_per_class is not None:
-        keep = []
-        seen = {}
-        for i, lab in enumerate(labels):
-            lab = int(lab)
-            if seen.get(lab, 0) < max_per_class:
-                seen[lab] = seen.get(lab, 0) + 1
-                keep.append(i)
-        images = images[keep]
-        labels = labels[keep]
-    x = images.astype(np.float64)
-    if normalize:
-        x = x / 255.0
-    c = int(labels.max()) + 1
-    y = one_hot(labels.astype(int), c)
-    empty_x = np.zeros((0, x.shape[1]))
-    empty_y = np.zeros((0, c))
-    return ClientDataset(client_id, x, y, empty_x, empty_y)
-
-
-def merge_train_test(train: ClientDataset, test: ClientDataset) -> ClientDataset:
-    """Combine two train-only datasets into one with a proper test split."""
-    if train.train_x.shape[1] != test.train_x.shape[1]:
-        raise ShapeError("train and test feature dimensions differ")
-    c = max(train.num_classes, test.num_classes)
-
-    def widen(y):
-        if y.shape[1] == c:
-            return y
-        out = np.zeros((len(y), c))
-        out[:, :y.shape[1]] = y
-        return out
-
-    return ClientDataset(train.client_id, train.train_x, widen(train.train_y),
-                         test.train_x, widen(test.train_y))
+    return images / 255.0, labels.astype(int)

@@ -95,24 +95,24 @@ def client_round_seed(seed: int, client: int, round_index: int) -> int:
     return derive_seed(seed, "train", client, round_index)
 
 
-def pretrain(net: Network, x, y, epochs: int, lr: float = 0.01,
+def pretrain(net: Network, x, labels, epochs: int, lr: float = 0.01,
              momentum: float = 0.5, batch_size: int = 64, seed: int = 0) -> ParamVector:
     """Train on pooled data and return the resulting parameter vector.
 
     epochs == 0 returns the current parameters unchanged.
     """
     if epochs > 0:
-        sgd_epochs(net, x, y, epochs, lr=lr, momentum=momentum,
+        sgd_epochs(net, x, labels, epochs, lr=lr, momentum=momentum,
                    batch_size=batch_size, seed=seed)
     return net.flatten()
 
 
-def finetune_classifier(model: ParamVector, arch, x, y, epochs: int = 10,
+def finetune_classifier(model: ParamVector, arch, x, labels, epochs: int = 10,
                         lr: float = 0.01, momentum: float = 0.1,
                         batch_size: int = 64, seed: int = 0) -> ParamVector:
     """Retrain only the final layer on local data; the rest stays bit-exact."""
     net = Network.from_vector(arch, model)
-    sgd_epochs(net, x, y, epochs, lr=lr, momentum=momentum,
+    sgd_epochs(net, x, labels, epochs, lr=lr, momentum=momentum,
                batch_size=batch_size, seed=seed, train_from=net.num_layers)
     return net.flatten()
 
@@ -127,15 +127,10 @@ def _located(where: str):
 
 
 def _accuracy_records(net: Network, ds: ClientDataset, round_index: int, phase: str):
-    recs = []
-    logits, _ = net.forward(ds.train_x)
-    recs.append(MetricRecord(round_index, phase, ds.client_id, -1, "train_acc",
-                             accuracy(logits, ds.train_labels)))
-    if len(ds.test_x):
-        logits, _ = net.forward(ds.test_x)
-        recs.append(MetricRecord(round_index, phase, ds.client_id, -1, "test_acc",
-                                 accuracy(logits, ds.test_labels)))
-    return recs
+    return [MetricRecord(round_index, phase, ds.client_id, -1, name,
+                         accuracy(net.forward(x)[0], labels))
+            for name, x, labels in (("train_acc", ds.train_x, ds.train_labels),
+                                    ("test_acc", ds.test_x, ds.test_labels))]
 
 
 def build_arch(cfg):
@@ -169,7 +164,7 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
     if fed.pretrain_epochs > 0:
         with _located("pretraining"):
             pretrain(net, np.concatenate([ds.train_x for ds in datasets]),
-                     np.concatenate([ds.train_y for ds in datasets]),
+                     np.concatenate([ds.train_labels for ds in datasets]),
                      fed.pretrain_epochs, lr=fed.lr, momentum=fed.momentum,
                      batch_size=fed.batch_size, seed=derive_seed(fed.seed, "pretrain"))
     init_vec = net.flatten()
@@ -204,7 +199,7 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
         for m in range(m_clients):
             net = Network.from_vector(arch, client_params[m])
             with _located(f"round {r}, client {m}, local training"):
-                sgd_epochs(net, datasets[m].train_x, datasets[m].train_y,
+                sgd_epochs(net, datasets[m].train_x, datasets[m].train_labels,
                            fed.local_epochs, lr=fed.lr, momentum=fed.momentum,
                            batch_size=fed.batch_size,
                            seed=client_round_seed(fed.seed, m, r))
@@ -230,9 +225,10 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
                 if cfg.scenario == "finetune":
                     with _located(f"round {r}, client {m}, fine-tuning"):
                         tuned = finetune_classifier(
-                            new_params[m], arch, datasets[m].train_x, datasets[m].train_y,
-                            epochs=mt.finetune_epochs, lr=mt.finetune_lr,
-                            momentum=mt.finetune_momentum, batch_size=mt.finetune_batch,
+                            new_params[m], arch, datasets[m].train_x,
+                            datasets[m].train_labels, epochs=mt.finetune_epochs,
+                            lr=mt.finetune_lr, momentum=mt.finetune_momentum,
+                            batch_size=mt.finetune_batch,
                             seed=derive_seed(fed.seed, "finetune", m, r))
                     capture(Network.from_vector(arch, tuned), m, r, "tuned",
                             taps=(num_layers - 1,), stats=())
@@ -251,9 +247,6 @@ def _probe_records(cfg, t, pre_nets, post_nets, datasets, r):
     mt = cfg.metrics
     out = []
     for d, ds in enumerate(datasets):
-        if len(ds.test_x) == 0:
-            continue
-
         def probe(net, tag):
             train_fm = extract_tap_features(net, ds.train_x, ds.train_labels, (t,))[t]
             test_fm = extract_tap_features(net, ds.test_x, ds.test_labels, (t,))[t]

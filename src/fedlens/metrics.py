@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .analysis import MetricRecord
 from .errors import ShapeError
-from .nn import LayerSpec, Network, one_hot, sgd_epochs
+from .nn import LayerSpec, Network, sgd_epochs
 from .seeds import derive_seed
 
 # Exact metric names plus prefix families (probe sources, relative changes).
@@ -200,11 +200,10 @@ def linear_probe(train_features: FeatureMatrix, test_features: FeatureMatrix,
     c = int(max(train_features.labels.max(), test_features.labels.max())) + 1
     probe = Network([LayerSpec("linear", train_features.dim, c)])
     probe.init_random(derive_seed(seed, "probe-init"))
-    y_train = one_hot(train_features.labels, c)
     best = 0.0
     for epoch in range(epochs):
-        sgd_epochs(probe, train_features.values, y_train, epochs=1, lr=lr,
-                   momentum=0.0, batch_size=batch_size,
+        sgd_epochs(probe, train_features.values, train_features.labels, epochs=1,
+                   lr=lr, momentum=0.0, batch_size=batch_size,
                    seed=derive_seed(seed, "probe-epoch", epoch))
         logits, _ = probe.forward(test_features.values)
         best = max(best, accuracy(logits, test_features.labels))

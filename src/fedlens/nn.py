@@ -261,23 +261,23 @@ class Network:
             h = _finite(self._layer_forward(idx, h, keep_cache=False)[0], idx)
         return h
 
-    def loss_and_grad(self, h, y, train_from: int = 1):
+    def loss_and_grad(self, h, labels, train_from: int = 1):
         """Mean softmax cross-entropy and its gradient as a flat array.
 
         h is the input of layer train_from (the network input when it is 1,
         else the tap `forward` returns for that layer). Layers train_from..L
         run on it, and the gradient covers their parameters,
-        `values[layer_start(train_from):]`; backward stops there. y is
-        one-hot with the classifier's class count.
+        `values[layer_start(train_from):]`; backward stops there. labels
+        holds one class id per row, each below the classifier's class count
+        (sgd_epochs checks the range once per call).
         """
         start = self.layer_start(train_from)
         first = train_from - 1
         h = self._check_batch(h, train_from)
-        y = np.asarray(y, dtype=np.float64)
+        labels = np.asarray(labels, dtype=int)
         n = h.shape[0]
-        if y.shape != (n, self.num_classes):
-            raise ShapeError(
-                f"labels must be one-hot ({n}, {self.num_classes}), got {y.shape}")
+        if labels.shape != (n,):
+            raise ShapeError(f"labels must be ({n},) class ids, got {labels.shape}")
         caches = [None] * self.num_layers
         for idx in range(first, self.num_layers):
             h, caches[idx] = self._layer_forward(idx, h, keep_cache=True)
@@ -286,11 +286,12 @@ class Network:
         z = logits - logits.max(axis=1, keepdims=True)
         expz = np.exp(z)
         sums = expz.sum(axis=1, keepdims=True)
-        loss = float((np.log(sums[:, 0]) - (z * y).sum(axis=1)).sum()) / n
+        rows = np.arange(n)
+        loss = float((np.log(sums[:, 0]) - z[rows, labels]).sum()) / n
         if not math.isfinite(loss):
             raise NumericError("loss is not finite")
         expz /= sums
-        expz -= y
+        expz[rows, labels] -= 1.0
         expz /= n
         g = expz
         grad = np.empty(self.values.size - start)
@@ -334,7 +335,7 @@ def _finite(h, idx):
     return h
 
 
-def sgd_epochs(net: Network, x, y, epochs: int, lr: float = 0.01,
+def sgd_epochs(net: Network, x, labels, epochs: int, lr: float = 0.01,
                momentum: float = 0.5, batch_size: int = 64, seed: int = 0,
                train_from: int = 1) -> Network:
     """Train in place with mini-batch SGD and classical momentum.
@@ -342,8 +343,10 @@ def sgd_epochs(net: Network, x, y, epochs: int, lr: float = 0.01,
     Velocity starts at zero on every call: v <- momentum*v + g, then
     theta <- theta - lr*v. Each epoch reshuffles with the generator seeded
     once per call, so the whole batch schedule is a pure function of `seed`.
-    epochs == 0 returns the network untouched. Only layers train_from..L
-    (1-based) are updated; the layers below keep their exact bit patterns.
+    labels holds one class id per row of x, each below the classifier's
+    class count. epochs == 0 returns the network untouched. Only layers
+    train_from..L (1-based) are updated; the layers below keep their exact
+    bit patterns.
 
     The frozen layers 1..train_from-1 run once per stack of minibatches:
     consecutive full minibatches of an epoch, as many as fit in _STACK_ROWS
@@ -356,11 +359,13 @@ def sgd_epochs(net: Network, x, y, epochs: int, lr: float = 0.01,
     batch is gathered.
     """
     x = net._check_batch(x)
-    y = np.asarray(y, dtype=np.float64)
+    labels = np.asarray(labels, dtype=int)
     if len(x) == 0:
         raise ShapeError("cannot train on an empty dataset")
-    if len(x) != len(y):
-        raise ShapeError("inputs and labels differ in length")
+    if labels.shape != (len(x),):
+        raise ShapeError(f"labels must be ({len(x)},) class ids, got {labels.shape}")
+    if labels.min() < 0 or labels.max() >= net.num_classes:
+        raise ShapeError(f"labels out of range 0..{net.num_classes - 1}")
     if epochs < 0:
         raise ShapeError("epochs must be non-negative")
     tail = net.values[net.layer_start(train_from):]
@@ -375,8 +380,8 @@ def sgd_epochs(net: Network, x, y, epochs: int, lr: float = 0.01,
         perm = rng.permutation(len(x))
         for idx in _stacked_batches(perm, batch_size, per_stack):
             taps = net._frozen_forward(x[idx], first)
-            for hb, yb in zip(taps, y[idx]):
-                _, grad = net.loss_and_grad(hb, yb, train_from)
+            for hb, lb in zip(taps, labels[idx]):
+                _, grad = net.loss_and_grad(hb, lb, train_from)
                 velocity *= momentum
                 velocity += grad
                 np.multiply(velocity, -lr, out=step)
@@ -401,19 +406,6 @@ def _stacked_batches(perm, batch_size, per_stack):
         yield perm[lo:min(lo + per_stack * batch_size, full)].reshape(-1, batch_size)
     if full < len(perm):
         yield perm[full:].reshape(1, -1)
-
-
-def one_hot(labels, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=int)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ShapeError("label out of range for one-hot encoding")
-    out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
-def labels_of(y_onehot) -> np.ndarray:
-    return np.argmax(np.asarray(y_onehot), axis=1)
 
 
 def save_params(pv: ParamVector, path) -> None:

@@ -6,8 +6,7 @@ from pathlib import Path
 
 from .analysis import ACCURACY_CSV, METRICS_CSV, records_to_csv
 from .config import ExperimentConfig, personalized_layers, render_config
-from .data import (generate_federation_data, load_idx, make_domain_specs,
-                   merge_train_test)
+from .data import ClientDataset, generate_federation_data, load_idx, make_domain_specs
 from .errors import ConfigError
 from .fed import RunResult, client_round_seed, run_federation
 from .seeds import derive_seed
@@ -30,22 +29,27 @@ def build_datasets(cfg: ExperimentConfig):
     root = Path(d.idx_dir)
     datasets = []
     for m in range(d.clients):
-        train = load_idx(root / f"client{m}_train_images.idx",
-                         root / f"client{m}_train_labels.idx", client_id=m)
-        test = load_idx(root / f"client{m}_test_images.idx",
-                        root / f"client{m}_test_labels.idx", client_id=m)
-        datasets.append(merge_train_test(train, test))
+        train, test = (load_idx(root / f"client{m}_{split}_images.idx",
+                                root / f"client{m}_{split}_labels.idx")
+                       for split in ("train", "test"))
+        datasets.append(ClientDataset(m, *train, *test))
     return datasets
 
 
 def execute(cfg: ExperimentConfig, dump_dir=None) -> RunResult:
     """Run one experiment in memory; file writing happens in run_to_dir."""
+    d = cfg.data
     datasets = build_datasets(cfg)
     for ds in datasets:
-        if ds.train_x.shape[1] != cfg.data.input_dim:
-            raise ConfigError(
-                f"dataset dim {ds.train_x.shape[1]} does not match input_dim "
-                f"{cfg.data.input_dim}", field="data.input_dim")
+        for x in (ds.train_x, ds.test_x):
+            if x.shape[1] != d.input_dim:
+                raise ConfigError(
+                    f"dataset dim {x.shape[1]} does not match input_dim "
+                    f"{d.input_dim}", field="data.input_dim")
+        top = max(ds.train_labels.max(), ds.test_labels.max())
+        if top >= d.classes:
+            raise ConfigError(f"client {ds.client_id} has label {top}, but classes "
+                              f"is {d.classes}", field="data.classes")
     return run_federation(cfg, datasets, dump_dir)
 
 

@@ -19,7 +19,7 @@ from fedlens.dumps import metrics_from_dumps
 from fedlens.fed import aggregate, client_round_seed, run_federation
 from fedlens.metrics import class_stats, pabs_alignment, spearman
 from fedlens.nn import (LayerSpec, LayoutEntry, Network, ParamVector,
-                        mlp_specs, one_hot, sgd_epochs)
+                        mlp_specs, sgd_epochs)
 from fedlens.runner import execute, run_to_dir
 from fedlens.seeds import derive_seed
 
@@ -201,18 +201,18 @@ def test_training_gradients_and_aggregation_invariants():
     net = Network(arch).init_random(seed=101)
     rng = np.random.default_rng(102)
     x = rng.normal(size=(12, 5))
-    y = one_hot(rng.integers(0, 3, size=12), 3)
-    _, grad = net.loss_and_grad(x, y)
+    labels = rng.integers(0, 3, size=12)
+    _, grad = net.loss_and_grad(x, labels)
     pv = net.flatten()
     h = 1e-6
     for idx in rng.choice(pv.size, size=48, replace=False):
         probe = pv.values.copy()
         probe[idx] += h
         net.load_vector(ParamVector(probe, pv.layout))
-        up = net.loss_and_grad(x, y)[0]
+        up = net.loss_and_grad(x, labels)[0]
         probe[idx] -= 2 * h
         net.load_vector(ParamVector(probe, pv.layout))
-        down = net.loss_and_grad(x, y)[0]
+        down = net.loss_and_grad(x, labels)[0]
         fd = (up - down) / (2 * h)
         g = grad[idx]
         assert abs(fd - g) <= 1e-4 * max(abs(fd), abs(g), 1e-6)
@@ -226,7 +226,7 @@ def test_training_gradients_and_aggregation_invariants():
     result = run_federation(cfg, datasets)
     central = Network(arch2).init_random(derive_seed(203, "init"))
     for r in range(1, 5):
-        sgd_epochs(central, datasets[0].train_x, datasets[0].train_y, epochs=2,
+        sgd_epochs(central, datasets[0].train_x, datasets[0].train_labels, epochs=2,
                    lr=cfg.fed.lr, momentum=cfg.fed.momentum, batch_size=16,
                    seed=client_round_seed(203, 0, r))
     assert (result.final.post[0].values.tobytes()

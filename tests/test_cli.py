@@ -18,6 +18,7 @@ from fedlens.config import load_config, parse_config
 from fedlens.dumps import feature_filename, read_features, write_features
 from fedlens.errors import ConfigError, FormatError
 from fedlens.metrics import FeatureMatrix, is_registered
+from test_data import write_idx_pair
 
 CONFIG_TEMPLATE = """\
 scenario = baseline
@@ -196,6 +197,70 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "line 4" in err and "warp_speed" in err
+
+
+IDX_CONFIG = """\
+scenario = baseline
+
+[data]
+kind = idx
+idx_dir = {idx_dir}
+clients = 2
+classes = 3
+input_dim = 6
+
+[model]
+hidden = 8,8
+
+[fed]
+rounds = 2
+local_epochs = 2
+batch_size = 8
+eval_cadence = 1
+seed = 3
+
+[metrics]
+eval_per_class = 4
+probe_rounds = 2
+probe_epochs = 3
+
+[output]
+dir = {out_dir}
+"""
+
+
+class TestIdxRun:
+    """A 2-client IDX federation whose client 0 holds classes 0 and 1 only."""
+
+    @pytest.fixture
+    def idx_cfg(self, tmp_path):
+        rng = np.random.default_rng(11)
+        labels = {0: [0, 1] * 8, 1: [0, 1, 2] * 6}
+        for m, split in ((m, split) for m in labels for split in ("train", "test")):
+            pixels = rng.integers(0, 256, size=len(labels[m]) * 6).tolist()
+            write_idx_pair(tmp_path, pixels, labels[m], rows=2, cols=3,
+                           prefix=f"client{m}_{split}_")
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(IDX_CONFIG.format(idx_dir=tmp_path, out_dir=tmp_path / "out"))
+        return cfg
+
+    def test_client_lacking_a_class_runs_byte_identically(self, idx_cfg):
+        out = idx_cfg.parent / "out"
+        names = ("metrics.csv", "accuracy.csv", "manifest.txt")
+        assert main(["run", str(idx_cfg)]) == 0
+        first = {name: (out / name).read_bytes() for name in names}
+        records = read_csv(out / "metrics.csv")
+        assert {r.client for r in records if r.metric == "probe_acc"} == {0, 1}
+        assert main(["run", str(idx_cfg)]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == first
+
+    def test_label_at_or_above_classes_exits_2(self, idx_cfg, capsys):
+        path = idx_cfg.parent / "client1_test_labels.idx"
+        blob = bytearray(path.read_bytes())
+        blob[-1] = 5
+        path.write_bytes(bytes(blob))
+        assert main(["run", str(idx_cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: data.classes: ")
 
 
 class TestPreset:

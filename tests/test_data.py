@@ -5,18 +5,20 @@ import struct
 import numpy as np
 import pytest
 
-from fedlens.data import (balanced_eval_subset, generate_federation_data,
-                          load_idx, make_domain_specs, merge_train_test)
+from fedlens.config import ExperimentConfig
+from fedlens.data import (ClientDataset, balanced_eval_subset, generate_federation_data,
+                          load_idx, make_domain_specs)
 from fedlens.errors import FormatError
-from fedlens.nn import Network, labels_of, mlp_specs, sgd_epochs
+from fedlens.nn import Network, mlp_specs, sgd_epochs
 from fedlens.metrics import accuracy
+from fedlens.runner import build_datasets
 
 
-def write_idx_pair(tmp_path, pixels, labels, rows, cols):
+def write_idx_pair(tmp_path, pixels, labels, rows, cols, prefix=""):
     """Hand-packed big-endian IDX files; returns (images_path, labels_path)."""
     n = len(labels)
-    img = tmp_path / "images.idx"
-    lab = tmp_path / "labels.idx"
+    img = tmp_path / f"{prefix}images.idx"
+    lab = tmp_path / f"{prefix}labels.idx"
     img.write_bytes(struct.pack(">IIII", 0x00000803, n, rows, cols)
                     + bytes(pixels))
     lab.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(labels))
@@ -67,7 +69,7 @@ class TestGenerator:
         b = generate_federation_data(specs, 30, 30, seed=5)
         for da, db in zip(a, b):
             assert np.array_equal(da.train_x, db.train_x)
-            assert np.array_equal(da.train_y, db.train_y)
+            assert np.array_equal(da.train_labels, db.train_labels)
             assert np.array_equal(da.test_x, db.test_x)
 
     def test_balanced_split_has_uniform_classes(self):
@@ -85,7 +87,7 @@ class TestGenerator:
             specs = make_domain_specs(2, 3, 10, seed=seed, anchor_scale=2.0)
             ds = generate_federation_data(specs, 120, 120, seed=seed)
             net = Network(mlp_specs(10, [16], 3)).init_random(seed=seed)
-            sgd_epochs(net, ds[0].train_x, ds[0].train_y, epochs=20,
+            sgd_epochs(net, ds[0].train_x, ds[0].train_labels, epochs=20,
                        lr=0.05, batch_size=32, seed=seed)
             own = accuracy(net.forward(ds[0].test_x)[0], ds[0].test_labels)
             foreign = accuracy(net.forward(ds[1].test_x)[0], ds[1].test_labels)
@@ -97,18 +99,9 @@ class TestIdx:
     def test_two_image_fixture_exact(self, tmp_path):
         pixels = [0, 128, 255, 1, 2, 3, 4, 5]
         img, lab = write_idx_pair(tmp_path, pixels, [0, 1], rows=2, cols=2)
-        ds = load_idx(img, lab, normalize=False)
-        assert np.array_equal(ds.train_x, [[0, 128, 255, 1], [2, 3, 4, 5]])
-        assert np.array_equal(ds.train_labels, [0, 1])
-        scaled = load_idx(img, lab, normalize=True)
-        assert np.array_equal(scaled.train_x, np.array(pixels).reshape(2, 4) / 255.0)
-
-    def test_max_per_class_caps_size(self, tmp_path):
-        img, lab = write_idx_pair(tmp_path, list(range(5)), [0, 1, 0, 1, 2],
-                                  rows=1, cols=1)
-        ds = load_idx(img, lab, max_per_class=1)
-        assert ds.n_train <= 3
-        assert np.array_equal(ds.train_labels, [0, 1, 2])
+        x, labels = load_idx(img, lab)
+        assert np.array_equal(x, np.array(pixels).reshape(2, 4) / 255.0)
+        assert np.array_equal(labels, [0, 1])
 
     def test_bad_magic_reports_offset(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, [0, 0], [0, 1], rows=1, cols=1)
@@ -123,14 +116,20 @@ class TestIdx:
         with pytest.raises(FormatError, match="offset"):
             load_idx(img, lab)
 
-    def test_merge_train_test(self, tmp_path):
-        img, lab = write_idx_pair(tmp_path, [1, 2, 3, 4], [0, 1, 1, 0],
-                                  rows=1, cols=1)
-        train = load_idx(img, lab, client_id=3)
-        test = load_idx(img, lab)
-        merged = merge_train_test(train, test)
-        assert merged.client_id == 3
-        assert merged.n_train == 4 and len(merged.test_x) == 4
+    def test_build_datasets_pairs_train_and_test_files(self, tmp_path):
+        for m in range(2):
+            write_idx_pair(tmp_path, [m, 2, 3, 4], [0, 1, 1, 0], rows=1, cols=1,
+                           prefix=f"client{m}_train_")
+            write_idx_pair(tmp_path, [m, 9], [2, 0], rows=1, cols=1,
+                           prefix=f"client{m}_test_")
+        cfg = ExperimentConfig()
+        cfg.data.kind, cfg.data.idx_dir, cfg.data.clients = "idx", str(tmp_path), 2
+        datasets = build_datasets(cfg)
+        assert [ds.client_id for ds in datasets] == [0, 1]
+        ds = datasets[1]
+        assert ds.n_train == 4 and len(ds.test_x) == 2
+        assert np.array_equal(ds.train_x[:, 0], np.array([1, 2, 3, 4]) / 255.0)
+        assert np.array_equal(ds.test_labels, [2, 0])
 
 
 class TestBalancedSubset:
@@ -157,13 +156,23 @@ class TestBalancedSubset:
         assert np.array_equal(np.bincount(a.train_labels),
                               np.bincount(b.train_labels))
 
+    def test_absent_class_is_left_out(self):
+        ds = self.make()
+        keep = ds.train_labels != 1
+        lacking = ClientDataset(0, ds.train_x[keep], ds.train_labels[keep],
+                                ds.test_x, ds.test_labels)
+        sub = balanced_eval_subset(lacking, 5, seed=2)
+        assert np.array_equal(np.bincount(sub.train_labels), [5, 0, 5])
+        assert np.array_equal(np.bincount(sub.test_labels), [5, 5, 5])
+
     def test_insufficient_samples_lists_classes(self):
         with pytest.raises(ValueError, match="class 0"):
             balanced_eval_subset(self.make(per_class=3), 4, seed=5)
 
 
-def test_one_hot_labels_invariant():
+def test_labels_are_class_ids():
     specs = make_domain_specs(2, 3, 4, seed=8)
     for ds in generate_federation_data(specs, 30, 30, seed=8):
-        assert np.array_equal(ds.train_y.sum(axis=1), np.ones(30))
-        assert np.array_equal(labels_of(ds.train_y), ds.train_labels)
+        for labels in (ds.train_labels, ds.test_labels):
+            assert labels.shape == (30,) and labels.dtype.kind == "i"
+            assert set(labels.tolist()) == {0, 1, 2}

@@ -18,7 +18,7 @@ from fedlens.fed import (aggregate, build_arch, client_round_seed, finetune_clas
                          pretrain, run_federation, splice)
 from fedlens.metrics import accuracy, is_registered
 from fedlens.nn import (LayerSpec, LayoutEntry, Network, ParamVector,
-                        mlp_specs, one_hot, sgd_epochs)
+                        mlp_specs, sgd_epochs)
 from fedlens.seeds import derive_seed
 
 ARCH = mlp_specs(6, [8, 8], 3)
@@ -222,7 +222,7 @@ class TestRunFederation:
         result = run_federation(cfg, datasets)
         central = Network(ARCH).init_random(derive_seed(13, "init"))
         for r in range(1, 4):
-            sgd_epochs(central, datasets[0].train_x, datasets[0].train_y,
+            sgd_epochs(central, datasets[0].train_x, datasets[0].train_labels,
                        epochs=2, lr=cfg.fed.lr, momentum=cfg.fed.momentum,
                        batch_size=16, seed=client_round_seed(13, 0, r))
         assert (result.final.post[0].values.tobytes()
@@ -237,7 +237,7 @@ class TestRunFederation:
         trained = []
         for _ in range(3):
             net = Network(ARCH).init_random(seed=21)
-            sgd_epochs(net, datasets[0].train_x, datasets[0].train_y,
+            sgd_epochs(net, datasets[0].train_x, datasets[0].train_labels,
                        epochs=2, batch_size=16, seed=22)
             trained.append(net.flatten())
         agg = aggregate(trained, [60, 60, 60])
@@ -333,18 +333,18 @@ class TestPretrain:
     def test_zero_epochs_returns_init(self):
         net = Network(ARCH).init_random(seed=35)
         before = net.flatten().values.copy()
-        out = pretrain(net, np.zeros((4, 6)), one_hot([0, 1, 2, 0], 3), epochs=0)
+        out = pretrain(net, np.zeros((4, 6)), [0, 1, 2, 0], epochs=0)
         assert np.array_equal(out.values, before)
 
     def test_pooled_training_beats_random_init(self):
         datasets = small_federation(num_clients=3, seed=37, train=90, test=60)
         x = np.concatenate([ds.train_x for ds in datasets])
-        y = np.concatenate([ds.train_y for ds in datasets])
+        labels = np.concatenate([ds.train_labels for ds in datasets])
         tx = np.concatenate([ds.test_x for ds in datasets])
         tl = np.concatenate([ds.test_labels for ds in datasets])
         net = Network(ARCH).init_random(seed=38)
         base = accuracy(net.forward(tx)[0], tl)
-        pretrain(net, x, y, epochs=20, lr=0.05, batch_size=32, seed=39)
+        pretrain(net, x, labels, epochs=20, lr=0.05, batch_size=32, seed=39)
         assert accuracy(net.forward(tx)[0], tl) > base
 
     def test_deterministic(self):
@@ -352,7 +352,7 @@ class TestPretrain:
         outs = []
         for _ in range(2):
             net = Network(ARCH).init_random(seed=42)
-            outs.append(pretrain(net, datasets[0].train_x, datasets[0].train_y,
+            outs.append(pretrain(net, datasets[0].train_x, datasets[0].train_labels,
                                  epochs=3, batch_size=16, seed=43))
         assert np.array_equal(outs[0].values, outs[1].values)
 
@@ -361,14 +361,14 @@ class TestFinetuneClassifier:
     def test_zero_epochs_unchanged(self):
         pv = Network(ARCH).init_random(seed=45).flatten()
         out = finetune_classifier(pv, ARCH, np.zeros((4, 6)),
-                                  one_hot([0, 1, 2, 0], 3), epochs=0)
+                                  [0, 1, 2, 0], epochs=0)
         assert np.array_equal(out.values, pv.values)
 
     def test_only_classifier_changes(self):
         datasets = small_federation(num_clients=1, seed=47)
         pv = Network(ARCH).init_random(seed=48).flatten()
         out = finetune_classifier(pv, ARCH, datasets[0].train_x,
-                                  datasets[0].train_y, batch_size=16, seed=49)
+                                  datasets[0].train_labels, batch_size=16, seed=49)
         head = pv.layer_slice(3)
         body = slice(0, head.start)
         assert np.array_equal(out.values[body], pv.values[body])
@@ -383,11 +383,11 @@ class TestFinetuneClassifier:
         rng = np.random.default_rng(50)
         x = np.concatenate([rng.normal(size=(10, 2)) + [6, 6],
                             rng.normal(size=(10, 2)) - [6, 6]])
-        y = one_hot([0] * 10 + [1] * 10, 2)
-        out = finetune_classifier(net.flatten(), arch, x, y,
+        labels = np.repeat([0, 1], 10)
+        out = finetune_classifier(net.flatten(), arch, x, labels,
                                   batch_size=4, seed=51)
         tuned = Network.from_vector(arch, out)
-        assert accuracy(tuned.forward(x)[0], np.argmax(y, axis=1)) == 1.0
+        assert accuracy(tuned.forward(x)[0], labels) == 1.0
         assert np.array_equal(tuned.params[0][0], np.eye(2))
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fedlens import nn
 from fedlens.errors import FormatError, NumericError, ShapeError
-from fedlens.nn import (LayerSpec, Network, load_params, mlp_specs, one_hot,
+from fedlens.nn import (LayerSpec, Network, load_params, mlp_specs,
                         save_params, sgd_epochs)
 
 
@@ -23,9 +23,9 @@ def identity_net(num_layers, dim):
     return net
 
 
-def fd_gradient_check(net, x, y, coords, h=1e-5):
+def fd_gradient_check(net, x, labels, coords, h=1e-5):
     """Max relative error of analytic vs central-difference gradient."""
-    _, grad = net.loss_and_grad(x, y)
+    _, grad = net.loss_and_grad(x, labels)
     theta = net.flatten()
     worst = 0.0
     for i in coords:
@@ -33,7 +33,7 @@ def fd_gradient_check(net, x, y, coords, h=1e-5):
             bumped = theta.copy()
             bumped.values[i] += sign * h
             net.load_vector(bumped)
-            loss = net.loss_and_grad(x, y)[0]
+            loss = net.loss_and_grad(x, labels)[0]
             if sign > 0:
                 up = loss
             else:
@@ -97,17 +97,17 @@ class TestLossAndGrad:
     def test_uniform_logits_loss_is_log_c(self):
         net = Network([LayerSpec("linear", 4, 10)])  # zero params -> zero logits
         x = np.random.default_rng(1).normal(size=(8, 4))
-        y = one_hot(np.arange(8) % 10, 10)
-        loss, _ = net.loss_and_grad(x, y)
+        labels = np.arange(8) % 10
+        loss, _ = net.loss_and_grad(x, labels)
         assert loss == pytest.approx(np.log(10.0), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         net = Network(mlp_specs(6, [8], 3)).init_random(seed=5)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(10, 6))
-        y = one_hot(rng.integers(0, 3, size=10), 3)
+        labels = rng.integers(0, 3, size=10)
         coords = rng.choice(net.flatten().size, size=20, replace=False)
-        assert fd_gradient_check(net, x, y, coords) < 1e-4
+        assert fd_gradient_check(net, x, labels, coords) < 1e-4
 
     @pytest.mark.parametrize("specs", [
         [LayerSpec("linear", 5, 4), LayerSpec("linear", 4, 3)],
@@ -119,15 +119,15 @@ class TestLossAndGrad:
         net = Network(specs).init_random(seed=8)
         rng = np.random.default_rng(9)
         x = rng.normal(size=(12, 5))
-        y = one_hot(rng.integers(0, 3, size=12), 3)
+        labels = rng.integers(0, 3, size=12)
         coords = rng.choice(net.flatten().size, size=15, replace=False)
-        assert fd_gradient_check(net, x, y, coords) < 1e-4
+        assert fd_gradient_check(net, x, labels, coords) < 1e-4
 
     def test_confident_correct_prediction_loss_near_zero(self):
         net = Network([LayerSpec("linear", 2, 2)])
         net.params[0][0][...] = [[50.0, 0.0], [0.0, 50.0]]
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss, _ = net.loss_and_grad(x, one_hot([0, 1], 2))
+        loss, _ = net.loss_and_grad(x, [0, 1])
         assert loss < 1e-6
 
     def test_label_shape_rejected(self):
@@ -140,41 +140,41 @@ class TestSgd:
     def make_problem(self, seed=0):
         net = Network(mlp_specs(2, [4], 2)).init_random(seed=seed)
         x = np.array([[1.0, 1.0], [2.0, 1.5], [-1.0, -1.0], [-2.0, -1.5]])
-        y = one_hot([0, 0, 1, 1], 2)
-        return net, x, y
+        labels = np.array([0, 0, 1, 1])
+        return net, x, labels
 
     def test_zero_epochs_unchanged(self):
-        net, x, y = self.make_problem()
+        net, x, labels = self.make_problem()
         before = net.flatten().values.copy()
-        sgd_epochs(net, x, y, epochs=0)
+        sgd_epochs(net, x, labels, epochs=0)
         assert np.array_equal(net.flatten().values, before)
 
     def test_separable_batch_loss_decreases(self):
-        net, x, y = self.make_problem(seed=1)
-        loss0, _ = net.loss_and_grad(x, y)
-        sgd_epochs(net, x, y, epochs=50, lr=0.1, momentum=0.5,
+        net, x, labels = self.make_problem(seed=1)
+        loss0, _ = net.loss_and_grad(x, labels)
+        sgd_epochs(net, x, labels, epochs=50, lr=0.1, momentum=0.5,
                    batch_size=len(x), seed=2)
-        loss1, _ = net.loss_and_grad(x, y)
+        loss1, _ = net.loss_and_grad(x, labels)
         assert loss1 < loss0
 
     def test_momentum_zero_single_step_exact(self):
         # the epoch shuffle reorders rows, which changes summation order in
         # the backward matmuls, so the oracle gradient must see the same
         # permuted batch to land on identical bits
-        net, x, y = self.make_problem(seed=3)
+        net, x, labels = self.make_problem(seed=3)
         theta = net.flatten()
         perm = np.random.default_rng(4).permutation(len(x))
-        _, grad = net.loss_and_grad(x[perm], y[perm])
+        _, grad = net.loss_and_grad(x[perm], labels[perm])
         want = theta.values - 0.05 * grad
-        sgd_epochs(net, x, y, epochs=1, lr=0.05, momentum=0.0,
+        sgd_epochs(net, x, labels, epochs=1, lr=0.05, momentum=0.0,
                    batch_size=len(x), seed=4)
         assert np.array_equal(net.flatten().values, want)
 
     def test_same_seed_same_result(self):
         runs = []
         for _ in range(2):
-            net, x, y = self.make_problem(seed=5)
-            sgd_epochs(net, x, y, epochs=3, batch_size=2, seed=6)
+            net, x, labels = self.make_problem(seed=5)
+            sgd_epochs(net, x, labels, epochs=3, batch_size=2, seed=6)
             runs.append(net.flatten().values)
         assert np.array_equal(runs[0], runs[1])
 
@@ -184,9 +184,9 @@ class TestSgd:
             sgd_epochs(net, np.zeros((0, 2)), np.zeros((0, 2)), epochs=1)
 
     def test_trainable_layers_freeze_rest(self):
-        net, x, y = self.make_problem(seed=7)
+        net, x, labels = self.make_problem(seed=7)
         before = net.flatten()
-        sgd_epochs(net, x, y, epochs=2, batch_size=2, seed=8,
+        sgd_epochs(net, x, labels, epochs=2, batch_size=2, seed=8,
                    train_from=2)
         after = net.flatten()
         s1 = before.layer_slice(1)
@@ -200,12 +200,12 @@ class TestSgd:
         net = Network(mlp_specs(3, [5, 5], 2, residual=True)).init_random(seed=20)
         rng = np.random.default_rng(21)
         x = rng.normal(size=(6, 3))
-        y = one_hot(rng.integers(0, 2, size=6), 2)
+        labels = rng.integers(0, 2, size=6)
         theta = net.flatten()
         perm = np.random.default_rng(22).permutation(len(x))
-        _, grad = net.loss_and_grad(x[perm], y[perm])
+        _, grad = net.loss_and_grad(x[perm], labels[perm])
         head = theta.layer_slice(net.num_layers)
-        sgd_epochs(net, x, y, epochs=1, lr=0.05, momentum=0.0,
+        sgd_epochs(net, x, labels, epochs=1, lr=0.05, momentum=0.0,
                    batch_size=len(x), seed=22, train_from=net.num_layers)
         after = net.flatten().values
         want = theta.values[head] - 0.05 * grad[head]
@@ -219,23 +219,23 @@ class TestSgd:
         net = Network(mlp_specs(4, [4, 4], 3, residual=True)).init_random(seed=23)
         rng = np.random.default_rng(24)
         x = rng.normal(size=(7, 4))
-        y = one_hot(rng.integers(0, 3, size=7), 3)
-        loss, full = net.loss_and_grad(x, y)
+        labels = rng.integers(0, 3, size=7)
+        loss, full = net.loss_and_grad(x, labels)
         _, taps = net.forward(x)
-        part_loss, part = net.loss_and_grad(taps[train_from - 1], y, train_from)
+        part_loss, part = net.loss_and_grad(taps[train_from - 1], labels, train_from)
         assert part_loss == loss
         assert np.array_equal(part, full[net.layer_start(train_from):])
 
     @pytest.mark.parametrize("train_from", [0, 4, 7])
     def test_train_from_out_of_range_rejected(self, train_from):
-        _, x, y = self.make_problem()
+        _, x, labels = self.make_problem()
         net = Network(mlp_specs(2, [4, 4], 2)).init_random(seed=25)
         before = net.flatten().values.copy()
         for epochs in (0, 2):
             with pytest.raises(ShapeError, match="out of range"):
-                sgd_epochs(net, x, y, epochs=epochs, train_from=train_from)
+                sgd_epochs(net, x, labels, epochs=epochs, train_from=train_from)
         with pytest.raises(ShapeError, match="out of range"):
-            net.loss_and_grad(x, y, train_from)
+            net.loss_and_grad(x, labels, train_from)
         assert np.array_equal(net.flatten().values, before)
 
 
@@ -273,7 +273,7 @@ class TestFlatBuffer:
             assert np.array_equal(pv.interface_weight(layer), net.interface_weight(layer))
 
 
-def reference_sgd(net, x, y, epochs, lr, momentum, batch_size, seed, train_from):
+def reference_sgd(net, x, labels, epochs, lr, momentum, batch_size, seed, train_from):
     """sgd_epochs as a plain loop: a full forward and backward per minibatch."""
     start = net.layer_start(train_from)
     rng = np.random.default_rng(seed)
@@ -282,7 +282,7 @@ def reference_sgd(net, x, y, epochs, lr, momentum, batch_size, seed, train_from)
         perm = rng.permutation(len(x))
         for lo in range(0, len(x), batch_size):
             idx = perm[lo:lo + batch_size]
-            _, grad = net.loss_and_grad(x[idx], y[idx])
+            _, grad = net.loss_and_grad(x[idx], labels[idx])
             velocity = momentum * velocity + grad[start:]
             net.values[start:] += -lr * velocity
 
@@ -303,14 +303,14 @@ class TestFrozenPrefix:
         seed = data.draw(st.integers(0, 2**16), label="seed")
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, specs[0].in_dim))
-        y = one_hot(rng.integers(0, specs[-1].out_dim, size=n), specs[-1].out_dim)
+        labels = rng.integers(0, specs[-1].out_dim, size=n)
         net = Network(specs).init_random(seed=seed)
         ref = Network(specs).load_vector(net.flatten())
         with mock.patch.object(nn, "_STACK_ROWS", stack_rows):
-            sgd_epochs(net, x, y, epochs=2, lr=0.1, momentum=0.5, batch_size=batch_size,
-                       seed=seed, train_from=train_from)
-        reference_sgd(ref, x, y, epochs=2, lr=0.1, momentum=0.5, batch_size=batch_size,
-                      seed=seed, train_from=train_from)
+            sgd_epochs(net, x, labels, epochs=2, lr=0.1, momentum=0.5,
+                       batch_size=batch_size, seed=seed, train_from=train_from)
+        reference_sgd(ref, x, labels, epochs=2, lr=0.1, momentum=0.5,
+                      batch_size=batch_size, seed=seed, train_from=train_from)
         assert net.values.tobytes() == ref.values.tobytes()
 
     @pytest.mark.parametrize("train_from", [1, 2, 3])
@@ -326,8 +326,8 @@ class TestFrozenPrefix:
         net = Network(mlp_specs(3, [4, 4], 2)).init_random(seed=26)
         rng = np.random.default_rng(27)
         x = rng.normal(size=(23, 3))
-        y = one_hot(rng.integers(0, 2, size=23), 2)
-        sgd_epochs(net, x, y, epochs=3, batch_size=5, seed=28, train_from=train_from)
+        labels = rng.integers(0, 2, size=23)
+        sgd_epochs(net, x, labels, epochs=3, batch_size=5, seed=28, train_from=train_from)
         assert len(rows) == 3 * math.ceil(23 / 5)
         assert rows == [5, 5, 5, 5, 3] * 3
 
@@ -345,7 +345,7 @@ class TestFrozenPrefix:
         monkeypatch.setattr(nn, "_STACK_ROWS", 8)
         net = Network(mlp_specs(3, [4], 2)).init_random(seed=30)
         x = np.random.default_rng(31).normal(size=(11, 3))
-        sgd_epochs(net, x, one_hot(np.arange(11) % 2, 2), epochs=1, batch_size=4,
+        sgd_epochs(net, x, np.arange(11) % 2, epochs=1, batch_size=4,
                    train_from=train_from)
         assert [s[0] for s in shapes] == stacks
         assert [s[1] for s in shapes] == [4] * (len(stacks) - 1) + [3]
@@ -358,7 +358,7 @@ class TestFrozenPrefix:
         x = np.ones((5, 2))
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="leaving layer 2"):
-                sgd_epochs(net, x, one_hot([0, 1, 0, 1, 0], 2), epochs=1,
+                sgd_epochs(net, x, [0, 1, 0, 1, 0], epochs=1,
                            batch_size=2, train_from=3)
         assert net.values.tobytes() == before.tobytes()
 
@@ -371,20 +371,20 @@ class TestFrozenPrefix:
         before = net.values.copy()
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="leaving layer 3"):
-                sgd_epochs(net, np.ones((5, 2)), one_hot([0, 1, 0, 1, 0], 2), epochs=1,
+                sgd_epochs(net, np.ones((5, 2)), [0, 1, 0, 1, 0], epochs=1,
                            batch_size=2, train_from=3)
         assert net.values.tobytes() == before.tobytes()
 
     def test_loss_and_grad_checks_the_width_of_its_layer(self):
         net = Network(mlp_specs(3, [4], 2)).init_random(seed=29)
         with pytest.raises(ShapeError, match=r"batch must be \(n, 4\)"):
-            net.loss_and_grad(np.ones((2, 3)), one_hot([0, 1], 2), 2)
+            net.loss_and_grad(np.ones((2, 3)), [0, 1], 2)
 
 
-def reference_loss_and_grad(net, h, y, train_from):
+def reference_loss_and_grad(net, h, labels, train_from):
     """loss_and_grad of layers train_from..L with every step out of place.
 
-    Each layer is a chain of (W, b) maps with relu after every map of a
+    The labels enter as a one-hot matrix. Each layer is a chain of (W, b) maps with relu after every map of a
     linear_relu layer and after all but the last map of a residual block.
     """
     layers = []
@@ -403,6 +403,7 @@ def reference_loss_and_grad(net, h, y, train_from):
         layers.append((ws, relus, inputs, pre_acts, spec.kind == "residual"))
         h = h + g if spec.kind == "residual" else g
     n = h.shape[0]
+    y = np.eye(h.shape[1])[labels]
     z = h - h.max(axis=1, keepdims=True)
     expz = np.exp(z)
     sums = expz.sum(axis=1, keepdims=True)
@@ -433,13 +434,13 @@ class TestInPlaceKernels:
         net = Network(specs)
         net.values[...] = rng.normal(size=net.values.size)
         x = rng.normal(size=(n, specs[0].in_dim))
-        y = one_hot(rng.integers(0, specs[-1].out_dim, size=n), specs[-1].out_dim)
+        labels = rng.integers(0, specs[-1].out_dim, size=n)
         batch = x.copy()
         _, taps = net.forward(x)
         saved = [t.copy() for t in taps]
         h = taps[train_from - 1]
-        loss, grad = net.loss_and_grad(h, y, train_from)
-        ref_loss, ref_grad = reference_loss_and_grad(net, h, y, train_from)
+        loss, grad = net.loss_and_grad(h, labels, train_from)
+        ref_loss, ref_grad = reference_loss_and_grad(net, h, labels, train_from)
         assert loss == ref_loss
         assert grad.tobytes() == ref_grad.tobytes()
         assert x.tobytes() == batch.tobytes()
@@ -502,6 +503,10 @@ class TestParamFormat:
             load_params(path)
 
 
-def test_one_hot_rejects_out_of_range():
-    with pytest.raises(ShapeError):
-        one_hot([0, 3], 3)
+def test_sgd_epochs_rejects_out_of_range_labels():
+    # checked once per call, so nothing trains before the error
+    net = Network([LayerSpec("linear", 2, 3)])
+    for labels in ([0, 3], [-1, 0]):
+        with pytest.raises(ShapeError, match=r"labels out of range 0\.\.2"):
+            sgd_epochs(net, np.ones((2, 2)), labels, epochs=1)
+    assert not net.values.any()
