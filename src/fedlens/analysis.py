@@ -12,7 +12,7 @@ METRICS_CSV = "metrics.csv"
 ACCURACY_CSV = "accuracy.csv"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricRecord:
     """One scalar observation; layer -1 marks whole-model metrics."""
 

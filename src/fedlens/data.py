@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
+from .metrics import class_ids
 from .seeds import derive_seed
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -144,7 +145,7 @@ def generate_federation_data(specs, n_train: int, n_test: int, seed: int,
 def _subset_split(x, labels, per_class: int, rng):
     picks = []
     deficient = {}
-    for c in np.unique(labels):
+    for c in class_ids(labels):
         idx = np.flatnonzero(labels == c)
         if len(idx) < per_class:
             deficient[c] = len(idx)

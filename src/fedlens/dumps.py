@@ -103,17 +103,11 @@ def metrics_from_dumps(dump_dir):
     snapshots exist. Returns (records, warnings).
     """
     root = Path(dump_dir)
-    features = {}
+    paths = {}
     for path in sorted(root.glob("*.fplf")):
         m = _FEATURE_RE.match(path.name)
-        if not m:
-            continue
-        rnd, client, layer, phase = (int(m.group(1)), int(m.group(2)),
-                                     int(m.group(3)), m.group(4))
-        fm = read_features(path, client=client)
-        if (fm.round, fm.layer, fm.phase) != (rnd, layer, phase):
-            raise FormatError(f"{path}: header disagrees with file name")
-        features[(rnd, client, layer, phase)] = fm
+        if m:
+            paths[(int(m.group(1)), int(m.group(2)), int(m.group(3)), m.group(4))] = path
     models = {}
     for path in sorted(root.glob("*.fpnv")):
         m = _MODEL_RE.match(path.name)
@@ -123,21 +117,28 @@ def metrics_from_dumps(dump_dir):
 
     records = []
     warnings = []
-    keys = sorted({(rnd, client, layer) for rnd, client, layer, _ in features})
-    for rnd, client, layer in keys:
-        pre = features.get((rnd, client, layer, "pre"))
-        post = features.get((rnd, client, layer, "post"))
-        if pre is None or post is None:
-            missing = "pre" if pre is None else "post"
+    for rnd, client, layer in sorted({key[:3] for key in paths}):
+        # one pair in memory at a time; an unpaired file is still read and checked
+        pair = {}
+        for phase in ("pre", "post"):
+            path = paths.get((rnd, client, layer, phase))
+            if path is None:
+                continue
+            fm = read_features(path, client=client)
+            if (fm.round, fm.layer, fm.phase) != (rnd, layer, phase):
+                raise FormatError(f"{path}: header disagrees with file name")
+            pair[phase] = fm
+        if len(pair) < 2:
+            missing = "post" if "pre" in pair else "pre"
             warnings.append(
                 f"round {rnd} client {client} layer {layer}: missing {missing} dump, skipped")
             continue
-        for fm in (pre, post):
+        for fm in pair.values():
             model = models.get((rnd, client, fm.phase))
             weights = {} if model is None else {
                 layer: model.interface_weight(layer + 1)}
             records.extend(feature_records([fm], weights))
-        records.extend(distance_records(pre, post, rnd, client, layer))
+        records.extend(distance_records(pair["pre"], pair["post"], rnd, client, layer))
     records.extend(relative_change_records(records))
     records.sort(key=MetricRecord.sort_key)
     return records, warnings

@@ -173,9 +173,11 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
     for layer in personalized_layers(fed.personalization, num_layers)[1]:
         local[init_vec.layer_slice(layer)] = True
     tap_layers = tuple(sorted(set(mt.taps))) or tuple(range(num_layers))
-    eval_sets = [balanced_eval_subset(ds, mt.eval_per_class,
-                                      derive_seed(fed.seed, "evalsubset", ds.client_id))
-                 for ds in datasets]
+    # captures read only the train half; the test half is drawn, then dropped
+    eval_sets = [(sub.train_x, sub.train_labels) for sub in (
+        balanced_eval_subset(ds, mt.eval_per_class,
+                             derive_seed(fed.seed, "evalsubset", ds.client_id))
+        for ds in datasets)]
     counts = [ds.n_train for ds in datasets]
     m_clients = len(datasets)
     records = []
@@ -183,8 +185,8 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
     def capture(net, m, r, phase, model=None, taps=tap_layers, stats=FEATURE_STATS):
         """Record accuracy and feature metrics of one model; dump pre/post taps."""
         records.extend(_accuracy_records(net, datasets[m], r, phase))
-        fms = extract_tap_features(net, eval_sets[m].train_x, eval_sets[m].train_labels,
-                                   taps, phase=phase, round_index=r, client=m)
+        fms = extract_tap_features(net, *eval_sets[m], taps, phase=phase,
+                                   round_index=r, client=m)
         weights = {t: net.interface_weight(t + 1) for t in fms}
         records.extend(feature_records(fms.values(), weights, stats))
         if dump_dir is not None and phase in ("pre", "post"):

@@ -106,6 +106,13 @@ class PairwiseDistances:
     cosine: float
 
 
+def class_ids(labels) -> np.ndarray:
+    """Sorted distinct class ids of a label array."""
+    # a sort, not np.unique: numpy 2.4's unique imports numpy.ma, about 1 MB
+    s = np.sort(labels)
+    return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
+
+
 def class_stats(features, labels=None) -> ClassStats:
     """Class means plus within/between/total scatter traces.
 
@@ -121,22 +128,22 @@ def class_stats(features, labels=None) -> ClassStats:
     if len(labels) != len(values):
         raise ShapeError("labels must match feature rows")
     n = len(values)
-    class_ids = np.unique(labels)
-    mu = np.stack([values[labels == c].mean(axis=0) for c in class_ids])
+    ids = class_ids(labels)
+    mu = np.stack([values[labels == c].mean(axis=0) for c in ids])
     mu_global = values.mean(axis=0)
     tr_w = 0.0
-    for i, c in enumerate(class_ids):
+    for i, c in enumerate(ids):
         dev = values[labels == c] - mu[i]
         tr_w += float((dev * dev).sum())
     tr_w /= n
     diff = mu - mu_global
-    tr_b = float((diff * diff).sum()) / len(class_ids)
+    tr_b = float((diff * diff).sum()) / len(ids)
     dev = values - mu_global
     tr_t = float((dev * dev).sum()) / n
     if tr_t == 0.0:
-        return ClassStats(class_ids, mu, mu_global, tr_w, tr_b, tr_t,
+        return ClassStats(ids, mu, mu_global, tr_w, tr_b, tr_t,
                           sigma_w=0.0, sigma_b=0.0, degenerate=True)
-    return ClassStats(class_ids, mu, mu_global, tr_w, tr_b, tr_t,
+    return ClassStats(ids, mu, mu_global, tr_w, tr_b, tr_t,
                       sigma_w=tr_w / tr_t, sigma_b=tr_b / tr_t)
 
 
@@ -271,7 +278,7 @@ def spearman(xs, ys) -> float:
 def extract_tap_features(net: Network, x, labels, tap_layers=None,
                          batch_size: int = 256, phase: str = "pre",
                          round_index: int = 0, client: int = -1):
-    """Forward in batches and concatenate the requested taps.
+    """Forward in batches and write the requested taps into one array each.
 
     Returns {tap index: FeatureMatrix}. Taps default to every layer input,
     0 (raw batch) through L-1 (penultimate feature).
@@ -284,13 +291,13 @@ def extract_tap_features(net: Network, x, labels, tap_layers=None,
     for t in tap_layers:
         if not 0 <= t < net.num_layers:
             raise ShapeError(f"tap {t} out of range 0..{net.num_layers - 1}")
-    chunks = {t: [] for t in tap_layers}
+    out = {t: np.empty((len(x), net.specs[t].in_dim)) for t in tap_layers}
     for start in range(0, len(x), batch_size):
         _, taps = net.forward(x[start:start + batch_size])
         for t in tap_layers:
-            chunks[t].append(taps[t])
-    return {t: FeatureMatrix(np.concatenate(chunks[t]), labels, layer=t,
-                             phase=phase, round=round_index, client=client)
+            out[t][start:start + batch_size] = taps[t]
+    return {t: FeatureMatrix(out[t], labels, layer=t, phase=phase,
+                             round=round_index, client=client)
             for t in tap_layers}
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import ACCURACY_CSV, METRICS_CSV, records_to_csv
 from .config import ExperimentConfig, personalized_layers, render_config
 from .data import ClientDataset, generate_federation_data, load_idx, make_domain_specs
@@ -38,7 +40,7 @@ def build_datasets(cfg: ExperimentConfig):
 
 def execute(cfg: ExperimentConfig, dump_dir=None) -> RunResult:
     """Run one experiment in memory; file writing happens in run_to_dir."""
-    d = cfg.data
+    d, per_class = cfg.data, cfg.metrics.eval_per_class
     datasets = build_datasets(cfg)
     for ds in datasets:
         for x in (ds.train_x, ds.test_x):
@@ -50,7 +52,18 @@ def execute(cfg: ExperimentConfig, dump_dir=None) -> RunResult:
         if top >= d.classes:
             raise ConfigError(f"client {ds.client_id} has label {top}, but classes "
                               f"is {d.classes}", field="data.classes")
-    return run_federation(cfg, datasets, dump_dir)
+        for split, labels in (("train", ds.train_labels), ("test", ds.test_labels)):
+            rows = np.bincount(labels)
+            short = np.flatnonzero((rows > 0) & (rows < per_class))
+            if short.size:
+                c = short[0]
+                raise ConfigError(f"client {ds.client_id} has {rows[c]} {split} rows of "
+                                  f"class {c}, fewer than {per_class}",
+                                  field="metrics.eval_per_class")
+    # the per-layer finite checks report divergence; numpy's warnings would
+    # only repeat it on stderr
+    with np.errstate(all="ignore"):
+        return run_federation(cfg, datasets, dump_dir)
 
 
 def _render_manifest(cfg: ExperimentConfig) -> str:
@@ -76,9 +89,10 @@ def _render_manifest(cfg: ExperimentConfig) -> str:
 def run_to_dir(cfg: ExperimentConfig) -> Path:
     """Execute and write metrics.csv, accuracy.csv, manifest.txt, and dumps."""
     out_dir = Path(cfg.output.dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dump_dir = out_dir / DUMP_SUBDIR if cfg.output.dump_features else None
     records = execute(cfg, dump_dir=dump_dir).records
+    # only now, so a run that fails leaves no empty directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     acc = [r for r in records if r.metric in ACCURACY_METRICS]
     rest = [r for r in records if r.metric not in ACCURACY_METRICS]
     (out_dir / METRICS_CSV).write_text(records_to_csv(rest), newline="\n")

@@ -50,7 +50,7 @@ dir = {out_dir}
 
 
 # (field, bad value, other keys set with it): each is a config error that
-# `fedlens run` reports before it generates data or creates the output dir
+# `fedlens run` reports before it trains or creates the output dir
 BAD_VALUES = [
     ("fed.batch_size", "0", {"fed.pretrain_epochs": "1"}),
     ("fed.batch_size", "0", {}),
@@ -80,6 +80,8 @@ BAD_VALUES = [
     ("model.residual_inner", "0", {}),
     ("metrics.eval_per_class", "6", {}),
     ("metrics.eval_per_class", "6", {"data.label_noise": "0.1"}),
+    # found only in the drawn data: 15 unbalanced test rows leave some class short
+    ("metrics.eval_per_class", "5", {"data.balanced": "false"}),
 ]
 
 
@@ -262,6 +264,15 @@ class TestIdxRun:
         assert main(["run", str(idx_cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error: data.classes: ")
 
+    def test_class_with_too_few_rows_exits_2(self, idx_cfg, capsys):
+        idx_cfg.write_text(idx_cfg.read_text().replace("eval_per_class = 4",
+                                                       "eval_per_class = 7"))
+        assert main(["run", str(idx_cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: metrics.eval_per_class: client 1 has 6 train rows of class 0, "
+            "fewer than 7\n")
+        assert not (idx_cfg.parent / "out").exists()
+
 
 class TestPreset:
     def test_baseline_config_loads_back(self, workspace, capsys):
@@ -355,6 +366,14 @@ class TestMetricsCommand:
         assert main(["metrics", str(tmp_path)]) == 3
         assert bad.name in capsys.readouterr().err
 
+    def test_header_disagreeing_with_file_name_exits_3(self, tmp_path, capsys):
+        fm = FeatureMatrix(np.ones((3, 2)), [0, 1, 2], layer=1, phase="pre", round=1)
+        path = tmp_path / feature_filename(1, 0, 0, "pre")
+        write_features(path, fm)
+        assert main(["metrics", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: FormatError: {path}: header disagrees with file name\n")
+
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "ghost")]) == 2
         assert "config error" in capsys.readouterr().err
@@ -410,6 +429,37 @@ def test_config_preset_and_export_leave_numpy_unloaded(baseline_run, tmp_path):
     out = subprocess.run(argv, env=package_env(), check=True, capture_output=True,
                          text=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+def test_run_and_metrics_leave_numpy_ma_unloaded(tmp_path):
+    cfg = write_config(tmp_path / "ma.cfg", tmp_path / "out",
+                       "dump_features = true\ndump_models = true\n")
+    code = ("import sys\n"
+            "import numpy\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "from fedlens.cli import main\n"
+            "cfg, dumps = sys.argv[1:]\n"
+            "assert main(['run', cfg]) == 0\n"
+            "assert main(['metrics', dumps]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    argv = [sys.executable, "-c", code, str(cfg), str(tmp_path / "out" / "dumps")]
+    lines = subprocess.run(argv, env=package_env(), check=True, capture_output=True,
+                           text=True).stdout.splitlines()
+    if lines[0] == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert lines[-1] == "False"
+
+
+def test_divergence_exits_3_with_one_stderr_line(tmp_path):
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path / "diverge.cfg", out_dir)
+    cfg.write_text(cfg.read_text() + "\n[fed]\nlr = 1e100\n")
+    proc = subprocess.run([sys.executable, "-m", "fedlens.cli", "run", str(cfg)],
+                          env=package_env(), capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: NumericError: round 1, client 0, local training: "
+                           "non-finite activation leaving layer 2\n")
+    assert not out_dir.exists()
 
 
 def test_blas_thread_count_does_not_change_outputs(tmp_path):
