@@ -111,13 +111,19 @@ def metrics_from_dumps(dump_dir):
     models = {}
     for path in sorted(root.glob("*.fpnv")):
         m = _MODEL_RE.match(path.name)
-        if not m:
-            continue
-        models[(int(m.group(1)), int(m.group(2)), m.group(3))] = load_params(path)
+        if m:
+            models[(int(m.group(1)), int(m.group(2)), m.group(3))] = path
 
     records = []
     warnings = []
+    group = None
     for rnd, client, layer in sorted({key[:3] for key in paths}):
+        if (rnd, client) != group:
+            # a (round, client)'s layers come one after another, so its two
+            # snapshots are read here once and dropped when the next comes up
+            group = (rnd, client)
+            snapshots = {phase: load_params(models.pop(group + (phase,)))
+                         for phase in ("pre", "post") if group + (phase,) in models}
         # one pair in memory at a time; an unpaired file is still read and checked
         pair = {}
         for phase in ("pre", "post"):
@@ -134,11 +140,13 @@ def metrics_from_dumps(dump_dir):
                 f"round {rnd} client {client} layer {layer}: missing {missing} dump, skipped")
             continue
         for fm in pair.values():
-            model = models.get((rnd, client, fm.phase))
+            model = snapshots.get(fm.phase)
             weights = {} if model is None else {
                 layer: model.interface_weight(layer + 1)}
             records.extend(feature_records([fm], weights))
         records.extend(distance_records(pair["pre"], pair["post"], rnd, client, layer))
+    for path in models.values():
+        load_params(path)  # a snapshot without feature dumps is still checked
     records.extend(relative_change_records(records))
     records.sort(key=MetricRecord.sort_key)
     return records, warnings

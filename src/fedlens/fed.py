@@ -109,12 +109,11 @@ def pretrain(net: Network, x, labels, epochs: int, lr: float = 0.01,
 
 def finetune_classifier(model: ParamVector, arch, x, labels, epochs: int = 10,
                         lr: float = 0.01, momentum: float = 0.1,
-                        batch_size: int = 64, seed: int = 0) -> ParamVector:
-    """Retrain only the final layer on local data; the rest stays bit-exact."""
+                        batch_size: int = 64, seed: int = 0) -> Network:
+    """A network of `model` with only the final layer retrained; the rest stays bit-exact."""
     net = Network.from_vector(arch, model)
-    sgd_epochs(net, x, labels, epochs, lr=lr, momentum=momentum,
-               batch_size=batch_size, seed=seed, train_from=net.num_layers)
-    return net.flatten()
+    return sgd_epochs(net, x, labels, epochs, lr=lr, momentum=momentum,
+                      batch_size=batch_size, seed=seed, train_from=net.num_layers)
 
 
 @contextmanager
@@ -163,11 +162,13 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
     net = Network(arch).init_random(derive_seed(fed.seed, "init"))
     if fed.pretrain_epochs > 0:
         with _located("pretraining"):
-            pretrain(net, np.concatenate([ds.train_x for ds in datasets]),
-                     np.concatenate([ds.train_labels for ds in datasets]),
-                     fed.pretrain_epochs, lr=fed.lr, momentum=fed.momentum,
-                     batch_size=fed.batch_size, seed=derive_seed(fed.seed, "pretrain"))
-    init_vec = net.flatten()
+            init_vec = pretrain(
+                net, np.concatenate([ds.train_x for ds in datasets]),
+                np.concatenate([ds.train_labels for ds in datasets]),
+                fed.pretrain_epochs, lr=fed.lr, momentum=fed.momentum,
+                batch_size=fed.batch_size, seed=derive_seed(fed.seed, "pretrain"))
+    else:
+        init_vec = net.flatten()
     num_layers = net.num_layers
     local = np.zeros(init_vec.size, dtype=bool)
     for layer in personalized_layers(fed.personalization, num_layers)[1]:
@@ -232,8 +233,7 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
                             lr=mt.finetune_lr, momentum=mt.finetune_momentum,
                             batch_size=mt.finetune_batch,
                             seed=derive_seed(fed.seed, "finetune", m, r))
-                    capture(Network.from_vector(arch, tuned), m, r, "tuned",
-                            taps=(num_layers - 1,), stats=())
+                    capture(tuned, m, r, "tuned", taps=(num_layers - 1,), stats=())
             if r in mt.probe_rounds:
                 records.extend(_probe_records(cfg, num_layers - 1, nets, post_nets,
                                               datasets, r))

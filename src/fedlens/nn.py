@@ -27,8 +27,9 @@ FPNV_VERSION = 1
 class LayerSpec:
     """One layer: a plain linear map, linear + relu, or a residual block.
 
-    A residual block computes x + f(x) where f is a chain of `inner_layers`
-    linear maps (relu between them, none after the last) through width
+    Every layer is a chain of affine maps x @ W.T + b (see `maps`). A
+    residual block computes x + f(x) where f is a chain of `inner_layers`
+    maps (relu between them, none after the last) through width
     `inner_width`; it requires in_dim == out_dim so the skip connection is
     well formed.
     """
@@ -36,7 +37,6 @@ class LayerSpec:
     kind: str
     in_dim: int
     out_dim: int
-    has_bias: bool = True
     inner_width: int = 0
     inner_layers: int = 2
 
@@ -53,23 +53,20 @@ class LayerSpec:
             if self.inner_layers < 1:
                 raise ShapeError("residual block needs at least one inner layer")
 
-    def tensor_shapes(self):
-        """Canonical parameter tensor shapes for this layer."""
-        if self.kind in ("linear", "linear_relu"):
-            shapes = [(self.out_dim, self.in_dim)]
-            if self.has_bias:
-                shapes.append((self.out_dim,))
-            return shapes
+    def maps(self):
+        """(in width, out width, relu after) of each affine map, input first."""
+        if self.kind != "residual":
+            return [(self.in_dim, self.out_dim, self.kind == "linear_relu")]
         dims = [self.in_dim] + [self.inner_width] * (self.inner_layers - 1) + [self.out_dim]
-        shapes = []
-        for i in range(self.inner_layers):
-            shapes.append((dims[i + 1], dims[i]))
-            if self.has_bias:
-                shapes.append((dims[i + 1],))
-        return shapes
+        return [(a, b, i < self.inner_layers - 1)
+                for i, (a, b) in enumerate(zip(dims, dims[1:]))]
+
+    def tensor_shapes(self):
+        """Canonical parameter tensor shapes: each map's weight, then its bias."""
+        return [shape for a, b, _ in self.maps() for shape in ((b, a), (b,))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayoutEntry:
     """Position of one parameter tensor inside a flat vector."""
 
@@ -150,11 +147,17 @@ class Network:
         self.layout = tuple(entries)
         self._layer_starts = tuple(starts)
         self.values = np.zeros(offset)
-        self._entries = [[e for e in self.layout if e.layer == layer]
-                         for layer in range(1, len(specs) + 1)]
-        self.params = [[self.values[e.offset:e.offset + e.size].reshape(e.shape)
-                        for e in entries]
-                       for entries in self._entries]
+        self.params = [[] for _ in specs]
+        offsets = [[] for _ in specs]
+        for e in entries:
+            self.params[e.layer - 1].append(self.values[e.offset:e.offset + e.size]
+                                            .reshape(e.shape))
+            offsets[e.layer - 1].append(e.offset)
+        # built once for the kernels: per layer, each map's (weight, bias, relu
+        # after, offset of the weight in `values`); its bias follows the weight
+        self._maps = [list(zip(t[0::2], t[1::2], [relu for _, _, relu in spec.maps()],
+                               o[0::2]))
+                      for spec, t, o in zip(specs, self.params, offsets)]
 
     @property
     def num_layers(self) -> int:
@@ -217,33 +220,18 @@ class Network:
         return x
 
     def _layer_forward(self, idx, h, keep_cache):
-        spec = self.specs[idx]
-        tensors = self.params[idx]
-        if spec.kind in ("linear", "linear_relu"):
-            u = h @ tensors[0].T
-            if spec.has_bias:
-                u += tensors[1]
-            if spec.kind == "linear_relu":
-                # backward needs only u > 0, which relu leaves unchanged
-                np.maximum(u, 0.0, out=u)
-            return u, ((h, u) if keep_cache else None)
-        # residual block: out = h + f(h)
-        inner_inputs = []
-        pre_acts = []
-        g = h
-        step = 2 if spec.has_bias else 1
-        for i in range(spec.inner_layers):
-            inner_inputs.append(g)
-            u = g @ tensors[i * step].T
-            if spec.has_bias:
-                u += tensors[i * step + 1]
-            if i < spec.inner_layers - 1:
-                np.maximum(u, 0.0, out=u)
-            pre_acts.append(u)
-            g = u
-        out = h + g
-        cache = (inner_inputs, pre_acts) if keep_cache else None
-        return out, cache
+        """Output of one layer, and if asked its cache: each map's input, then
+        the last map's output (relu, where applied, is done in place; backward
+        needs only its > 0 mask, which relu leaves unchanged)."""
+        g, inputs = h, []
+        for w, b, relu, _ in self._maps[idx]:
+            inputs.append(g)
+            g = g @ w.T
+            g += b
+            if relu:
+                np.maximum(g, 0.0, out=g)
+        out = h + g if self.specs[idx].kind == "residual" else g
+        return out, (inputs + [g] if keep_cache else None)
 
     def forward(self, x):
         """Run the network; returns (logits, taps) with taps[l] = input to layer l+1."""
@@ -304,29 +292,20 @@ class Network:
 
         Returns the gradient of the layer's input if asked, else None.
         """
-        spec = self.specs[idx]
-        tensors = self.params[idx]
-        grads = [grad[e.offset - start:e.offset - start + e.size].reshape(e.shape)
-                 for e in self._entries[idx]]
-        if spec.kind in ("linear", "linear_relu"):
-            h, u = cache
-            g_pre = g_out * (u > 0) if spec.kind == "linear_relu" else g_out
-            np.matmul(g_pre.T, h, out=grads[0])
-            if spec.has_bias:
-                g_pre.sum(axis=0, out=grads[1])
-            return g_pre @ tensors[0] if input_grad else None
-        inner_inputs, pre_acts = cache
-        step = 2 if spec.has_bias else 1
+        maps = self._maps[idx]
         g = g_out
-        for i in range(spec.inner_layers - 1, -1, -1):
-            if i < spec.inner_layers - 1:
-                g = g * (pre_acts[i] > 0)
-            np.matmul(g.T, inner_inputs[i], out=grads[i * step])
-            if spec.has_bias:
-                g.sum(axis=0, out=grads[i * step + 1])
+        for i in range(len(maps) - 1, -1, -1):
+            w, b, relu, lo = maps[i]
+            if relu:
+                g = g * (cache[i + 1] > 0)
+            lo, mid = lo - start, lo - start + w.size
+            np.matmul(g.T, cache[i], out=grad[lo:mid].reshape(w.shape))
+            g.sum(axis=0, out=grad[mid:mid + b.size])
             if i > 0 or input_grad:
-                g = g @ tensors[i * step]
-        return g_out + g if input_grad else None
+                g = g @ w
+        if not input_grad:
+            return None
+        return g_out + g if self.specs[idx].kind == "residual" else g
 
 
 def _finite(h, idx):

@@ -9,7 +9,7 @@ import numpy as np
 from .analysis import ACCURACY_CSV, METRICS_CSV, records_to_csv
 from .config import ExperimentConfig, personalized_layers, render_config
 from .data import ClientDataset, generate_federation_data, load_idx, make_domain_specs
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .fed import RunResult, client_round_seed, run_federation
 from .seeds import derive_seed
 
@@ -31,13 +31,20 @@ def build_datasets(cfg: ExperimentConfig):
     root = Path(d.idx_dir)
     datasets = []
     for m in range(d.clients):
-        train, test = (load_idx(root / f"client{m}_{split}_images.idx",
-                                root / f"client{m}_{split}_labels.idx")
-                       for split in ("train", "test"))
+        try:
+            train, test = (load_idx(root / f"client{m}_{split}_images.idx",
+                                    root / f"client{m}_{split}_labels.idx")
+                           for split in ("train", "test"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read client {m}'s IDX files: {exc}",
+                              field="data.idx_dir") from None
         datasets.append(ClientDataset(m, *train, *test))
     return datasets
 
 
+# the finite checks report overflow and divergence; numpy's warnings would
+# only repeat it on stderr
+@np.errstate(all="ignore")
 def execute(cfg: ExperimentConfig, dump_dir=None) -> RunResult:
     """Run one experiment in memory; file writing happens in run_to_dir."""
     d, per_class = cfg.data, cfg.metrics.eval_per_class
@@ -48,6 +55,9 @@ def execute(cfg: ExperimentConfig, dump_dir=None) -> RunResult:
                 raise ConfigError(
                     f"dataset dim {x.shape[1]} does not match input_dim "
                     f"{d.input_dim}", field="data.input_dim")
+            if not np.isfinite(x).all():
+                raise NumericError(f"client {ds.client_id} has non-finite data: "
+                                   "the data scales overflow float64")
         top = max(ds.train_labels.max(), ds.test_labels.max())
         if top >= d.classes:
             raise ConfigError(f"client {ds.client_id} has label {top}, but classes "
@@ -60,10 +70,7 @@ def execute(cfg: ExperimentConfig, dump_dir=None) -> RunResult:
                 raise ConfigError(f"client {ds.client_id} has {rows[c]} {split} rows of "
                                   f"class {c}, fewer than {per_class}",
                                   field="metrics.eval_per_class")
-    # the per-layer finite checks report divergence; numpy's warnings would
-    # only repeat it on stderr
-    with np.errstate(all="ignore"):
-        return run_federation(cfg, datasets, dump_dir)
+    return run_federation(cfg, datasets, dump_dir)
 
 
 def _render_manifest(cfg: ExperimentConfig) -> str:

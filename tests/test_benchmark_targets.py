@@ -4,13 +4,18 @@ perfbench/layers.py names every traced function by dotted path, and the
 tracer records a path that no longer resolves as absent instead of failing.
 Deleting or renaming a traced function would then only show as a missing
 per-layer number, so this test resolves every target with the tracer's own
-lookup. It reads perfbench/ without importing it as a package.
+lookup. It also checks the file hooks' path arguments and the flop count's
+shape arithmetic against the network. It reads perfbench/ without importing
+it as a package.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from fedlens.nn import Network, mlp_specs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +34,29 @@ TRACER = load("tracer")
 @pytest.mark.parametrize("path", sorted(load("layers").TARGETS))
 def test_traced_target_resolves(path):
     assert TRACER._resolve(path) is not None, f"{path} is gone"
+
+
+LAYERS = load("layers")
+FILE_HOOKS = sorted(path for path, hook in LAYERS.TARGETS.items()
+                    if hook is not None and hook.__qualname__.startswith("_file_hook."))
+
+
+@pytest.mark.parametrize("path", FILE_HOOKS)
+def test_file_hook_reads_the_path_parameter(path):
+    # the hook reads the file's size from a positional index, so that index
+    # must stay the target's `path` parameter
+    path_arg = inspect.getclosurevars(LAYERS.TARGETS[path]).nonlocals["path_arg"]
+    target = TRACER._resolve(path)[2]
+    assert list(inspect.signature(target).parameters)[path_arg] == "path"
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(hidden=[6, 4], activation="linear"),
+    dict(hidden=[5, 5, 4], residual=True, residual_width=3, residual_inner=1),
+    dict(hidden=[5, 5, 4], residual=True, residual_width=7, residual_inner=3),
+], ids=["plain", "residual_inner_1", "residual_inner_3"])
+def test_flop_count_covers_every_weight(kwargs):
+    # a forward pass does one multiply-add per weight entry and batch row
+    net = Network(mlp_specs(5, num_classes=3, **kwargs))
+    weights = sum(e.size for e in net.layout if len(e.shape) == 2)
+    assert LAYERS._matmul_macs(net.specs) == weights

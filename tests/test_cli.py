@@ -2,6 +2,7 @@
 export, and exit codes."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ import fedlens
 from fedlens.analysis import CSV_HEADER, read_csv, relative_change
 from fedlens.cli import main
 from fedlens.config import load_config, parse_config
-from fedlens.dumps import feature_filename, read_features, write_features
+from fedlens import dumps as dumps_module
+from fedlens.dumps import feature_filename, model_filename, read_features, write_features
 from fedlens.errors import ConfigError, FormatError
 from fedlens.metrics import FeatureMatrix, is_registered
 from test_data import write_idx_pair
@@ -273,6 +275,22 @@ class TestIdxRun:
             "fewer than 7\n")
         assert not (idx_cfg.parent / "out").exists()
 
+    def test_missing_idx_file_exits_2(self, idx_cfg, capsys):
+        (idx_cfg.parent / "client1_train_images.idx").unlink()
+        assert main(["run", str(idx_cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: data.idx_dir: ")
+        assert not (idx_cfg.parent / "out").exists()
+
+
+def test_overflowing_data_scales_exit_3(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path / "huge.cfg", out_dir)
+    cfg.write_text(cfg.read_text().replace("anchor_scale = 2.0", "anchor_scale = 1e308"))
+    assert main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err == ("error: NumericError: client 0 has non-finite data: "
+                                       "the data scales overflow float64\n")
+    assert not out_dir.exists()
+
 
 class TestPreset:
     def test_baseline_config_loads_back(self, workspace, capsys):
@@ -327,6 +345,18 @@ class TestMetricsCommand:
                 "dist_l1_norm", "dist_mse", "dist_l1", "dist_cos"} <= metrics_seen
         for key in shared:
             assert close_enough(recomputed[key], original[key]), key
+
+    def test_every_snapshot_is_read_once(self, dump_run, tmp_path, monkeypatch):
+        dumps = tmp_path / "dumps"
+        shutil.copytree(dump_run["dumps"], dumps)
+        # a snapshot without feature dumps is read and checked too
+        shutil.copy(dumps / model_filename(2, 0, "pre"), dumps / model_filename(9, 0, "pre"))
+        read = []
+        real = dumps_module.load_params
+        monkeypatch.setattr(dumps_module, "load_params",
+                            lambda path: read.append(path.name) or real(path))
+        dumps_module.metrics_from_dumps(dumps)
+        assert sorted(read) == sorted(p.name for p in dumps.glob("*.fpnv"))
 
     def test_missing_post_dump_warns_and_skips(self, tmp_path, capsys):
         rng = np.random.default_rng(71)

@@ -68,12 +68,38 @@ def checked_fields(num_layers):
     }
 
 
+# sizes that keep a whole `fedlens run` of a drawn config to milliseconds
+TINY = {
+    "data.clients": st.integers(1, 3),
+    "data.classes": st.integers(2, 4),
+    "data.input_dim": st.integers(1, 4),
+    "data.train_per_client": st.integers(1, 16),
+    "data.test_per_client": st.integers(1, 16),
+    "model.residual_width": st.integers(0, 4),
+    "model.residual_inner": st.integers(1, 3),
+    "fed.rounds": st.integers(1, 3),
+    "fed.local_epochs": st.integers(0, 2),
+    "fed.pretrain_epochs": st.integers(0, 2),
+    "fed.eval_cadence": st.integers(1, 2),
+    "metrics.eval_per_class": st.integers(1, 4),
+    "metrics.probe_rounds": st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    "metrics.probe_epochs": st.integers(1, 2),
+    "metrics.finetune_epochs": st.integers(1, 2),
+}
+
+
 @st.composite
-def valid_configs(draw):
+def valid_configs(draw, tiny=False):
+    """Configs that validate_config accepts; with `tiny`, held to TINY sizes
+    and at most three hidden layers of width 4."""
     cfg = ExperimentConfig(scenario=draw(st.sampled_from(SCENARIOS)))
-    cfg.model.hidden = draw(st.lists(POSITIVE, min_size=1, max_size=7).map(tuple))
+    widths = st.integers(1, 4) if tiny else POSITIVE
+    cfg.model.hidden = draw(st.lists(widths, min_size=1, max_size=3 if tiny else 7)
+                            .map(tuple))
     rules = checked_fields(cfg.num_layers)
     rules["model.hidden"] = st.just(cfg.model.hidden)
+    if tiny:
+        rules.update(TINY)
     for top in fields(cfg):
         section = getattr(cfg, top.name)
         if not is_dataclass(section):

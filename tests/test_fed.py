@@ -384,9 +384,8 @@ class TestFinetuneClassifier:
         x = np.concatenate([rng.normal(size=(10, 2)) + [6, 6],
                             rng.normal(size=(10, 2)) - [6, 6]])
         labels = np.repeat([0, 1], 10)
-        out = finetune_classifier(net.flatten(), arch, x, labels,
-                                  batch_size=4, seed=51)
-        tuned = Network.from_vector(arch, out)
+        tuned = finetune_classifier(net.flatten(), arch, x, labels,
+                                    batch_size=4, seed=51)
         assert accuracy(tuned.forward(x)[0], labels) == 1.0
         assert np.array_equal(tuned.params[0][0], np.eye(2))
 

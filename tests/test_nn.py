@@ -1,7 +1,9 @@
 """Network tests: forward taps, backprop vs finite differences, SGD
 semantics, the flat parameter buffer, the once-per-epoch frozen prefix, init
-determinism, and the binary parameter format."""
+determinism, the binary parameter format, and golden values that pin the
+layer kernels across versions."""
 
+import hashlib
 import math
 from unittest import mock
 
@@ -56,9 +58,9 @@ class TestForward:
         assert np.array_equal(logits, x)
 
     def test_deep_linear_tap_is_explicit_product(self):
-        specs = [LayerSpec("linear", 5, 4, has_bias=False),
-                 LayerSpec("linear", 4, 4, has_bias=False),
-                 LayerSpec("linear", 4, 3, has_bias=False)]
+        specs = [LayerSpec("linear", 5, 4),
+                 LayerSpec("linear", 4, 4),
+                 LayerSpec("linear", 4, 3)]
         net = Network(specs).init_random(seed=2)
         w1, w2, w3 = (net.params[i][0] for i in range(3))
         x = np.random.default_rng(3).normal(size=(7, 5))
@@ -389,7 +391,6 @@ def reference_loss_and_grad(net, h, labels, train_from):
     """
     layers = []
     for spec, tensors in zip(net.specs[train_from - 1:], net.params[train_from - 1:]):
-        assert spec.has_bias
         ws = tensors[0::2]
         relus = ([True] * (len(ws) - 1) + [False] if spec.kind == "residual"
                  else [spec.kind == "linear_relu"])
@@ -466,7 +467,7 @@ class TestInitAndVectors:
             Network(mlp_specs(4, [7], 3)).load_vector(pv)
 
     def test_uniform_mean_within_3_sigma(self):
-        net = Network([LayerSpec("linear", 100, 100, has_bias=False)])
+        net = Network([LayerSpec("linear", 100, 100)])
         net.init_random(seed=12)
         w = net.params[0][0]
         bound = 1.0 / np.sqrt(100)
@@ -510,3 +511,54 @@ def test_sgd_epochs_rejects_out_of_range_labels():
         with pytest.raises(ShapeError, match=r"labels out of range 0\.\.2"):
             sgd_epochs(net, np.ones((2, 2)), labels, epochs=1)
     assert not net.values.any()
+
+
+# Golden values of three seeded networks, computed before the layer kernels
+# became one chain-of-maps loop: the sha256 of the FPNV bytes of the init
+# (uniform draws and zeros, no BLAS, so exact), then the loss and the sum of
+# each tensor's gradient after one loss_and_grad on nudged parameters.
+# Any change to tensor order, init or the kernels' arithmetic shows here.
+GOLDEN_NETS = {
+    "plain": (
+        dict(input_dim=5, hidden=[6, 4], num_classes=3),
+        "10e03bb8bace98998d635f1e9bb04eb25178a63495130cd312eb33e244806e68",
+        1.111483731894542,
+        [-0.09888042165347177, -0.019355048830747006, -0.018351022274634296,
+         0.00364198182906022, -1.734723475976807e-18, -5.551115123125783e-17]),
+    "residual_inner_1": (
+        dict(input_dim=4, hidden=[4, 4, 3], num_classes=3, residual=True,
+             residual_width=5, residual_inner=1),
+        "f2ca6b33ab8c3ec50c65dd19047cc20ab6ed87535150ff99cd17513a6254e54c",
+        1.053612648907007,
+        [0.08910873405507166, -0.038616116495533634, 0.14321308544875988,
+         -0.0322782804566278, 0.35007684050555515, -0.07478887203543759,
+         2.7755575615628914e-17, -2.0816681711721685e-17]),
+    "residual_inner_3": (
+        dict(input_dim=4, hidden=[4, 4, 3], num_classes=3, residual=True,
+             residual_width=5, residual_inner=3),
+        "8a540fed9e03ac2d9d59c90f305bcc2cff56903be750db77bf1134f612502729",
+        1.108997862650408,
+        [-0.014479836198006696, -0.0052148692733613704, 0.0028195610790808503,
+         0.007231601107352093, 0.017521713009440377, 0.07611048550419908,
+         -0.14154051476995066, -0.03970813151088845, -0.021165498494030204,
+         -0.0058830864242157485, 0.04165596412688562, 0.0799154426701954,
+         0.228250377257905, 0.12343001957968688, -5.551115123125783e-17,
+         1.3877787807814457e-17]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NETS))
+def test_layer_engine_matches_golden_values(tmp_path, name):
+    kwargs, digest, want_loss, want_sums = GOLDEN_NETS[name]
+    net = Network(mlp_specs(**kwargs)).init_random(seed=41)
+    save_params(net.flatten(), tmp_path / "init.fpnv")
+    assert hashlib.sha256((tmp_path / "init.fpnv").read_bytes()).hexdigest() == digest
+    rng = np.random.default_rng(42)
+    net.values[...] += rng.normal(scale=0.1, size=net.values.size)
+    x = rng.normal(size=(9, kwargs["input_dim"]))
+    labels = rng.integers(0, kwargs["num_classes"], size=9)
+    loss, grad = net.loss_and_grad(x, labels)
+    # the classifier's sums are zero up to rounding, hence the absolute floor
+    assert loss == pytest.approx(want_loss, rel=1e-10)
+    sums = [grad[e.offset:e.offset + e.size].sum() for e in net.layout]
+    assert sums == pytest.approx(want_sums, rel=1e-10, abs=1e-15)

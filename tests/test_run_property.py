@@ -1,0 +1,96 @@
+"""Every config that validation accepts runs or fails cleanly.
+
+A `fedlens run` of an accepted config ends one of three ways: exit 0;
+exit 2 with one `config error: <section.key>: ...` line and no output
+directory; or exit 3 with one `NumericError` line. Any other exception,
+or any extra stderr line, is a fault. The inputs are tiny drawn configs
+and tiny IDX federations with skewed, missing and out-of-range labels.
+"""
+
+import contextlib
+import io
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from fedlens.cli import main
+from fedlens.config import ExperimentConfig, render_config
+from test_config import valid_configs
+from test_data import write_idx_pair
+
+CONFIG_ERROR = re.compile(r"config error: (scenario|[a-z]+\.[a-z_]+): ")
+
+
+def run_cleanly(cfg: ExperimentConfig, work: Path) -> int:
+    """Run cfg through the CLI in `work`, assert a clean ending, return the exit code."""
+    out_dir = work / "out"
+    cfg.output.dir = str(out_dir)
+    path = work / "run.cfg"
+    path.write_text(render_config(cfg))
+    err = io.StringIO()
+    # a warning would be a stderr line of its own; as an error it fails the check
+    with (contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")
+        code = main(["run", str(path)])
+    event(f"exit {code}")
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        assert (out_dir / "metrics.csv").is_file()
+    elif code == 2:
+        assert len(lines) == 1 and CONFIG_ERROR.match(lines[0]), lines
+        assert not out_dir.exists()
+    else:
+        assert code == 3 and len(lines) == 1, (code, lines)
+        assert lines[0].startswith("error: NumericError: "), lines
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_configs(tiny=True))
+def test_accepted_config_runs_or_fails_cleanly(cfg):
+    with tempfile.TemporaryDirectory() as work:
+        run_cleanly(cfg, Path(work))
+
+
+@st.composite
+def idx_federations(draw):
+    """(per-client train and test labels, classes, image rows and columns)."""
+    classes = draw(st.integers(2, 3))
+    # a label of `classes` or more is out of range
+    label = st.integers(0, classes) if draw(st.booleans()) else st.integers(0, classes - 1)
+    split = st.lists(label, min_size=1, max_size=10)
+    clients = draw(st.lists(st.tuples(split, split), min_size=1, max_size=2))
+    return clients, classes, draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fed=idx_federations(), eval_per_class=st.integers(1, 3), seed=st.integers(0, 9))
+def test_idx_federation_runs_or_fails_cleanly(fed, eval_per_class, seed):
+    clients, classes, rows, cols = fed
+    rng = np.random.default_rng(seed)
+    cfg = ExperimentConfig()
+    d = cfg.data
+    d.kind, d.clients, d.classes, d.input_dim = "idx", len(clients), classes, rows * cols
+    cfg.model.hidden = (3, 3)
+    cfg.fed.rounds, cfg.fed.local_epochs, cfg.fed.batch_size = 2, 1, 4
+    cfg.fed.eval_cadence, cfg.fed.seed = 1, seed
+    mt = cfg.metrics
+    mt.eval_per_class, mt.probe_rounds, mt.probe_epochs = eval_per_class, (2,), 2
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        d.idx_dir = str(work)
+        for m, pair in enumerate(clients):
+            for split, labels in zip(("train", "test"), pair):
+                pixels = rng.integers(0, 256, size=len(labels) * rows * cols).tolist()
+                write_idx_pair(work, pixels, labels, rows, cols,
+                               prefix=f"client{m}_{split}_")
+        code = run_cleanly(cfg, work)
+    if max(max(labels) for pair in clients for labels in pair) >= classes:
+        assert code == 2
