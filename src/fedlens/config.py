@@ -10,6 +10,7 @@ run manifests embed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -223,6 +224,32 @@ def personalized_layers(mode: str, num_layers: int) -> tuple:
                       field="fed.personalization")
 
 
+# numpy's Generator.normal is a ziggurat: a draw inside its layers stays below
+# the last edge r = 3.6541528853610088, and a tail draw is r plus at most
+# -log(2**-53) / r < 10.06, since its uniforms have 53 bits; so |draw| < 13.71
+NORMAL_DRAW_CEILING = 14.0
+DATA_SCALES = ("anchor_scale", "within_class_scale", "scale_min", "scale_max",
+               "offset_scale")
+
+
+def synthetic_reach(d: DataConfig) -> float:
+    """Bound on |x| of every synthetic draw and of every step computing it.
+
+    A sample is ((anchor + within_class_scale * g) @ R.T) * scaling + offset,
+    with anchor and offset normal draws times their scales and g standard
+    normal. Before the rotation each coordinate is at most
+    ceiling * (|anchor_scale| + within_class_scale); a random rotation's rows
+    have unit norm, so after it at most sqrt(input_dim) times that.
+    """
+    spread = 1.0
+    if d.rotation == "random":
+        # an input_dim past float range could not be drawn anyway
+        spread = math.sqrt(min(d.input_dim, sys.float_info.max))
+    mixed = NORMAL_DRAW_CEILING * spread * (abs(d.anchor_scale) + d.within_class_scale)
+    scale = max(abs(d.scale_min), abs(d.scale_max))
+    return max(mixed, scale * mixed + NORMAL_DRAW_CEILING * abs(d.offset_scale))
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     """Cross-field checks; raises ConfigError naming the offending field."""
     if cfg.scenario not in SCENARIOS:
@@ -256,6 +283,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("label_noise must be in [0, 1)", field="data.label_noise")
     if d.scale_min > d.scale_max:
         raise ConfigError("scale_min exceeds scale_max", field="data.scale_min")
+    if d.kind == "synthetic":
+        reach = synthetic_reach(d)
+        if not reach <= sys.float_info.max:
+            key = max(DATA_SCALES, key=lambda k: abs(getattr(d, k)))
+            raise ConfigError(f"data scales let a draw reach {reach:.3g}, past float64's "
+                              f"{sys.float_info.max:.3g}", field=f"data.{key}")
     m = cfg.model
     if not m.hidden:
         raise ConfigError("need at least one hidden layer", field="model.hidden")

@@ -20,8 +20,8 @@ from .config import personalized_layers
 from .data import ClientDataset, balanced_eval_subset
 from .dumps import write_round_dumps
 from .errors import NumericError, ShapeError
-from .metrics import (FEATURE_STATS, accuracy, distance_records, extract_tap_features,
-                      feature_records, linear_probe)
+from .metrics import (accuracy, distance_records, extract_tap_features, feature_records,
+                      linear_probe, walk_taps)
 from .nn import Network, ParamVector, mlp_specs, sgd_epochs
 from .seeds import derive_seed
 
@@ -150,9 +150,10 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
     (multiples of eval_cadence) each client's locally trained model (phase
     "pre") and its spliced post-aggregation model (phase "post") are
     captured on the client's local evaluation data, with the pre/post
-    distances. In the finetune scenario each post model's classifier is
-    retrained and captured as phase "tuned": accuracy and the penultimate
-    alignment only. Captures only read the models, so neither capture order
+    distances; the two walk that data together one layer at a time
+    (`walk_taps`), so a capture holds one pre/post tap pair. In the
+    finetune scenario each post model's classifier is retrained and
+    captured as phase "tuned": accuracy and the penultimate alignment only. Captures only read the models, so neither capture order
     nor client order affects results. A NumericError from pretraining names
     that stage; one from local training or fine-tuning names its round,
     client and stage.
@@ -183,17 +184,33 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
     m_clients = len(datasets)
     records = []
 
-    def capture(net, m, r, phase, model=None, taps=tap_layers, stats=FEATURE_STATS):
-        """Record accuracy and feature metrics of one model; dump pre/post taps."""
-        records.extend(_accuracy_records(net, datasets[m], r, phase))
-        fms = extract_tap_features(net, *eval_sets[m], taps, phase=phase,
-                                   round_index=r, client=m)
-        weights = {t: net.interface_weight(t + 1) for t in fms}
-        records.extend(feature_records(fms.values(), weights, stats))
-        if dump_dir is not None and phase in ("pre", "post"):
-            write_round_dumps(dump_dir, fms, r, m, phase,
-                              model if cfg.output.dump_models else None)
-        return fms
+    def capture(r, m, pair_nets, models):
+        """Record client m's pre and post captures and distances; write their dumps.
+
+        `pair_nets` and `models` hold the pre then the post network and
+        parameter vector. The two networks walk the evaluation rows
+        together, and each (pre, post) tap pair is recorded and dumped
+        before the walk moves on.
+        """
+        for net, model, phase in zip(pair_nets, models, ("pre", "post")):
+            records.extend(_accuracy_records(net, datasets[m], r, phase))
+            if dump_dir is not None and cfg.output.dump_models:
+                write_round_dumps(dump_dir, {}, r, m, phase, model)
+        for pair in walk_taps(pair_nets, ("pre", "post"), *eval_sets[m], tap_layers,
+                              round_index=r, client=m):
+            t = pair[0].layer
+            for net, fm in zip(pair_nets, pair):
+                records.extend(feature_records([fm], {t: net.interface_weight(t + 1)}))
+                if dump_dir is not None:
+                    write_round_dumps(dump_dir, {t: fm}, r, m, fm.phase)
+            if mt.distances:
+                records.extend(distance_records(*pair, r, m, t))
+        if mt.distances:
+            pre, post = models
+            for layer in range(1, num_layers + 1):
+                slc = pre.layer_slice(layer)
+                records.extend(distance_records(pre.values[slc], post.values[slc],
+                                                r, m, layer, prefix="param_"))
 
     client_params = [init_vec.copy() for _ in range(m_clients)]
 
@@ -214,17 +231,7 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
         if r % fed.eval_cadence == 0:
             post_nets = [Network.from_vector(arch, pv) for pv in new_params]
             for m in range(m_clients):
-                pre_taps = capture(nets[m], m, r, "pre", trained[m])
-                post_taps = capture(post_nets[m], m, r, "post", new_params[m])
-                if mt.distances:
-                    for t in tap_layers:
-                        records.extend(distance_records(pre_taps[t], post_taps[t],
-                                                        r, m, t))
-                    for layer in range(1, num_layers + 1):
-                        slc = trained[m].layer_slice(layer)
-                        records.extend(distance_records(
-                            trained[m].values[slc], new_params[m].values[slc],
-                            r, m, layer, prefix="param_"))
+                capture(r, m, (nets[m], post_nets[m]), (trained[m], new_params[m]))
                 if cfg.scenario == "finetune":
                     with _located(f"round {r}, client {m}, fine-tuning"):
                         tuned = finetune_classifier(
@@ -233,7 +240,12 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
                             lr=mt.finetune_lr, momentum=mt.finetune_momentum,
                             batch_size=mt.finetune_batch,
                             seed=derive_seed(fed.seed, "finetune", m, r))
-                    capture(tuned, m, r, "tuned", taps=(num_layers - 1,), stats=())
+                    t = num_layers - 1
+                    records.extend(_accuracy_records(tuned, datasets[m], r, "tuned"))
+                    fms = extract_tap_features(tuned, *eval_sets[m], (t,), phase="tuned",
+                                               round_index=r, client=m)
+                    records.extend(feature_records(
+                        fms.values(), {t: tuned.interface_weight(t + 1)}, stats=()))
             if r in mt.probe_rounds:
                 records.extend(_probe_records(cfg, num_layers - 1, nets, post_nets,
                                               datasets, r))

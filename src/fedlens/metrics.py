@@ -275,30 +275,44 @@ def spearman(xs, ys) -> float:
     return float(dx @ dy / denom) if denom > 0 else 0.0
 
 
-def extract_tap_features(net: Network, x, labels, tap_layers=None,
-                         batch_size: int = 256, phase: str = "pre",
-                         round_index: int = 0, client: int = -1):
-    """Forward in batches and write the requested taps into one array each.
+def walk_taps(nets, phases, x, labels, tap_layers=None, batch_size: int = 256,
+              round_index: int = 0, client: int = -1):
+    """Walk networks of one architecture side by side over x, one layer at a time.
 
-    Returns {tap index: FeatureMatrix}. Taps default to every layer input,
-    0 (raw batch) through L-1 (penultimate feature).
+    Yields, for each requested tap in ascending order, a tuple of one
+    FeatureMatrix per network, with phase `phases[i]` for `nets[i]`. Taps
+    default to every layer input, 0 (raw batch) through L-1 (penultimate
+    feature). A layer's output over all rows is one array, filled
+    batch_size rows at a time (`Network.layer_outputs`): it is the tap, and
+    its row blocks are the next layer's input, so the walk holds only the
+    current tap of each network. It stops at the deepest requested tap.
     """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=int)
+    num_layers = nets[0].num_layers
     if tap_layers is None:
-        tap_layers = range(net.num_layers)
+        tap_layers = range(num_layers)
     tap_layers = sorted(set(int(t) for t in tap_layers))
     for t in tap_layers:
-        if not 0 <= t < net.num_layers:
-            raise ShapeError(f"tap {t} out of range 0..{net.num_layers - 1}")
-    out = {t: np.empty((len(x), net.specs[t].in_dim)) for t in tap_layers}
-    for start in range(0, len(x), batch_size):
-        _, taps = net.forward(x[start:start + batch_size])
-        for t in tap_layers:
-            out[t][start:start + batch_size] = taps[t]
-    return {t: FeatureMatrix(out[t], labels, layer=t, phase=phase,
-                             round=round_index, client=client)
-            for t in tap_layers}
+        if not 0 <= t < num_layers:
+            raise ShapeError(f"tap {t} out of range 0..{num_layers - 1}")
+    if x.ndim != 2 or x.shape[1] != nets[0].in_dim:
+        raise ShapeError(f"batch must be (n, {nets[0].in_dim}), got {x.shape}")
+    hs, depth = [x] * len(nets), 0
+    for t in tap_layers:
+        for layer in range(depth + 1, t + 1):
+            hs = [net.layer_outputs(layer, h, batch_size) for net, h in zip(nets, hs)]
+        depth = t
+        yield tuple(FeatureMatrix(h, labels, layer=t, phase=phase, round=round_index,
+                                  client=client) for h, phase in zip(hs, phases))
+
+
+def extract_tap_features(net: Network, x, labels, tap_layers=None,
+                         batch_size: int = 256, phase: str = "pre",
+                         round_index: int = 0, client: int = -1):
+    """The taps of one network's `walk_taps`, as {tap index: FeatureMatrix}."""
+    return {fm.layer: fm for fm, in walk_taps((net,), (phase,), x, labels, tap_layers,
+                                                batch_size, round_index, client)}
 
 
 def feature_records(taps, weights, stats=FEATURE_STATS):

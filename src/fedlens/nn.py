@@ -243,6 +243,22 @@ class Network:
                 taps.append(h)
         return h, taps
 
+    def layer_outputs(self, layer: int, h, batch_size: int):
+        """Output of a 1-based layer on the rows of h, batch_size rows at a time.
+
+        The blocks fill one preallocated array. Each block meets the gemm
+        shapes that `forward` meets on the same batch, so the rows match its
+        taps bit for bit, and a non-finite output raises the NumericError
+        `forward` raises for that layer.
+        """
+        self.layer_start(layer)  # range check
+        h = self._check_batch(h, layer)
+        out = np.empty((len(h), self.specs[layer - 1].out_dim))
+        for lo in range(0, len(h), batch_size):
+            out[lo:lo + batch_size] = self._layer_forward(
+                layer - 1, h[lo:lo + batch_size], keep_cache=False)[0]
+        return _finite(out, layer - 1)
+
     def _frozen_forward(self, h, stop):
         """Outputs of layers 1..stop; h may stack minibatches as (batches, rows, d)."""
         for idx in range(stop):

@@ -1,0 +1,166 @@
+"""Capture: the layer walk that feeds every feature metric and dump.
+
+Golden hashes pin the bytes of whole runs, the walk's taps are checked bit
+for bit against `Network.forward`, and a tracemalloc guard bounds the memory
+one evaluation round's capture holds.
+"""
+
+import hashlib
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedlens.config import ExperimentConfig, validate_config
+from fedlens.errors import NumericError
+from fedlens.fed import run_federation
+from fedlens.metrics import walk_taps
+from fedlens.nn import Network, mlp_specs
+from fedlens.runner import build_datasets, run_to_dir
+
+
+def tiny_config(out_dir, residual):
+    """Two clients, two eval rounds; eval subsets of 300 or 270 rows, so the
+    walk crosses a 256-row batch boundary. The plain net keeps layer 2 local;
+    the residual one fine-tunes, probes and dumps models too."""
+    cfg = ExperimentConfig(scenario="finetune" if residual else "personalization")
+    d = cfg.data
+    d.clients, d.classes, d.input_dim = 2, 3, 6
+    d.train_per_client = d.test_per_client = 300
+    cfg.model.hidden = (8, 8, 8) if residual else (8, 7)
+    cfg.model.residual, cfg.model.residual_width, cfg.model.residual_inner = residual, 5, 3
+    f = cfg.fed
+    f.rounds, f.local_epochs, f.batch_size, f.eval_cadence, f.seed = 2, 1, 32, 1, 5
+    if not residual:
+        f.personalization = "skip:2"
+    mt = cfg.metrics
+    mt.eval_per_class = 90 if residual else 100
+    if residual:
+        mt.probe_rounds, mt.probe_epochs = (2,), 3
+        mt.finetune_epochs, mt.finetune_batch = 2, 16
+    cfg.output.dir = str(out_dir)
+    cfg.output.dump_features, cfg.output.dump_models = True, residual
+    validate_config(cfg)
+    return cfg
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def output_digests(out_dir: Path):
+    """sha256 of each CSV, plus one over the sorted (name, sha256) dump list."""
+    dumps = sorted((out_dir / "dumps").iterdir())
+    listing = "".join(f"{p.name} {sha256(p)}\n" for p in dumps)
+    return {"metrics.csv": sha256(out_dir / "metrics.csv"),
+            "accuracy.csv": sha256(out_dir / "accuracy.csv"),
+            "dumps": (len(dumps), hashlib.sha256(listing.encode()).hexdigest())}
+
+
+# Computed before capture became a per-layer walk, when each model's taps
+# came from one `Network.forward` per 256-row batch. Any change to a
+# captured byte, to the set of dump files or to a metric value shows here.
+GOLDEN_RUNS = {
+    "plain-skip": {
+        "metrics.csv": "739766548b4be4480152d3a40e02478ec07cb0050ec6382f8d52b6943a45ed45",
+        "accuracy.csv": "57e8ef60a93b7d3c7155664264a563a3f6c58989530f5a8685a6fb46e5f022af",
+        "dumps": (24, "ab885dbe7bdaa70f3ed2e2dca628d5f75412999d11221e665aa43fe9634147b7"),
+    },
+    "residual-finetune": {
+        "metrics.csv": "fe788e980867afbbe615227676394a3bd8b6b6dce14d55c0e82ffb9ce74040dd",
+        "accuracy.csv": "e774362b99cd546ed353b720a71500b41bc0d50507d4d7a522e0fcad6c65563f",
+        "dumps": (40, "39bec9d90bad43801ddc5273cebac926f4fa3da9e81fadc50a11fea46a2f7c48"),
+    },
+}
+
+
+def test_capture_outputs_match_golden_hashes(tmp_path):
+    for name, want in GOLDEN_RUNS.items():
+        out_dir = tmp_path / name
+        run_to_dir(tiny_config(out_dir, residual=name.startswith("residual")))
+        assert output_digests(out_dir) == want, name
+
+
+# mlp_specs keywords of each layer kind; the residual net's hidden layers 2
+# and 3 are residual blocks of three maps
+KINDS = {"linear": dict(activation="linear"),
+         "linear_relu": dict(activation="relu"),
+         "residual": dict(residual=True, residual_width=3, residual_inner=3)}
+
+
+def walk_case(draw, kind, seed):
+    """Two networks of one drawn architecture, rows crossing 256-row batches, and taps."""
+    specs = mlp_specs(4, [5, 5, 5], 3, **KINDS[kind])
+    nets = [Network(specs).init_random(seed + i) for i in range(2)]
+    rows = draw(st.sampled_from([1, 255, 256, 257, 600]))
+    rng = np.random.default_rng(seed)
+    x, labels = rng.normal(size=(rows, 4)), rng.integers(0, 3, size=rows)
+    taps = draw(st.sets(st.integers(0, len(specs) - 1), min_size=1))
+    return nets, x, labels, taps
+
+
+def forward_taps(net, x):
+    """Each tap of `Network.forward` run on x's 256-row batches, joined."""
+    batches = [net.forward(x[lo:lo + 256])[1] for lo in range(0, len(x), 256)]
+    return [np.concatenate(taps) for taps in zip(*batches)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(KINDS)), seed=st.integers(0, 999))
+def test_walk_taps_equal_forward_taps_bit_for_bit(data, kind, seed):
+    nets, x, labels, taps = walk_case(data.draw, kind, seed)
+    walked = list(walk_taps(nets, ("pre", "post"), x, labels, taps, round_index=3, client=1))
+    assert [pair[0].layer for pair in walked] == sorted(taps)
+    for i, net in enumerate(nets):
+        want = forward_taps(net, x)
+        for pair in walked:
+            fm = pair[i]
+            assert (fm.phase, fm.round, fm.client) == (("pre", "post")[i], 3, 1)
+            assert fm.values.tobytes() == want[fm.layer].tobytes()
+            assert np.array_equal(fm.labels, labels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(KINDS)), seed=st.integers(0, 999))
+def test_walk_raises_the_forward_error_of_a_non_finite_layer(data, kind, seed):
+    nets, x, labels, taps = walk_case(data.draw, kind, seed)
+    taps.add(data.draw(st.integers(1, len(nets[0].specs) - 1)))
+    k = data.draw(st.integers(1, max(taps)))
+    # an infinite last bias makes every row leave layer k non-finite
+    nets[1].params[k - 1][-1][...] = np.inf
+    with pytest.raises(NumericError) as want:
+        nets[1].forward(x[:256])
+    with pytest.raises(NumericError) as got:
+        list(walk_taps(nets, ("pre", "post"), x, labels, taps))
+    assert str(got.value) == str(want.value) == f"non-finite activation leaving layer {k}"
+
+
+def test_one_eval_round_holds_about_one_tap_pair(tmp_path):
+    # 2000 evaluation rows through four 64-wide hidden layers: the taps
+    # dominate; the parameters take about 100 kB a model
+    cfg = ExperimentConfig()
+    d = cfg.data
+    d.clients, d.classes, d.input_dim = 1, 2, 8
+    d.train_per_client = d.test_per_client = 2000
+    cfg.model.hidden = (64, 64, 64, 64)
+    cfg.fed.rounds, cfg.fed.local_epochs, cfg.fed.eval_cadence = 1, 0, 1
+    cfg.metrics.eval_per_class = 1000
+    cfg.output.dir = str(tmp_path)
+    validate_config(cfg)
+    datasets = build_datasets(cfg)
+    pair = 2 * 2000 * 64 * 8  # one pre and one post tap of the widest layer
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_federation(cfg, datasets)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the walk holds two pairs while a layer runs, and the distances of a
+    # pair add about 1.5 pairs of temporaries (about 3 pairs in all);
+    # holding every tap of both models, as whole-model captures do, peaks
+    # above 6 pairs here
+    assert peak < 4 * pair, peak / pair

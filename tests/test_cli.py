@@ -18,8 +18,9 @@ from fedlens.cli import main
 from fedlens.config import load_config, parse_config
 from fedlens import dumps as dumps_module
 from fedlens.dumps import feature_filename, model_filename, read_features, write_features
-from fedlens.errors import ConfigError, FormatError
+from fedlens.errors import ConfigError, FormatError, NumericError
 from fedlens.metrics import FeatureMatrix, is_registered
+from fedlens.runner import execute
 from test_data import write_idx_pair
 
 CONFIG_TEMPLATE = """\
@@ -78,6 +79,10 @@ BAD_VALUES = [
     ("data.scale_min", "-inf", {}),
     ("data.scale_max", "nan", {}),
     ("data.within_class_scale", "0.0", {}),
+    # scales whose draws overflow float64, found from the generator's bound
+    ("data.within_class_scale", "8.07e307", {"data.anchor_scale": "0"}),
+    ("data.offset_scale", "1e308", {}),
+    ("data.anchor_scale", "1e308", {}),
     ("model.residual_width", "-1", {}),
     ("model.residual_inner", "0", {}),
     ("metrics.eval_per_class", "6", {}),
@@ -282,14 +287,13 @@ class TestIdxRun:
         assert not (idx_cfg.parent / "out").exists()
 
 
-def test_overflowing_data_scales_exit_3(tmp_path, capsys):
-    out_dir = tmp_path / "out"
-    cfg = write_config(tmp_path / "huge.cfg", out_dir)
-    cfg.write_text(cfg.read_text().replace("anchor_scale = 2.0", "anchor_scale = 1e308"))
-    assert main(["run", str(cfg)]) == 3
-    assert capsys.readouterr().err == ("error: NumericError: client 0 has non-finite data: "
-                                       "the data scales overflow float64\n")
-    assert not out_dir.exists()
+def test_overflowing_data_past_validation_is_a_numeric_error(tmp_path):
+    # validate_config rejects such scales; the data check stays as a backstop
+    cfg = load_config(write_config(tmp_path / "huge.cfg", tmp_path / "out"))
+    cfg.data.anchor_scale = 1e308
+    with pytest.raises(NumericError, match="^client 0 has non-finite data: "
+                                          "the data scales overflow float64$"):
+        execute(cfg)
 
 
 class TestPreset:

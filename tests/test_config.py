@@ -1,15 +1,19 @@
 """Config boundary properties: every valid config survives render and parse."""
 
 import math
+import sys
 from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedlens.config import (SCENARIOS, U16_MAX, ExperimentConfig, parse_config,
-                            personalized_layers, render_config, validate_config)
+                            personalized_layers, render_config, synthetic_reach,
+                            validate_config)
 from fedlens.errors import ConfigError
+from fedlens.runner import build_datasets
 
 # one value per line, without the surrounding blanks that the parser strips
 LINE_TEXT = (st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
@@ -19,6 +23,9 @@ POSITIVE = st.integers(min_value=1)
 RATE = st.floats(min_value=0.0, max_value=math.inf, exclude_min=True, exclude_max=True)
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# data scales far inside the overflow bound of `synthetic_reach`; the bound
+# itself has its own test below
+SCALE = st.floats(-1e100, 1e100)
 
 # fields that validate_config leaves unchecked take any value of their type
 BY_TYPE = {bool: st.booleans(), int: st.integers(), float: st.floats(allow_nan=False),
@@ -32,11 +39,11 @@ def checked_fields(num_layers):
         "data.clients": POSITIVE,
         "data.classes": st.integers(min_value=2),
         "data.input_dim": POSITIVE,
-        "data.anchor_scale": FINITE,
-        "data.within_class_scale": RATE,
-        "data.scale_min": FINITE,
-        "data.scale_max": FINITE,
-        "data.offset_scale": FINITE,
+        "data.anchor_scale": SCALE,
+        "data.within_class_scale": st.floats(0.0, 1e100, exclude_min=True),
+        "data.scale_min": SCALE,
+        "data.scale_max": SCALE,
+        "data.offset_scale": SCALE,
         "data.rotation": st.sampled_from(("random", "identity")),
         "data.label_noise": UNIT,
         "model.activation": st.sampled_from(("relu", "linear")),
@@ -153,4 +160,31 @@ def test_eval_rows_per_class_are_bounded_by_both_splits(train, test):
         validate_config(cfg)
     # unbalanced draws leave the per-class counts to data generation
     cfg.data.label_noise, cfg.data.balanced = 0.0, False
+    validate_config(cfg)
+
+
+@pytest.mark.parametrize("rotation", ["random", "identity"])
+def test_data_scales_are_bounded_by_the_generator(rotation):
+    cfg = ExperimentConfig()
+    d = cfg.data
+    d.rotation, d.anchor_scale, d.offset_scale = rotation, 0.0, 0.0
+    d.scale_min = d.scale_max = 1.0
+    d.within_class_scale = 1.0
+    unit = synthetic_reach(d)
+    # just inside the bound the config runs and every draw is finite
+    d.within_class_scale = 0.99 * sys.float_info.max / unit
+    validate_config(cfg)
+    for ds in build_datasets(cfg):
+        assert np.isfinite(ds.train_x).all() and np.isfinite(ds.test_x).all()
+    d.within_class_scale *= 1.02
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    assert info.value.field == "data.within_class_scale"
+    # the largest scale is named; the offset adds to the scaled draws
+    d.within_class_scale, d.offset_scale = 1.0, sys.float_info.max / 10
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    assert info.value.field == "data.offset_scale"
+    # idx data is not drawn, so its scales are not bounded
+    d.kind, d.idx_dir = "idx", "anywhere"
     validate_config(cfg)
