@@ -19,7 +19,7 @@ from .analysis import MetricRecord, relative_change_records
 from .config import U16_MAX
 from .errors import FormatError
 from .metrics import FeatureMatrix, distance_records, feature_records
-from .nn import ParamVector, load_params, save_params
+from .nn import Network, load_params, save_params
 
 FPLF_MAGIC = b"FPLF"
 FPLF_VERSION = 1
@@ -85,8 +85,8 @@ def read_features(path, client: int = -1) -> FeatureMatrix:
 
 
 def write_round_dumps(dump_dir, taps: dict, round_index: int, client: int,
-                      phase: str, model: ParamVector = None) -> None:
-    """Persist one capture: every tapped feature matrix plus optional model."""
+                      phase: str, model: Network = None) -> None:
+    """Persist one capture: every tapped feature matrix plus an optional model snapshot."""
     root = Path(dump_dir)
     root.mkdir(parents=True, exist_ok=True)
     for layer, fm in taps.items():
@@ -140,9 +140,10 @@ def metrics_from_dumps(dump_dir):
                 f"round {rnd} client {client} layer {layer}: missing {missing} dump, skipped")
             continue
         for fm in pair.values():
-            model = snapshots.get(fm.phase)
-            weights = {} if model is None else {
-                layer: model.interface_weight(layer + 1)}
+            weights = {}
+            if fm.phase in snapshots:
+                layout, values = snapshots[fm.phase]
+                weights[layer] = layout.interface_weight(values, layer + 1)
             records.extend(feature_records([fm], weights))
         records.extend(distance_records(pair["pre"], pair["post"], rnd, client, layer))
     for path in models.values():

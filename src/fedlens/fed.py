@@ -22,7 +22,7 @@ from .dumps import write_round_dumps
 from .errors import NumericError, ShapeError
 from .metrics import (accuracy, distance_records, extract_tap_features, feature_records,
                       linear_probe, walk_taps)
-from .nn import Network, ParamVector, mlp_specs, sgd_epochs
+from .nn import Network, mlp_specs, sgd_epochs
 from .seeds import derive_seed
 
 
@@ -32,7 +32,7 @@ class RoundState:
 
     round: int
     pre: list
-    shared: ParamVector
+    shared: np.ndarray
     post: list
 
 
@@ -44,50 +44,40 @@ class RunResult:
     final: RoundState
 
 
-def aggregate(models, counts) -> ParamVector:
+def aggregate(rows, counts) -> np.ndarray:
     """Sample-count-weighted mean of parameter vectors.
 
-    Models are summed in a canonical order (sorted by count, then raw bytes)
+    Rows are summed in a canonical order (sorted by count, then raw bytes)
     so any input permutation yields bit-identical output, and the result is
     clipped into the elementwise [min, max] envelope of the inputs, which
     keeps the mean convex and makes averaging identical vectors an exact
     no-op. Personalized coordinates are superseded by `splice`, which
     restores each client's own values.
     """
-    models = list(models)
-    if not models:
+    rows = list(rows)
+    if not rows:
         raise ShapeError("nothing to aggregate")
-    layout = models[0].layout
-    for m in models[1:]:
-        if m.layout != layout:
-            raise ShapeError("parameter layouts differ across clients")
     weights = np.asarray(counts, dtype=np.float64)
-    if weights.shape != (len(models),):
-        raise ShapeError("need one sample count per model")
+    if weights.shape != (len(rows),):
+        raise ShapeError("need one sample count per row")
     if not (weights > 0).all():
         raise ShapeError("sample counts must be positive")
-    order = sorted(range(len(models)),
-                   key=lambda i: (weights[i], models[i].values.tobytes()))
+    order = sorted(range(len(rows)), key=lambda i: (weights[i], rows[i].tobytes()))
     total = weights.sum()
-    acc = np.zeros_like(models[0].values)
+    acc = np.zeros_like(rows[0])
     for i in order:
-        acc += (weights[i] / total) * models[i].values
-    stack = [m.values for m in models]
-    np.clip(acc, np.minimum.reduce(stack), np.maximum.reduce(stack), out=acc)
-    return ParamVector(acc, layout)
+        acc += (weights[i] / total) * rows[i]
+    np.clip(acc, np.minimum.reduce(rows), np.maximum.reduce(rows), out=acc)
+    return acc
 
 
-def splice(shared: ParamVector, residue: ParamVector, local) -> ParamVector:
-    """Shared vector with the client's local coordinates restored bit-exactly.
+def splice(shared, trained, local) -> np.ndarray:
+    """The shared vector with the client's local coordinates restored bit-exactly.
 
     `local` is a boolean array over the vector, True where a coordinate
-    stays with the client.
+    stays with the client and comes from its `trained` vector.
     """
-    if shared.layout != residue.layout:
-        raise ShapeError("shared and residue layouts differ")
-    out = shared.values.copy()
-    out[local] = residue.values[local]
-    return ParamVector(out, shared.layout)
+    return np.where(local, trained, shared)
 
 
 def client_round_seed(seed: int, client: int, round_index: int) -> int:
@@ -96,7 +86,7 @@ def client_round_seed(seed: int, client: int, round_index: int) -> int:
 
 
 def pretrain(net: Network, x, labels, epochs: int, lr: float = 0.01,
-             momentum: float = 0.5, batch_size: int = 64, seed: int = 0) -> ParamVector:
+             momentum: float = 0.5, batch_size: int = 64, seed: int = 0) -> np.ndarray:
     """Train on pooled data and return the resulting parameter vector.
 
     epochs == 0 returns the current parameters unchanged.
@@ -107,10 +97,11 @@ def pretrain(net: Network, x, labels, epochs: int, lr: float = 0.01,
     return net.flatten()
 
 
-def finetune_classifier(model: ParamVector, arch, x, labels, epochs: int = 10,
+def finetune_classifier(model: np.ndarray, arch, x, labels, epochs: int = 10,
                         lr: float = 0.01, momentum: float = 0.1,
                         batch_size: int = 64, seed: int = 0) -> Network:
-    """A network of `model` with only the final layer retrained; the rest stays bit-exact."""
+    """A network of the vector `model` with only the final layer retrained; the
+    rest stays bit-exact."""
     net = Network.from_vector(arch, model)
     return sgd_epochs(net, x, labels, epochs, lr=lr, momentum=momentum,
                       batch_size=batch_size, seed=seed, train_from=net.num_layers)
@@ -170,10 +161,10 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
                 batch_size=fed.batch_size, seed=derive_seed(fed.seed, "pretrain"))
     else:
         init_vec = net.flatten()
-    num_layers = net.num_layers
+    num_layers, layout = net.num_layers, net.layout
     local = np.zeros(init_vec.size, dtype=bool)
     for layer in personalized_layers(fed.personalization, num_layers)[1]:
-        local[init_vec.layer_slice(layer)] = True
+        local[layout.layer_slice(layer)] = True
     tap_layers = tuple(sorted(set(mt.taps))) or tuple(range(num_layers))
     # captures read only the train half; the test half is drawn, then dropped
     eval_sets = [(sub.train_x, sub.train_labels) for sub in (
@@ -184,18 +175,17 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
     m_clients = len(datasets)
     records = []
 
-    def capture(r, m, pair_nets, models):
+    def capture(r, m, pair_nets):
         """Record client m's pre and post captures and distances; write their dumps.
 
-        `pair_nets` and `models` hold the pre then the post network and
-        parameter vector. The two networks walk the evaluation rows
-        together, and each (pre, post) tap pair is recorded and dumped
-        before the walk moves on.
+        `pair_nets` holds the pre then the post network. The two walk the
+        evaluation rows together, and each (pre, post) tap pair is recorded
+        and dumped before the walk moves on.
         """
-        for net, model, phase in zip(pair_nets, models, ("pre", "post")):
+        for net, phase in zip(pair_nets, ("pre", "post")):
             records.extend(_accuracy_records(net, datasets[m], r, phase))
             if dump_dir is not None and cfg.output.dump_models:
-                write_round_dumps(dump_dir, {}, r, m, phase, model)
+                write_round_dumps(dump_dir, {}, r, m, phase, net)
         for pair in walk_taps(pair_nets, ("pre", "post"), *eval_sets[m], tap_layers,
                               round_index=r, client=m):
             t = pair[0].layer
@@ -206,13 +196,14 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
             if mt.distances:
                 records.extend(distance_records(*pair, r, m, t))
         if mt.distances:
-            pre, post = models
+            pre, post = (net.values for net in pair_nets)
             for layer in range(1, num_layers + 1):
-                slc = pre.layer_slice(layer)
-                records.extend(distance_records(pre.values[slc], post.values[slc],
-                                                r, m, layer, prefix="param_"))
+                slc = layout.layer_slice(layer)
+                records.extend(distance_records(pre[slc], post[slc], r, m, layer,
+                                                prefix="param_"))
 
-    client_params = [init_vec.copy() for _ in range(m_clients)]
+    # every client starts from the same vector; from_vector copies it
+    client_params = [init_vec] * m_clients
 
     for r in range(1, fed.rounds + 1):
         nets = []
@@ -224,18 +215,19 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
                            batch_size=fed.batch_size,
                            seed=client_round_seed(fed.seed, m, r))
             nets.append(net)
-        trained = [net.flatten() for net in nets]
+        # the trained networks' own vectors: nothing writes to them from here on
+        trained = [net.values for net in nets]
         shared = aggregate(trained, counts)
-        new_params = [splice(shared, trained[m], local) for m in range(m_clients)]
+        client_params = [splice(shared, row, local) for row in trained]
 
         if r % fed.eval_cadence == 0:
-            post_nets = [Network.from_vector(arch, pv) for pv in new_params]
+            post_nets = [Network.from_vector(arch, row) for row in client_params]
             for m in range(m_clients):
-                capture(r, m, (nets[m], post_nets[m]), (trained[m], new_params[m]))
+                capture(r, m, (nets[m], post_nets[m]))
                 if cfg.scenario == "finetune":
                     with _located(f"round {r}, client {m}, fine-tuning"):
                         tuned = finetune_classifier(
-                            new_params[m], arch, datasets[m].train_x,
+                            client_params[m], arch, datasets[m].train_x,
                             datasets[m].train_labels, epochs=mt.finetune_epochs,
                             lr=mt.finetune_lr, momentum=mt.finetune_momentum,
                             batch_size=mt.finetune_batch,
@@ -249,10 +241,9 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
             if r in mt.probe_rounds:
                 records.extend(_probe_records(cfg, num_layers - 1, nets, post_nets,
                                               datasets, r))
-        client_params = new_params
 
     records.sort(key=MetricRecord.sort_key)
-    return RunResult(records, RoundState(fed.rounds, trained, shared, new_params))
+    return RunResult(records, RoundState(fed.rounds, trained, shared, client_params))
 
 
 def _probe_records(cfg, t, pre_nets, post_nets, datasets, r):

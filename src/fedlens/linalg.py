@@ -37,9 +37,6 @@ class SvdFactors:
     s: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
     @property
     def rank(self) -> int:
         return int(np.count_nonzero(self.s))

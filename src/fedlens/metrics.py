@@ -27,21 +27,8 @@ from .errors import ShapeError
 from .nn import LayerSpec, Network, sgd_epochs
 from .seeds import derive_seed
 
-# Exact metric names plus prefix families (probe sources, relative changes).
-REGISTERED_METRICS = frozenset({
-    "sigma_w", "sigma_b", "tr_w", "tr_b", "tr_t", "alignment",
-    "train_acc", "test_acc", "probe_acc",
-    "dist_l1_norm", "dist_mse", "dist_l1", "dist_cos",
-    "param_dist_l1_norm", "param_dist_mse", "param_dist_l1", "param_dist_cos",
-})
-METRIC_PREFIXES = ("probe_acc_m", "rel_")
-
 # ClassStats fields that every pre/post capture records per tap
 FEATURE_STATS = ("sigma_w", "sigma_b", "tr_w", "tr_b", "tr_t")
-
-
-def is_registered(name: str) -> bool:
-    return name in REGISTERED_METRICS or name.startswith(METRIC_PREFIXES)
 
 
 @dataclass
@@ -147,25 +134,15 @@ def class_stats(features, labels=None) -> ClassStats:
                       sigma_w=tr_w / tr_t, sigma_b=tr_b / tr_t)
 
 
-def weight_input_basis(weights, top: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the dominant input directions of a weight matrix.
-
-    Takes the right singular vectors for the `top` largest non-zero singular
-    values; fewer columns come back when the matrix has lower rank.
-    """
-    f = linalg.svd(weights)
-    keep = min(top, f.rank)
-    return f.v[:, :keep]
-
-
 def pabs_alignment(class_means, next_weights) -> AlignmentResult:
     """Mean principal-angle cosine between class-mean rows and weight input space.
 
     The class-mean matrix (C x D) contributes the basis of its row space; the
     weight matrix that consumes these features (out x D) contributes its top-C
-    input-space basis. Cosines are the singular values of the basis cross
-    product, clipped into [0, 1]. A rank-zero side gives alignment 0 and a
-    degenerate flag.
+    input-space basis: the right singular vectors of its C largest non-zero
+    singular values, fewer when it has lower rank. Cosines are the singular
+    values of the basis cross product, clipped into [0, 1]. A rank-zero side
+    gives alignment 0 and a degenerate flag.
     """
     z = linalg.as_matrix(class_means, "class means")
     w = linalg.as_matrix(next_weights, "weights")
@@ -175,7 +152,8 @@ def pabs_alignment(class_means, next_weights) -> AlignmentResult:
     c = z.shape[0]
     fz = linalg.svd(z)
     basis_z = fz.v[:, :fz.rank]
-    basis_w = weight_input_basis(w, c)
+    fw = linalg.svd(w)
+    basis_w = fw.v[:, :min(c, fw.rank)]
     if basis_z.shape[1] == 0 or basis_w.shape[1] == 0:
         return AlignmentResult(np.zeros(0), 0.0, degenerate=True)
     cross = basis_w.T @ basis_z

@@ -79,44 +79,36 @@ class LayoutEntry:
         return math.prod(self.shape)
 
 
-@dataclass
-class ParamVector:
-    """All parameters of a network flattened to one float64 vector."""
+class Layout(tuple):
+    """Where each parameter tensor of one architecture sits in a flat vector.
 
-    values: np.ndarray
-    layout: tuple
+    A tuple of LayoutEntry in vector order. Each layer's span and its
+    interface weight's entry are found once, when the layout is built.
+    """
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ShapeError("parameter vector must be 1-D")
-        expect = sum(e.size for e in self.layout)
-        if expect != self.values.size:
-            raise ShapeError(
-                f"layout covers {expect} values but vector has {self.values.size}")
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        self._spans, self._weights = {}, {}
+        for e in self:
+            start = self._spans[e.layer].start if e.layer in self._spans else e.offset
+            self._spans[e.layer] = slice(start, e.offset + e.size)
+            if len(e.shape) == 2:
+                self._weights.setdefault(e.layer, e)
+        return self
 
     def layer_slice(self, layer: int) -> slice:
         """Contiguous span of all tensors belonging to a 1-based layer index."""
-        entries = [e for e in self.layout if e.layer == layer]
-        if not entries:
+        if layer not in self._spans:
             raise ShapeError(f"no parameters for layer {layer}")
-        start = entries[0].offset
-        stop = entries[-1].offset + entries[-1].size
-        return slice(start, stop)
+        return self._spans[layer]
 
-    def interface_weight(self, layer: int) -> np.ndarray:
-        """First 2-D tensor of a 1-based layer, the matrix consuming its inputs."""
-        for e in self.layout:
-            if e.layer == layer and len(e.shape) == 2:
-                return self.values[e.offset:e.offset + e.size].reshape(e.shape)
-        raise ShapeError(f"no weight matrix for layer {layer}")
+    def interface_weight(self, values, layer: int) -> np.ndarray:
+        """First 2-D tensor of a 1-based layer in `values`, the matrix consuming
+        its inputs; for a residual block, its first inner weight."""
+        e = self._weights.get(layer)
+        if e is None:
+            raise ShapeError(f"no weight matrix for layer {layer}")
+        return values[e.offset:e.offset + e.size].reshape(e.shape)
 
 
 class Network:
@@ -138,14 +130,15 @@ class Network:
                 raise ShapeError(
                     f"layer dims do not chain: {a.out_dim} then {b.in_dim}")
         self.specs = specs
-        entries, starts, offset = [], [], 0
+        entries, offset = [], 0
         for layer, spec in enumerate(specs, start=1):
-            starts.append(offset)
             for shape in spec.tensor_shapes():
                 entries.append(LayoutEntry(layer=layer, shape=shape, offset=offset))
                 offset += entries[-1].size
-        self.layout = tuple(entries)
-        self._layer_starts = tuple(starts)
+        self.layout = Layout(entries)
+        # a plain tuple: loss_and_grad reads a layer's start on every minibatch
+        self._layer_starts = tuple(self.layout.layer_slice(layer).start
+                                   for layer in range(1, len(specs) + 1))
         self.values = np.zeros(offset)
         self.params = [[] for _ in specs]
         offsets = [[] for _ in specs]
@@ -189,27 +182,23 @@ class Network:
                     arr[...] = 0.0
         return self
 
-    def flatten(self) -> ParamVector:
-        return ParamVector(self.values.copy(), self.layout)
-
-    def load_vector(self, pv: ParamVector) -> "Network":
-        if pv.layout != self.layout:
-            raise FormatError("parameter layout does not match this architecture")
-        self.values[...] = pv.values
-        return self
+    def flatten(self) -> np.ndarray:
+        """A copy of the parameter vector."""
+        return self.values.copy()
 
     @classmethod
-    def from_vector(cls, specs, pv: ParamVector) -> "Network":
-        return cls(specs).load_vector(pv)
+    def from_vector(cls, specs, values) -> "Network":
+        """A new network of `specs` holding a copy of the parameter vector `values`."""
+        net = cls(specs)
+        if np.shape(values) != net.values.shape:
+            raise ShapeError(f"parameter vector must be ({net.values.size},), "
+                             f"got {np.shape(values)}")
+        net.values[...] = values
+        return net
 
     def interface_weight(self, layer: int) -> np.ndarray:
-        """Weight matrix multiplying the features entering a 1-based layer.
-
-        For residual blocks this is the first inner weight, the matrix that
-        directly consumes the block input.
-        """
-        self.layer_start(layer)  # range check
-        return self.params[layer - 1][0]
+        """Weight matrix multiplying the features entering a 1-based layer."""
+        return self.layout.interface_weight(self.values, layer)
 
     def _check_batch(self, x, layer: int = 1):
         """x as float64 rows of the input width of a 1-based layer."""
@@ -403,23 +392,23 @@ def _stacked_batches(perm, batch_size, per_stack):
         yield perm[full:].reshape(1, -1)
 
 
-def save_params(pv: ParamVector, path) -> None:
-    """Write a ParamVector in the FPNV binary format."""
+def save_params(net: Network, path) -> None:
+    """Write a network's layout and parameter vector in the FPNV binary format."""
     blob = bytearray()
     blob += FPNV_MAGIC
     blob += struct.pack("<H", FPNV_VERSION)
-    blob += struct.pack("<I", len(pv.layout))
-    for entry in pv.layout:
+    blob += struct.pack("<I", len(net.layout))
+    for entry in net.layout:
         blob += struct.pack("<IB", entry.layer, len(entry.shape))
         for d in entry.shape:
             blob += struct.pack("<I", d)
-        chunk = pv.values[entry.offset:entry.offset + entry.size]
+        chunk = net.values[entry.offset:entry.offset + entry.size]
         blob += chunk.astype("<f8").tobytes()
     Path(path).write_bytes(bytes(blob))
 
 
-def load_params(path) -> ParamVector:
-    """Read a ParamVector from the FPNV binary format."""
+def load_params(path):
+    """Read (layout, parameter vector) from the FPNV binary format."""
     data = Path(path).read_bytes()
     if len(data) < 10:
         raise FormatError(f"{path}: truncated header at offset 0")
@@ -446,14 +435,20 @@ def load_params(path) -> ParamVector:
         nbytes = size * 8
         if pos + nbytes > len(data):
             raise FormatError(f"{path}: truncated tensor data at offset {pos}")
-        chunks.append(np.frombuffer(data, dtype="<f8", count=size, offset=pos).astype(np.float64))
+        chunk = np.frombuffer(data, dtype="<f8", count=size, offset=pos)
+        bad = np.flatnonzero(~np.isfinite(chunk))
+        if bad.size:
+            # snapshots are written from finite runs, so this is a damaged payload
+            raise FormatError(f"{path}: non-finite parameter value at offset "
+                              f"{pos + 8 * int(bad[0])}")
+        chunks.append(chunk)
         entries.append(LayoutEntry(layer=layer, shape=tuple(int(d) for d in shape), offset=offset))
         offset += size
         pos += nbytes
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes at offset {pos}")
-    values = np.concatenate(chunks) if chunks else np.zeros(0)
-    return ParamVector(values, tuple(entries))
+    values = np.concatenate(chunks, dtype=np.float64) if chunks else np.zeros(0)
+    return Layout(entries), values
 
 
 def mlp_specs(input_dim: int, hidden, num_classes: int, activation: str = "relu",

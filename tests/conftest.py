@@ -1,4 +1,5 @@
-"""Shared test plumbing: session timing, suite ordering and record lookups.
+"""Shared test plumbing: session timing, suite ordering, record lookups and
+the registry of metric names.
 
 The acceptance module asserts a wall-clock budget for the whole suite, so
 it must run last; everything else keeps collection order.
@@ -10,6 +11,19 @@ from dataclasses import replace
 from fedlens.config import ExperimentConfig, validate_config
 
 _SESSION_START = time.monotonic()
+
+# Exact metric names plus prefix families (probe sources, relative changes).
+REGISTERED_METRICS = frozenset({
+    "sigma_w", "sigma_b", "tr_w", "tr_b", "tr_t", "alignment",
+    "train_acc", "test_acc", "probe_acc",
+    "dist_l1_norm", "dist_mse", "dist_l1", "dist_cos",
+    "param_dist_l1_norm", "param_dist_mse", "param_dist_l1", "param_dist_cos",
+})
+METRIC_PREFIXES = ("probe_acc_m", "rel_")
+
+
+def is_registered(name: str) -> bool:
+    return name in REGISTERED_METRICS or name.startswith(METRIC_PREFIXES)
 
 
 def session_elapsed() -> float:

@@ -18,8 +18,7 @@ from fedlens.data import generate_federation_data, make_domain_specs
 from fedlens.dumps import metrics_from_dumps
 from fedlens.fed import aggregate, client_round_seed, run_federation
 from fedlens.metrics import class_stats, pabs_alignment, spearman
-from fedlens.nn import (LayerSpec, LayoutEntry, Network, ParamVector,
-                        mlp_specs, sgd_epochs)
+from fedlens.nn import LayerSpec, Network, mlp_specs, sgd_epochs
 from fedlens.runner import execute, run_to_dir
 from fedlens.seeds import derive_seed
 
@@ -203,15 +202,15 @@ def test_training_gradients_and_aggregation_invariants():
     x = rng.normal(size=(12, 5))
     labels = rng.integers(0, 3, size=12)
     _, grad = net.loss_and_grad(x, labels)
-    pv = net.flatten()
+    theta = net.flatten()
     h = 1e-6
-    for idx in rng.choice(pv.size, size=48, replace=False):
-        probe = pv.values.copy()
+    for idx in rng.choice(theta.size, size=48, replace=False):
+        probe = theta.copy()
         probe[idx] += h
-        net.load_vector(ParamVector(probe, pv.layout))
+        net.values[...] = probe
         up = net.loss_and_grad(x, labels)[0]
         probe[idx] -= 2 * h
-        net.load_vector(ParamVector(probe, pv.layout))
+        net.values[...] = probe
         down = net.loss_and_grad(x, labels)[0]
         fd = (up - down) / (2 * h)
         g = grad[idx]
@@ -229,24 +228,21 @@ def test_training_gradients_and_aggregation_invariants():
         sgd_epochs(central, datasets[0].train_x, datasets[0].train_labels, epochs=2,
                    lr=cfg.fed.lr, momentum=cfg.fed.momentum, batch_size=16,
                    seed=client_round_seed(203, 0, r))
-    assert (result.final.post[0].values.tobytes()
-            == central.flatten().values.tobytes())
+    assert result.final.post[0].tobytes() == central.flatten().tobytes()
 
     # aggregation: permutation invariance (bitwise) and convexity envelope
-    layout = (LayoutEntry(layer=1, shape=(23,), offset=0),)
     rng2 = np.random.default_rng(104)
     for _ in range(100):
         k = int(rng2.integers(2, 7))
-        models = [ParamVector(rng2.normal(size=23), layout) for _ in range(k)]
+        rows = [rng2.normal(size=23) for _ in range(k)]
         counts = rng2.integers(1, 1000, size=k).tolist()
-        base = aggregate(models, counts)
+        base = aggregate(rows, counts)
         perm = rng2.permutation(k)
-        again = aggregate([models[i] for i in perm],
-                          [counts[i] for i in perm])
-        assert again.values.tobytes() == base.values.tobytes()
-        stack = np.stack([m.values for m in models])
-        assert np.all(base.values >= stack.min(axis=0))
-        assert np.all(base.values <= stack.max(axis=0))
+        again = aggregate([rows[i] for i in perm], [counts[i] for i in perm])
+        assert again.tobytes() == base.tobytes()
+        stack = np.stack(rows)
+        assert np.all(base >= stack.min(axis=0))
+        assert np.all(base <= stack.max(axis=0))
 
 
 def test_heterogeneous_aggregation_performance_drop():

@@ -4,11 +4,13 @@ perfbench/layers.py names every traced function by dotted path, and the
 tracer records a path that no longer resolves as absent instead of failing.
 Deleting or renaming a traced function would then only show as a missing
 per-layer number, so this test resolves every target with the tracer's own
-lookup. It also checks the file hooks' path arguments and the flop count's
-shape arithmetic against the network. It reads perfbench/ without importing
-it as a package.
+lookup. A function kept only so that its path resolves would read 0 just the
+same, so every target must also be used somewhere in the package. It also
+checks the file hooks' path arguments and the flop count's shape arithmetic
+against the network. It reads perfbench/ without importing it as a package.
 """
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -18,6 +20,7 @@ import pytest
 from fedlens.nn import Network, mlp_specs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "fedlens"
 
 
 def load(name):
@@ -34,6 +37,35 @@ TRACER = load("tracer")
 @pytest.mark.parametrize("path", sorted(load("layers").TARGETS))
 def test_traced_target_resolves(path):
     assert TRACER._resolve(path) is not None, f"{path} is gone"
+
+
+def used_names():
+    """Names the package reads as a bare name or an attribute, outside the
+    body of a function of that name."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text()), frozenset())
+    return used
+
+
+USED = used_names()
+
+
+@pytest.mark.parametrize("path", sorted(load("layers").TARGETS))
+def test_traced_target_is_used_by_the_package(path):
+    # matched by name, so a same-named attribute elsewhere would also count
+    assert path.rsplit(".", 1)[1] in USED, f"{path} is never called in src/fedlens"
 
 
 LAYERS = load("layers")

@@ -22,11 +22,16 @@ from fedlens.nn import Network, mlp_specs
 from fedlens.runner import build_datasets, run_to_dir
 
 
-def tiny_config(out_dir, residual):
+def tiny_config(out_dir, name):
     """Two clients, two eval rounds; eval subsets of 300 or 270 rows, so the
-    walk crosses a 256-row batch boundary. The plain net keeps layer 2 local;
-    the residual one fine-tunes, probes and dumps models too."""
-    cfg = ExperimentConfig(scenario="finetune" if residual else "personalization")
+    walk crosses a 256-row batch boundary. "plain-skip" keeps layer 2 local;
+    "residual-finetune" fine-tunes, probes and dumps models too;
+    "pretrained-successive" pretrains on the pooled data, keeps layer 1
+    local and dumps models."""
+    residual = name.startswith("residual")
+    scenario = {"plain-skip": "personalization", "residual-finetune": "finetune",
+                "pretrained-successive": "pretrained"}[name]
+    cfg = ExperimentConfig(scenario=scenario)
     d = cfg.data
     d.clients, d.classes, d.input_dim = 2, 3, 6
     d.train_per_client = d.test_per_client = 300
@@ -34,15 +39,17 @@ def tiny_config(out_dir, residual):
     cfg.model.residual, cfg.model.residual_width, cfg.model.residual_inner = residual, 5, 3
     f = cfg.fed
     f.rounds, f.local_epochs, f.batch_size, f.eval_cadence, f.seed = 2, 1, 32, 1, 5
-    if not residual:
+    if name == "plain-skip":
         f.personalization = "skip:2"
+    if name == "pretrained-successive":
+        f.personalization, f.pretrain_epochs = "successive:1", 2
     mt = cfg.metrics
     mt.eval_per_class = 90 if residual else 100
     if residual:
         mt.probe_rounds, mt.probe_epochs = (2,), 3
         mt.finetune_epochs, mt.finetune_batch = 2, 16
     cfg.output.dir = str(out_dir)
-    cfg.output.dump_features, cfg.output.dump_models = True, residual
+    cfg.output.dump_features, cfg.output.dump_models = True, name != "plain-skip"
     validate_config(cfg)
     return cfg
 
@@ -60,9 +67,10 @@ def output_digests(out_dir: Path):
             "dumps": (len(dumps), hashlib.sha256(listing.encode()).hexdigest())}
 
 
-# Computed before capture became a per-layer walk, when each model's taps
-# came from one `Network.forward` per 256-row batch. Any change to a
-# captured byte, to the set of dump files or to a metric value shows here.
+# The first two were computed before capture became a per-layer walk, when
+# each model's taps came from one `Network.forward` per 256-row batch; the
+# pretrained run before client parameters became plain arrays. Any change to
+# a captured byte, to the set of dump files or to a metric value shows here.
 GOLDEN_RUNS = {
     "plain-skip": {
         "metrics.csv": "739766548b4be4480152d3a40e02478ec07cb0050ec6382f8d52b6943a45ed45",
@@ -74,13 +82,18 @@ GOLDEN_RUNS = {
         "accuracy.csv": "e774362b99cd546ed353b720a71500b41bc0d50507d4d7a522e0fcad6c65563f",
         "dumps": (40, "39bec9d90bad43801ddc5273cebac926f4fa3da9e81fadc50a11fea46a2f7c48"),
     },
+    "pretrained-successive": {
+        "metrics.csv": "71f95827f2f5d8d94c0ebae385a8908bdd99241ffb3ce104e331ac5b3142c42a",
+        "accuracy.csv": "2c444e47ba6698953aedeb16623e2785bee5f597862f4e50ebb7e37b34815002",
+        "dumps": (32, "c530e6af56215acf108d12160e6fb053b88addf6ab520e2e9fd9fb6c44f5238b"),
+    },
 }
 
 
 def test_capture_outputs_match_golden_hashes(tmp_path):
     for name, want in GOLDEN_RUNS.items():
         out_dir = tmp_path / name
-        run_to_dir(tiny_config(out_dir, residual=name.startswith("residual")))
+        run_to_dir(tiny_config(out_dir, name))
         assert output_digests(out_dir) == want, name
 
 

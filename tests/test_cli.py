@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import value_map
+from conftest import is_registered, value_map
 
 import fedlens
 from fedlens.analysis import CSV_HEADER, read_csv, relative_change
@@ -19,7 +19,7 @@ from fedlens.config import load_config, parse_config
 from fedlens import dumps as dumps_module
 from fedlens.dumps import feature_filename, model_filename, read_features, write_features
 from fedlens.errors import ConfigError, FormatError, NumericError
-from fedlens.metrics import FeatureMatrix, is_registered
+from fedlens.metrics import FeatureMatrix
 from fedlens.runner import execute
 from test_data import write_idx_pair
 

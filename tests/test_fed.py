@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_config
+from conftest import is_registered, small_config
 
 from fedlens.config import LOCAL_EPOCH_ABLATION, personalized_layers, validate_config
 
@@ -16,12 +16,12 @@ from fedlens.data import generate_federation_data, make_domain_specs
 from fedlens.errors import ConfigError, NumericError, ShapeError
 from fedlens.fed import (aggregate, build_arch, client_round_seed, finetune_classifier,
                          pretrain, run_federation, splice)
-from fedlens.metrics import accuracy, is_registered
-from fedlens.nn import (LayerSpec, LayoutEntry, Network, ParamVector,
-                        mlp_specs, sgd_epochs)
+from fedlens.metrics import accuracy
+from fedlens.nn import LayerSpec, Network, mlp_specs, sgd_epochs
 from fedlens.seeds import derive_seed
 
 ARCH = mlp_specs(6, [8, 8], 3)
+LAYOUT = Network(ARCH).layout
 
 
 def small_federation(num_clients=3, seed=9, train=60, test=30):
@@ -29,14 +29,8 @@ def small_federation(num_clients=3, seed=9, train=60, test=30):
     return generate_federation_data(specs, train, test, seed=seed)
 
 
-def scalar_vector(value):
-    layout = (LayoutEntry(layer=1, shape=(1,), offset=0),)
-    return ParamVector(np.array([float(value)]), layout)
-
-
 def random_vectors(rng, count, size=17):
-    layout = (LayoutEntry(layer=1, shape=(size,), offset=0),)
-    return [ParamVector(rng.normal(size=size), layout) for _ in range(count)]
+    return [rng.normal(size=size) for _ in range(count)]
 
 
 def kept_layers(mode, hidden=(8, 8)):
@@ -50,11 +44,12 @@ def kept_layers(mode, hidden=(8, 8)):
     cfg.model = replace(cfg.model, hidden=tuple(hidden))
     validate_config(cfg)
     final = run_federation(cfg, small_federation(num_clients=3)).final
+    layout = Network(build_arch(cfg)).layout
     kept = set()
     for layer in range(1, len(hidden) + 2):
-        slc = final.shared.layer_slice(layer)
-        sides = {(np.array_equal(post.values[slc], pre.values[slc]),
-                  np.array_equal(post.values[slc], final.shared.values[slc]))
+        slc = layout.layer_slice(layer)
+        sides = {(np.array_equal(post[slc], pre[slc]),
+                  np.array_equal(post[slc], final.shared[slc]))
                  for pre, post in zip(final.pre, final.post)}
         assert sides in ({(True, False)}, {(False, True)}), (layer, sides)
         if sides == {(True, False)}:
@@ -144,74 +139,61 @@ class TestPersonalizedLayers:
         assert info.value.field == "fed.personalization"
 
 
+# 1-5 rows of one drawn length, each with a positive sample count
+@st.composite
+def weighted_rows(draw):
+    k, size = draw(st.integers(1, 5)), draw(st.integers(1, 20))
+    entries = st.floats(-1e6, 1e6, allow_nan=False)
+    rows = [np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+            for _ in range(k)]
+    counts = draw(st.lists(st.integers(1, 1000), min_size=k, max_size=k))
+    return rows, counts, draw(st.permutations(range(k)))
+
+
 class TestAggregate:
-    def test_identical_models_unchanged(self):
-        rng = np.random.default_rng(51)
-        pv = random_vectors(rng, 1)[0]
-        out = aggregate([pv.copy(), pv.copy()], [100, 7])
-        assert np.array_equal(out.values, pv.values)
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_rows())
+    def test_order_free_convex_and_exact_on_identical_rows(self, case):
+        rows, counts, perm = case
+        out = aggregate(rows, counts)
+        shuffled = aggregate([rows[i] for i in perm], [counts[i] for i in perm])
+        assert shuffled.tobytes() == out.tobytes()
+        stack = np.stack(rows)
+        assert np.all(out >= stack.min(axis=0))
+        assert np.all(out <= stack.max(axis=0))
+        # the envelope of identical rows is the row itself (-0.0 may come back as 0.0)
+        assert np.array_equal(aggregate([rows[0]] * len(rows), counts), rows[0])
 
     def test_scalar_weighted_mean(self):
-        out = aggregate([scalar_vector(0.0), scalar_vector(4.0)], [100, 300])
-        assert out.values[0] == pytest.approx(3.0, abs=1e-15)
+        out = aggregate([np.array([0.0]), np.array([4.0])], [100, 300])
+        assert out[0] == pytest.approx(3.0, abs=1e-15)
 
     def test_three_clients_match_naive_oracle(self):
         rng = np.random.default_rng(53)
-        models = random_vectors(rng, 3)
+        rows = random_vectors(rng, 3)
         counts = [120, 45, 300]
-        naive = sum(c * m.values for c, m in zip(counts, models)) / sum(counts)
-        out = aggregate(models, counts)
-        assert np.abs(out.values - naive).max() < 1e-12
-
-    def test_permutation_invariance_bitwise(self):
-        rng = np.random.default_rng(55)
-        for _ in range(20):
-            k = int(rng.integers(2, 6))
-            models = random_vectors(rng, k)
-            counts = rng.integers(1, 500, size=k).tolist()
-            base = aggregate(models, counts).values.tobytes()
-            perm = rng.permutation(k)
-            shuffled = aggregate([models[i] for i in perm],
-                                 [counts[i] for i in perm]).values.tobytes()
-            assert shuffled == base
-
-    def test_convexity_envelope(self):
-        rng = np.random.default_rng(57)
-        for _ in range(20):
-            models = random_vectors(rng, int(rng.integers(2, 5)))
-            counts = rng.integers(1, 50, size=len(models)).tolist()
-            out = aggregate(models, counts).values
-            stack = np.stack([m.values for m in models])
-            assert np.all(out >= stack.min(axis=0))
-            assert np.all(out <= stack.max(axis=0))
+        naive = sum(c * row for c, row in zip(counts, rows)) / sum(counts)
+        out = aggregate(rows, counts)
+        assert np.abs(out - naive).max() < 1e-12
 
     def test_equal_counts_equal_plain_mean(self):
         rng = np.random.default_rng(59)
-        models = random_vectors(rng, 4)
-        out = aggregate(models, [25, 25, 25, 25])
-        mean = np.mean([m.values for m in models], axis=0)
-        assert np.abs(out.values - mean).max() < 1e-12
-
-    def test_layout_mismatch_rejected(self):
-        a = scalar_vector(1.0)
-        b = ParamVector(np.zeros(2), (LayoutEntry(1, (2,), 0),))
-        with pytest.raises(ShapeError):
-            aggregate([a, b], [1, 1])
+        rows = random_vectors(rng, 4)
+        out = aggregate(rows, [25, 25, 25, 25])
+        assert np.abs(out - np.mean(rows, axis=0)).max() < 1e-12
 
     def test_nonpositive_counts_rejected(self):
         with pytest.raises(ShapeError):
-            aggregate([scalar_vector(1.0), scalar_vector(2.0)], [5, 0])
+            aggregate([np.array([1.0]), np.array([2.0])], [5, 0])
 
     def test_splice_restores_masked_coordinates(self):
         rng = np.random.default_rng(61)
-        layout = Network(ARCH).layout
-        shared = ParamVector(rng.normal(size=sum(e.size for e in layout)), layout)
-        residue = ParamVector(rng.normal(size=shared.size), layout)
+        shared, trained = random_vectors(rng, 2, size=Network(ARCH).values.size)
         local = np.zeros(shared.size, dtype=bool)
-        local[shared.layer_slice(1)] = True
-        out = splice(shared, residue, local)
-        assert np.array_equal(out.values[local], residue.values[local])
-        assert np.array_equal(out.values[~local], shared.values[~local])
+        local[LAYOUT.layer_slice(1)] = True
+        out = splice(shared, trained, local)
+        assert np.array_equal(out[local], trained[local])
+        assert np.array_equal(out[~local], shared[~local])
 
 
 class TestRunFederation:
@@ -225,8 +207,7 @@ class TestRunFederation:
             sgd_epochs(central, datasets[0].train_x, datasets[0].train_labels,
                        epochs=2, lr=cfg.fed.lr, momentum=cfg.fed.momentum,
                        batch_size=16, seed=client_round_seed(13, 0, r))
-        assert (result.final.post[0].values.tobytes()
-                == central.flatten().values.tobytes())
+        assert result.final.post[0].tobytes() == central.flatten().tobytes()
 
     def test_identical_inputs_make_aggregation_a_no_op(self):
         # the per-client shuffle streams are deliberately distinct inside a
@@ -241,15 +222,15 @@ class TestRunFederation:
                        epochs=2, batch_size=16, seed=22)
             trained.append(net.flatten())
         agg = aggregate(trained, [60, 60, 60])
-        assert agg.values.tobytes() == trained[0].values.tobytes()
+        assert agg.tobytes() == trained[0].tobytes()
 
     def test_zero_local_epochs_pipeline_no_op(self):
         datasets = small_federation(num_clients=3)
         cfg = small_config(3, local_epochs=0, rounds=2, eval_cadence=1, seed=23)
         result = run_federation(cfg, datasets)
         init = Network(ARCH).init_random(derive_seed(23, "init")).flatten()
-        for pv in result.final.post:
-            assert pv.values.tobytes() == init.values.tobytes()
+        for row in result.final.post:
+            assert row.tobytes() == init.tobytes()
 
     def test_capture_schedule(self):
         datasets = small_federation(num_clients=3)
@@ -272,8 +253,7 @@ class TestRunFederation:
                                eval_cadence=1, personalization=mode, seed=29)
             runs.append(run_federation(cfg, datasets))
         assert runs[0].records == runs[1].records
-        assert (runs[0].final.shared.values.tobytes()
-                == runs[1].final.shared.values.tobytes())
+        assert runs[0].final.shared.tobytes() == runs[1].final.shared.tobytes()
 
     def test_personalized_layers_never_leave_the_client(self):
         datasets = small_federation(num_clients=3)
@@ -283,11 +263,11 @@ class TestRunFederation:
         _, layers = personalized_layers(cfg.fed.personalization, 3)
         assert layers == frozenset({1})
         local = np.zeros(result.final.shared.size, dtype=bool)
-        local[result.final.shared.layer_slice(1)] = True
-        shared_part = result.final.post[0].values[~local]
+        local[LAYOUT.layer_slice(1)] = True
+        shared_part = result.final.post[0][~local]
         for m in range(3):
-            post = result.final.post[m].values
-            pre = result.final.pre[m].values
+            post = result.final.post[m]
+            pre = result.final.pre[m]
             # local span: the client's own trained values, bit-exact
             assert np.array_equal(post[local], pre[local])
             # the rest: one shared average for everyone
@@ -332,9 +312,9 @@ class TestRunFederation:
 class TestPretrain:
     def test_zero_epochs_returns_init(self):
         net = Network(ARCH).init_random(seed=35)
-        before = net.flatten().values.copy()
+        before = net.flatten()
         out = pretrain(net, np.zeros((4, 6)), [0, 1, 2, 0], epochs=0)
-        assert np.array_equal(out.values, before)
+        assert np.array_equal(out, before)
 
     def test_pooled_training_beats_random_init(self):
         datasets = small_federation(num_clients=3, seed=37, train=90, test=60)
@@ -354,25 +334,25 @@ class TestPretrain:
             net = Network(ARCH).init_random(seed=42)
             outs.append(pretrain(net, datasets[0].train_x, datasets[0].train_labels,
                                  epochs=3, batch_size=16, seed=43))
-        assert np.array_equal(outs[0].values, outs[1].values)
+        assert np.array_equal(outs[0], outs[1])
 
 
 class TestFinetuneClassifier:
     def test_zero_epochs_unchanged(self):
-        pv = Network(ARCH).init_random(seed=45).flatten()
-        out = finetune_classifier(pv, ARCH, np.zeros((4, 6)),
+        init = Network(ARCH).init_random(seed=45).flatten()
+        out = finetune_classifier(init, ARCH, np.zeros((4, 6)),
                                   [0, 1, 2, 0], epochs=0)
-        assert np.array_equal(out.values, pv.values)
+        assert np.array_equal(out.values, init)
 
     def test_only_classifier_changes(self):
         datasets = small_federation(num_clients=1, seed=47)
-        pv = Network(ARCH).init_random(seed=48).flatten()
-        out = finetune_classifier(pv, ARCH, datasets[0].train_x,
+        init = Network(ARCH).init_random(seed=48).flatten()
+        out = finetune_classifier(init, ARCH, datasets[0].train_x,
                                   datasets[0].train_labels, batch_size=16, seed=49)
-        head = pv.layer_slice(3)
+        head = LAYOUT.layer_slice(3)
         body = slice(0, head.start)
-        assert np.array_equal(out.values[body], pv.values[body])
-        assert not np.array_equal(out.values[head], pv.values[head])
+        assert np.array_equal(out.values[body], init[body])
+        assert not np.array_equal(out.values[head], init[head])
 
     def test_separable_penultimate_features_reach_full_accuracy(self):
         # identity extractor, zero classifier: fine-tuning only the head on

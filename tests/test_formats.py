@@ -41,7 +41,7 @@ def assert_loads_or_format_error(load, blob: bytes):
 def fpnv_blob(specs, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.fpnv"
-        save_params(Network(specs).init_random(seed=seed).flatten(), path)
+        save_params(Network(specs).init_random(seed=seed), path)
         return path.read_bytes()
 
 
@@ -91,3 +91,18 @@ def test_non_finite_fplf_payload_names_file_and_offset(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match=f"non-finite feature value at offset {at}"):
         read_features(path)
+
+
+@pytest.mark.parametrize("value,where", [(np.nan, "classifier bias"),
+                                         (np.inf, "first weight")])
+def test_non_finite_fpnv_payload_names_file_and_offset(tmp_path, value, where):
+    blob = bytearray(fpnv_blob(mlp_specs(3, (2,), 2), 0))
+    # the header is 10 bytes and the first tensor's header 13; the
+    # classifier bias is the file's last tensor
+    at = len(blob) - 8 if where == "classifier bias" else 10 + 13
+    blob[at:at + 8] = np.array([value], dtype="<f8").tobytes()
+    path = tmp_path / "model.fpnv"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"^{path}: non-finite parameter value "
+                                          f"at offset {at}$"):
+        load_params(path)

@@ -4,12 +4,13 @@ computes the same quantities through streaming sums and its own SVD."""
 
 import numpy as np
 import pytest
+from conftest import is_registered
 
 from fedlens.analysis import relative_change
 from fedlens.errors import ShapeError
 from fedlens.metrics import (FEATURE_STATS, FeatureMatrix, accuracy, class_stats,
                              distance_records, extract_tap_features, feature_records,
-                             is_registered, linear_probe, pabs_alignment,
+                             linear_probe, pabs_alignment,
                              pairwise_distances)
 from fedlens.nn import LayerSpec, Network
 

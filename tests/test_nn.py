@@ -32,9 +32,8 @@ def fd_gradient_check(net, x, labels, coords, h=1e-5):
     worst = 0.0
     for i in coords:
         for sign in (+1.0, -1.0):
-            bumped = theta.copy()
-            bumped.values[i] += sign * h
-            net.load_vector(bumped)
+            net.values[...] = theta
+            net.values[i] += sign * h
             loss = net.loss_and_grad(x, labels)[0]
             if sign > 0:
                 up = loss
@@ -43,7 +42,7 @@ def fd_gradient_check(net, x, labels, coords, h=1e-5):
         numeric = (up - down) / (2 * h)
         denom = max(abs(numeric), abs(grad[i]), 1e-8)
         worst = max(worst, abs(numeric - grad[i]) / denom)
-    net.load_vector(theta)
+    net.values[...] = theta
     return worst
 
 
@@ -147,9 +146,9 @@ class TestSgd:
 
     def test_zero_epochs_unchanged(self):
         net, x, labels = self.make_problem()
-        before = net.flatten().values.copy()
+        before = net.flatten()
         sgd_epochs(net, x, labels, epochs=0)
-        assert np.array_equal(net.flatten().values, before)
+        assert np.array_equal(net.flatten(), before)
 
     def test_separable_batch_loss_decreases(self):
         net, x, labels = self.make_problem(seed=1)
@@ -167,17 +166,17 @@ class TestSgd:
         theta = net.flatten()
         perm = np.random.default_rng(4).permutation(len(x))
         _, grad = net.loss_and_grad(x[perm], labels[perm])
-        want = theta.values - 0.05 * grad
+        want = theta - 0.05 * grad
         sgd_epochs(net, x, labels, epochs=1, lr=0.05, momentum=0.0,
                    batch_size=len(x), seed=4)
-        assert np.array_equal(net.flatten().values, want)
+        assert np.array_equal(net.flatten(), want)
 
     def test_same_seed_same_result(self):
         runs = []
         for _ in range(2):
             net, x, labels = self.make_problem(seed=5)
             sgd_epochs(net, x, labels, epochs=3, batch_size=2, seed=6)
-            runs.append(net.flatten().values)
+            runs.append(net.flatten())
         assert np.array_equal(runs[0], runs[1])
 
     def test_empty_dataset_rejected(self):
@@ -191,10 +190,10 @@ class TestSgd:
         sgd_epochs(net, x, labels, epochs=2, batch_size=2, seed=8,
                    train_from=2)
         after = net.flatten()
-        s1 = before.layer_slice(1)
-        s2 = before.layer_slice(2)
-        assert np.array_equal(after.values[s1], before.values[s1])
-        assert not np.array_equal(after.values[s2], before.values[s2])
+        s1 = net.layout.layer_slice(1)
+        s2 = net.layout.layer_slice(2)
+        assert np.array_equal(after[s1], before[s1])
+        assert not np.array_equal(after[s2], before[s2])
 
     def test_backward_stop_step_matches_full_gradient_tail(self):
         # one momentum-0 step training only the classifier moves exactly its
@@ -206,13 +205,13 @@ class TestSgd:
         theta = net.flatten()
         perm = np.random.default_rng(22).permutation(len(x))
         _, grad = net.loss_and_grad(x[perm], labels[perm])
-        head = theta.layer_slice(net.num_layers)
+        head = net.layout.layer_slice(net.num_layers)
         sgd_epochs(net, x, labels, epochs=1, lr=0.05, momentum=0.0,
                    batch_size=len(x), seed=22, train_from=net.num_layers)
-        after = net.flatten().values
-        want = theta.values[head] - 0.05 * grad[head]
+        after = net.flatten()
+        want = theta[head] - 0.05 * grad[head]
         assert np.array_equal(after[head], want)
-        assert np.array_equal(after[:head.start], theta.values[:head.start])
+        assert np.array_equal(after[:head.start], theta[:head.start])
 
     @pytest.mark.parametrize("train_from", [1, 2, 3])
     def test_partial_gradient_is_tail_of_full_gradient(self, train_from):
@@ -232,13 +231,13 @@ class TestSgd:
     def test_train_from_out_of_range_rejected(self, train_from):
         _, x, labels = self.make_problem()
         net = Network(mlp_specs(2, [4, 4], 2)).init_random(seed=25)
-        before = net.flatten().values.copy()
+        before = net.flatten()
         for epochs in (0, 2):
             with pytest.raises(ShapeError, match="out of range"):
                 sgd_epochs(net, x, labels, epochs=epochs, train_from=train_from)
         with pytest.raises(ShapeError, match="out of range"):
             net.loss_and_grad(x, labels, train_from)
-        assert np.array_equal(net.flatten().values, before)
+        assert np.array_equal(net.flatten(), before)
 
 
 small_specs = st.builds(
@@ -265,14 +264,19 @@ class TestFlatBuffer:
                 assert arr.shape == e.shape
                 arr[...] = np.arange(arr.size).reshape(arr.shape) + e.offset + 0.5
                 flat = net.flatten()
-                assert np.array_equal(flat.values[e.offset:e.offset + e.size],
-                                      arr.ravel())
-        other = Network(specs).load_vector(net.flatten())
-        assert other.flatten().values.tobytes() == net.values.tobytes()
+                assert np.array_equal(flat[e.offset:e.offset + e.size], arr.ravel())
+        other = Network.from_vector(specs, net.flatten())
+        assert other.flatten().tobytes() == net.values.tobytes()
         assert not np.shares_memory(other.values, net.values)
-        pv = net.flatten()
+        # the layers' spans tile the vector in order
+        stop = 0
         for layer in range(1, net.num_layers + 1):
-            assert np.array_equal(pv.interface_weight(layer), net.interface_weight(layer))
+            assert np.array_equal(net.interface_weight(layer), net.params[layer - 1][0])
+            span = net.layout.layer_slice(layer)
+            assert span.start == net.layer_start(layer) == stop
+            assert span.stop - span.start == sum(a.size for a in net.params[layer - 1])
+            stop = span.stop
+        assert stop == net.values.size
 
 
 def reference_sgd(net, x, labels, epochs, lr, momentum, batch_size, seed, train_from):
@@ -307,7 +311,7 @@ class TestFrozenPrefix:
         x = rng.normal(size=(n, specs[0].in_dim))
         labels = rng.integers(0, specs[-1].out_dim, size=n)
         net = Network(specs).init_random(seed=seed)
-        ref = Network(specs).load_vector(net.flatten())
+        ref = Network.from_vector(specs, net.flatten())
         with mock.patch.object(nn, "_STACK_ROWS", stack_rows):
             sgd_epochs(net, x, labels, epochs=2, lr=0.1, momentum=0.5,
                        batch_size=batch_size, seed=seed, train_from=train_from)
@@ -452,19 +456,22 @@ class TestInitAndVectors:
     def test_same_seed_identical(self):
         a = Network(mlp_specs(4, [8, 8], 3)).init_random(seed=10).flatten()
         b = Network(mlp_specs(4, [8, 8], 3)).init_random(seed=10).flatten()
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_load_flatten_roundtrip(self):
         net = Network(mlp_specs(4, [6], 3)).init_random(seed=11)
-        pv = net.flatten()
-        other = Network(mlp_specs(4, [6], 3)).load_vector(pv)
-        assert np.array_equal(other.flatten().values, pv.values)
-        assert other.layout == pv.layout
+        theta = net.flatten()
+        other = Network.from_vector(mlp_specs(4, [6], 3), theta)
+        assert np.array_equal(other.flatten(), theta)
+        assert other.layout == net.layout
+        theta[0] += 1.0  # both sides are copies
+        assert other.values[0] == net.values[0] != theta[0]
 
-    def test_layout_mismatch_rejected(self):
-        pv = Network(mlp_specs(4, [6], 3)).flatten()
-        with pytest.raises(FormatError):
-            Network(mlp_specs(4, [7], 3)).load_vector(pv)
+    @pytest.mark.parametrize("shape", [(50,), (52,), (1, 51), ()])
+    def test_from_vector_wrong_size_rejected(self, shape):
+        specs = mlp_specs(4, [6], 3)  # 51 parameters
+        with pytest.raises(ShapeError, match=r"parameter vector must be \(51,\)"):
+            Network.from_vector(specs, np.zeros(shape))
 
     def test_uniform_mean_within_3_sigma(self):
         net = Network([LayerSpec("linear", 100, 100)])
@@ -482,12 +489,20 @@ class TestInitAndVectors:
 
 class TestParamFormat:
     def test_save_load_roundtrip(self, tmp_path):
-        pv = Network(mlp_specs(5, [4, 3], 2)).init_random(seed=14).flatten()
-        path = tmp_path / "model.fpnv"
-        save_params(pv, path)
-        back = load_params(path)
-        assert back.layout == pv.layout
-        assert np.array_equal(back.values, pv.values)
+        # a plain net, and one whose residual blocks hold three maps each
+        for kwargs in (dict(hidden=[4, 3]),
+                       dict(hidden=[4, 4, 3], residual=True, residual_width=6,
+                            residual_inner=3)):
+            net = Network(mlp_specs(5, num_classes=2, **kwargs)).init_random(seed=14)
+            path = tmp_path / "model.fpnv"
+            save_params(net, path)
+            layout, values = load_params(path)
+            assert layout == net.layout
+            assert values.tobytes() == net.values.tobytes()
+            for layer in range(1, net.num_layers + 1):
+                assert layout.layer_slice(layer) == net.layout.layer_slice(layer)
+                assert np.array_equal(layout.interface_weight(values, layer),
+                                      net.interface_weight(layer))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fpnv"
@@ -496,9 +511,9 @@ class TestParamFormat:
             load_params(path)
 
     def test_truncated(self, tmp_path):
-        pv = Network(mlp_specs(3, [2], 2)).init_random(seed=15).flatten()
+        net = Network(mlp_specs(3, [2], 2)).init_random(seed=15)
         path = tmp_path / "cut.fpnv"
-        save_params(pv, path)
+        save_params(net, path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError, match="offset"):
             load_params(path)
@@ -551,7 +566,7 @@ GOLDEN_NETS = {
 def test_layer_engine_matches_golden_values(tmp_path, name):
     kwargs, digest, want_loss, want_sums = GOLDEN_NETS[name]
     net = Network(mlp_specs(**kwargs)).init_random(seed=41)
-    save_params(net.flatten(), tmp_path / "init.fpnv")
+    save_params(net, tmp_path / "init.fpnv")
     assert hashlib.sha256((tmp_path / "init.fpnv").read_bytes()).hexdigest() == digest
     rng = np.random.default_rng(42)
     net.values[...] += rng.normal(scale=0.1, size=net.values.size)
