@@ -26,7 +26,7 @@ LOCAL_EPOCH_ABLATION = ((5, 20), (10, 10), (20, 5))
 
 @dataclass
 class DataConfig:
-    kind: str = "synthetic"            # synthetic | idx
+    kind: str = "synthetic"
     clients: int = 4
     classes: int = 5
     input_dim: int = 20
@@ -37,7 +37,7 @@ class DataConfig:
     scale_min: float = 0.5
     scale_max: float = 2.0
     offset_scale: float = 1.0
-    rotation: str = "random"           # random | identity
+    rotation: str = "random"
     label_noise: float = 0.0
     balanced: bool = True
     idx_dir: str = ""
@@ -46,7 +46,7 @@ class DataConfig:
 @dataclass
 class ModelConfig:
     hidden: tuple = (32, 32, 32, 32, 16)
-    activation: str = "relu"           # relu | linear
+    activation: str = "relu"
     residual: bool = False
     residual_width: int = 32
     residual_inner: int = 2
@@ -105,36 +105,101 @@ _SECTIONS = {"data": DataConfig, "model": ModelConfig, "fed": FedSection,
              "metrics": MetricsConfig, "output": OutputConfig}
 
 
-def _parse_value(text: str, template, section: str, key: str, line_no: int):
+@dataclass(frozen=True)
+class Domain:
+    """The values one config field may take.
+
+    `kind` is at_least (at least `arg`), finite, positive (in (0, inf)),
+    unit (in [0, 1)), one_of (a member of the tuple `arg`), text (not
+    empty), entries (every list entry at least `arg`) or widths (entries,
+    and at least one). `bound` names the values in error messages and in
+    README's rule list.
+    """
+
+    kind: str
+    arg: object = None
+
+    @property
+    def bound(self) -> str:
+        arg = ", ".join(self.arg) if self.kind == "one_of" else self.arg
+        return _KINDS[self.kind][0].format(arg)
+
+    def holds(self, value) -> bool:
+        return _KINDS[self.kind][1](value, self.arg)
+
+
+# domain kind -> (bound, test of a value v against the domain's arg a); the
+# range tests are written so that NaN fails them
+_KINDS = {
+    "at_least": ("at least {}", lambda v, a: v >= a),
+    "finite": ("finite", lambda v, a: math.isfinite(v)),
+    "positive": ("in (0, inf)", lambda v, a: 0.0 < v < math.inf),
+    "unit": ("in [0, 1)", lambda v, a: 0.0 <= v < 1.0),
+    "one_of": ("one of {}", lambda v, a: v in a),
+    "text": ("non-empty text", lambda v, a: bool(v)),
+    "entries": ("entries at least {}", lambda v, a: all(x >= a for x in v)),
+    "widths": ("non-empty, entries at least {}",
+               lambda v, a: bool(v) and all(x >= a for x in v)),
+}
+
+# Every rule on a single field: `section.key` (or a top-level key) -> domain.
+# validate_config checks them in this order, before the rules that read
+# several fields.
+RULES = {
+    "scenario": Domain("one_of", SCENARIOS),
+    "data.kind": Domain("one_of", ("synthetic", "idx")),
+    "data.clients": Domain("at_least", 1),
+    "data.classes": Domain("at_least", 2),
+    "data.input_dim": Domain("at_least", 1),
+    "data.anchor_scale": Domain("finite"),
+    "data.within_class_scale": Domain("positive"),
+    "data.scale_min": Domain("finite"),
+    "data.scale_max": Domain("finite"),
+    "data.offset_scale": Domain("finite"),
+    "data.rotation": Domain("one_of", ("random", "identity")),
+    "data.label_noise": Domain("unit"),
+    "model.hidden": Domain("widths", 1),
+    "model.activation": Domain("one_of", ("relu", "linear")),
+    "model.residual_width": Domain("at_least", 0),
+    "model.residual_inner": Domain("at_least", 1),
+    "fed.rounds": Domain("at_least", 1),
+    "fed.local_epochs": Domain("at_least", 0),
+    "fed.lr": Domain("positive"),
+    "fed.momentum": Domain("unit"),
+    "fed.batch_size": Domain("at_least", 1),
+    "fed.eval_cadence": Domain("at_least", 1),
+    "fed.pretrain_epochs": Domain("at_least", 0),
+    "metrics.eval_per_class": Domain("at_least", 1),
+    "metrics.probe_rounds": Domain("entries", 1),
+    "metrics.probe_epochs": Domain("at_least", 1),
+    "metrics.probe_lr": Domain("positive"),
+    "metrics.probe_batch": Domain("at_least", 1),
+    "metrics.finetune_epochs": Domain("at_least", 1),
+    "metrics.finetune_lr": Domain("positive"),
+    "metrics.finetune_momentum": Domain("unit"),
+    "metrics.finetune_batch": Domain("at_least", 1),
+    "output.dir": Domain("text"),
+}
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# field type -> (what its text must be, parser); bool comes before int, its base
+_PARSERS = ((bool, "a boolean", lambda text: _BOOLS[text.lower()]),
+            (int, "an integer", int),
+            (float, "a number", float),
+            (tuple, "a comma-separated integer list",
+             lambda text: tuple(int(p) for p in text.split(",") if p.strip())))
+
+
+def _parse_value(text: str, template, field: str, line_no: int):
     text = text.strip()
-    if isinstance(template, bool):
-        low = text.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"expected a boolean, got {text!r}",
-                          field=f"{section}.{key}", line=line_no)
-    if isinstance(template, int):
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"expected an integer, got {text!r}",
-                              field=f"{section}.{key}", line=line_no) from None
-    if isinstance(template, float):
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"expected a number, got {text!r}",
-                              field=f"{section}.{key}", line=line_no) from None
-    if isinstance(template, tuple):
-        if not text:
-            return ()
-        try:
-            return tuple(int(p.strip()) for p in text.split(",") if p.strip())
-        except ValueError:
-            raise ConfigError(f"expected a comma-separated integer list, got {text!r}",
-                              field=f"{section}.{key}", line=line_no) from None
+    for kind, expected, parse in _PARSERS:
+        if isinstance(template, kind):
+            try:
+                return parse(text)
+            except (KeyError, ValueError):
+                raise ConfigError(f"expected {expected}, got {text!r}", field=field,
+                                  line=line_no) from None
     return text
 
 
@@ -168,7 +233,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown key {key!r}", field=f"{current}.{key}",
                               line=line_no)
         template = getattr(type(target)(), key)
-        setattr(target, key, _parse_value(value, template, current, key, line_no))
+        setattr(target, key, _parse_value(value, template, f"{current}.{key}", line_no))
     validate_config(cfg)
     return cfg
 
@@ -251,113 +316,51 @@ def synthetic_reach(d: DataConfig) -> float:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Cross-field checks; raises ConfigError naming the offending field."""
-    if cfg.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {cfg.scenario!r}, expected one of "
-                          f"{', '.join(SCENARIOS)}", field="scenario")
+    """Check every rule; raises ConfigError naming the offending field.
+
+    The RULES table comes first, so the rules below, each of which reads
+    several fields, see every field inside its domain.
+    """
+    for key, domain in RULES.items():
+        section, _, name = key.rpartition(".")
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        if not domain.holds(value):
+            raise ConfigError(f"expected {domain.bound}, got {value!r}", field=key)
     d = cfg.data
-    if d.kind not in ("synthetic", "idx"):
-        raise ConfigError(f"unknown data kind {d.kind!r}", field="data.kind")
     if d.kind == "idx" and not d.idx_dir:
         raise ConfigError("idx data needs idx_dir", field="data.idx_dir")
-    if d.clients < 1:
-        raise ConfigError("need at least one client", field="data.clients")
-    if d.classes < 2:
-        raise ConfigError("need at least two classes", field="data.classes")
-    if d.input_dim < 1:
-        raise ConfigError("input_dim must be positive", field="data.input_dim")
+    if d.scale_min > d.scale_max:
+        raise ConfigError("scale_min exceeds scale_max", field="data.scale_min")
     if d.kind == "synthetic":
         for key in ("train_per_client", "test_per_client"):
             if getattr(d, key) < d.classes:
                 raise ConfigError(f"{key} must be at least classes ({d.classes})",
                                   field=f"data.{key}")
-    for key in ("anchor_scale", "offset_scale", "scale_min", "scale_max"):
-        if not math.isfinite(getattr(d, key)):
-            raise ConfigError(f"{key} must be finite", field=f"data.{key}")
-    if not 0.0 < d.within_class_scale < math.inf:
-        raise ConfigError("within_class_scale must be positive and finite",
-                          field="data.within_class_scale")
-    if d.rotation not in ("random", "identity"):
-        raise ConfigError(f"unknown rotation {d.rotation!r}", field="data.rotation")
-    if not 0.0 <= d.label_noise < 1.0:
-        raise ConfigError("label_noise must be in [0, 1)", field="data.label_noise")
-    if d.scale_min > d.scale_max:
-        raise ConfigError("scale_min exceeds scale_max", field="data.scale_min")
-    if d.kind == "synthetic":
         reach = synthetic_reach(d)
         if not reach <= sys.float_info.max:
             key = max(DATA_SCALES, key=lambda k: abs(getattr(d, k)))
             raise ConfigError(f"data scales let a draw reach {reach:.3g}, past float64's "
                               f"{sys.float_info.max:.3g}", field=f"data.{key}")
-    m = cfg.model
-    if not m.hidden:
-        raise ConfigError("need at least one hidden layer", field="model.hidden")
-    if any(h < 1 for h in m.hidden):
-        raise ConfigError("hidden widths must be positive", field="model.hidden")
-    if m.activation not in ("relu", "linear"):
-        raise ConfigError(f"unknown activation {m.activation!r}",
-                          field="model.activation")
-    if m.residual_width < 0:
-        raise ConfigError("residual_width must be non-negative",
-                          field="model.residual_width")
-    if m.residual_inner < 1:
-        raise ConfigError("residual_inner must be positive", field="model.residual_inner")
-    f = cfg.fed
-    if f.rounds < 1:
-        raise ConfigError("rounds must be positive", field="fed.rounds")
-    if cfg.output.dump_features and f.rounds > U16_MAX:
-        raise ConfigError(f"feature dumps store the round as u16, so at most {U16_MAX} "
-                          "rounds can be dumped", field="fed.rounds")
-    if f.local_epochs < 0:
-        raise ConfigError("local_epochs must be non-negative",
-                          field="fed.local_epochs")
-    if f.eval_cadence < 1:
-        raise ConfigError("eval_cadence must be positive", field="fed.eval_cadence")
-    if f.pretrain_epochs < 0:
-        raise ConfigError("pretrain_epochs must be non-negative",
-                          field="fed.pretrain_epochs")
-    if f.batch_size < 1:
-        raise ConfigError("batch_size must be positive", field="fed.batch_size")
-    num_layers = cfg.num_layers
-    name, _ = personalized_layers(f.personalization, num_layers)
-    if cfg.scenario == "personalization" and name == "none":
-        raise ConfigError("personalization scenario needs a mode",
-                          field="fed.personalization")
-    mt = cfg.metrics
-    for t in mt.taps:
-        if not 0 <= t < num_layers:
-            raise ConfigError(f"tap layer {t} out of range 0..{num_layers - 1}",
-                              field="metrics.taps")
-    if mt.eval_per_class < 1:
-        raise ConfigError("eval_per_class must be positive",
-                          field="metrics.eval_per_class")
-    if d.kind == "synthetic" and d.balanced:
         # balanced draws give every class at least count // classes rows;
         # label noise relabels training rows only
         rows = d.test_per_client // d.classes
         if d.label_noise == 0.0:
             rows = min(rows, d.train_per_client // d.classes)
-        if mt.eval_per_class > rows:
+        if d.balanced and cfg.metrics.eval_per_class > rows:
             raise ConfigError(f"eval_per_class exceeds the {rows} rows each class has",
                               field="metrics.eval_per_class")
-    if any(r < 1 for r in mt.probe_rounds):
-        raise ConfigError("probe rounds must be positive",
-                          field="metrics.probe_rounds")
-    for knob in ("probe_epochs", "probe_batch", "finetune_epochs", "finetune_batch"):
-        if getattr(mt, knob) < 1:
-            raise ConfigError(f"{knob} must be positive", field=f"metrics.{knob}")
-    # the range tests are negated so that NaN fails them too
-    rates = {"fed.lr": f.lr, "metrics.probe_lr": mt.probe_lr,
-             "metrics.finetune_lr": mt.finetune_lr}
-    for key, lr in rates.items():
-        if not 0.0 < lr < math.inf:
-            raise ConfigError("learning rate must be positive and finite", field=key)
-    momenta = {"fed.momentum": f.momentum, "metrics.finetune_momentum": mt.finetune_momentum}
-    for key, momentum in momenta.items():
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError("momentum must be in [0, 1)", field=key)
-    if not cfg.output.dir:
-        raise ConfigError("output dir must be set", field="output.dir")
+    if cfg.output.dump_features and cfg.fed.rounds > U16_MAX:
+        raise ConfigError(f"feature dumps store the round as u16, so at most {U16_MAX} "
+                          "rounds can be dumped", field="fed.rounds")
+    num_layers = cfg.num_layers
+    name, _ = personalized_layers(cfg.fed.personalization, num_layers)
+    if cfg.scenario == "personalization" and name == "none":
+        raise ConfigError("personalization scenario needs a mode",
+                          field="fed.personalization")
+    for t in cfg.metrics.taps:
+        if not 0 <= t < num_layers:
+            raise ConfigError(f"tap layer {t} out of range 0..{num_layers - 1}",
+                              field="metrics.taps")
 
 
 def _format_value(value) -> str:
@@ -419,33 +422,25 @@ def _preset_iid(seed):
     return [("iid-control", cfg)]
 
 
-def _preset_classifier(seed):
+def _personalized(seed, mode):
     cfg = _base_config(seed)
     cfg.scenario = "personalization"
-    cfg.fed.personalization = "classifier"
-    return [("personalization-classifier", cfg)]
+    cfg.fed.personalization = mode
+    return cfg
+
+
+def _preset_classifier(seed):
+    return [("personalization-classifier", _personalized(seed, "classifier"))]
 
 
 def _preset_successive(seed):
-    out = []
-    num_layers = len(ModelConfig().hidden) + 1
-    for k in range(num_layers + 1):
-        cfg = _base_config(seed)
-        cfg.scenario = "personalization"
-        cfg.fed.personalization = f"successive:{k}"
-        out.append((f"personalization-successive-k{k}", cfg))
-    return out
+    return [(f"personalization-successive-k{k}", _personalized(seed, f"successive:{k}"))
+            for k in range(ExperimentConfig().num_layers + 1)]
 
 
 def _preset_skip(seed):
-    out = []
-    num_layers = len(ModelConfig().hidden) + 1
-    for layer in range(1, num_layers + 1):
-        cfg = _base_config(seed)
-        cfg.scenario = "personalization"
-        cfg.fed.personalization = f"skip:{layer}"
-        out.append((f"personalization-skip-l{layer}", cfg))
-    return out
+    return [(f"personalization-skip-l{layer}", _personalized(seed, f"skip:{layer}"))
+            for layer in range(1, ExperimentConfig().num_layers + 1)]
 
 
 def _mature_config(seed: int) -> ExperimentConfig:

@@ -122,8 +122,14 @@ def metrics_from_dumps(dump_dir):
             # a (round, client)'s layers come one after another, so its two
             # snapshots are read here once and dropped when the next comes up
             group = (rnd, client)
-            snapshots = {phase: load_params(models.pop(group + (phase,)))
-                         for phase in ("pre", "post") if group + (phase,) in models}
+            snapshots = {}
+            for phase in ("pre", "post"):
+                path = models.pop(group + (phase,), None)
+                if path is not None:
+                    snapshots[phase] = (path, *load_params(path))
+            pre, post = snapshots.get("pre"), snapshots.get("post")
+            if pre and post and pre[1] != post[1]:
+                raise FormatError(f"{post[0]}: layout differs from {pre[0]}")
         # one pair in memory at a time; an unpaired file is still read and checked
         pair = {}
         for phase in ("pre", "post"):
@@ -142,8 +148,14 @@ def metrics_from_dumps(dump_dir):
         for fm in pair.values():
             weights = {}
             if fm.phase in snapshots:
-                layout, values = snapshots[fm.phase]
-                weights[layer] = layout.interface_weight(values, layer + 1)
+                snapshot, layout, values = snapshots[fm.phase]
+                weight = (layout.interface_weight(values, layer + 1)
+                          if layer < layout[-1].layer else None)
+                if weight is None or weight.shape[1] != fm.dim:
+                    raise FormatError(f"{snapshot}: no layer {layer + 1} weight taking the "
+                                      f"{fm.dim} features of "
+                                      f"{paths[(rnd, client, layer, fm.phase)]}")
+                weights[layer] = weight
             records.extend(feature_records([fm], weights))
         records.extend(distance_records(pair["pre"], pair["post"], rnd, client, layer))
     for path in models.values():

@@ -215,12 +215,6 @@ def pairwise_distances(pre, post) -> PairwiseDistances:
     b = _as_rows(post)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = np.abs(a - b)
-    denom = np.abs(a) + np.abs(b)
-    l1_norm = float(np.divide(diff, denom, out=np.zeros_like(diff),
-                              where=denom > 0).mean())
-    mse = float(((a - b) ** 2).mean())
-    l1 = float(diff.mean())
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     dots = np.einsum("ij,ij->i", a, b)
@@ -229,8 +223,20 @@ def pairwise_distances(pre, post) -> PairwiseDistances:
     safe = np.maximum(na * nb, np.finfo(np.float64).tiny)
     cos = dots / safe
     cos = np.where(both_zero, 1.0, cos)
-    cos = np.where(one_zero, 0.0, cos)
-    return PairwiseDistances(l1_norm, mse, l1, float(cos.mean()))
+    cosine = float(np.where(one_zero, 0.0, cos).mean())
+    # two scratch buffers the size of one input: diff holds a - b, then
+    # |a - b|, then the l1_norm ratios; sq holds (a - b)**2, then |a| + |b|
+    diff = np.subtract(a, b)
+    sq = np.multiply(diff, diff)
+    mse = float(sq.mean())
+    np.abs(diff, out=diff)
+    l1 = float(diff.mean())
+    # for finite a and b, |a| + |b| is exactly max(|a + b|, |a - b|): the one
+    # whose signs agree rounds the same sum, and rounding is monotone
+    denom = np.maximum(np.abs(np.add(a, b, out=sq), out=sq), diff, out=sq)
+    # where denom is 0, a = b = 0 and diff already holds the 0 the ratio gets
+    l1_norm = float(np.divide(diff, denom, out=diff, where=denom > 0).mean())
+    return PairwiseDistances(l1_norm, mse, l1, cosine)
 
 
 def _average_ranks(values) -> np.ndarray:

@@ -408,7 +408,13 @@ def save_params(net: Network, path) -> None:
 
 
 def load_params(path):
-    """Read (layout, parameter vector) from the FPNV binary format."""
+    """Read (layout, parameter vector) from the FPNV binary format.
+
+    The tensors must lay out a network: layers 1..L in order, each a chain
+    of (2-D weight, 1-D bias) maps whose widths link up across the file,
+    and a layer of several maps ends at its input width. Anything else is a
+    FormatError at the offending tensor's header.
+    """
     data = Path(path).read_bytes()
     if len(data) < 10:
         raise FormatError(f"{path}: truncated header at offset 0")
@@ -418,23 +424,52 @@ def load_params(path):
     if version != FPNV_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at offset 4")
     count, = struct.unpack_from("<I", data, 6)
+    if count == 0:
+        raise FormatError(f"{path}: no parameter tensors at offset 6")
     pos = 10
     entries = []
     chunks = []
     offset = 0
-    for _ in range(count):
+    # the layer being read, its input width, its maps so far, the running
+    # width, and where the header of the last weight read starts
+    current, layer_in, maps, width, weight_at = 0, 0, 0, None, 0
+
+    def end_layer():
+        if maps > 1 and width != layer_in:
+            raise FormatError(f"{path}: layer {current} ends at width {width}, not its "
+                              f"input width {layer_in}, at offset {weight_at}")
+
+    for index in range(count):
+        head = pos
         if pos + 5 > len(data):
             raise FormatError(f"{path}: truncated tensor header at offset {pos}")
         layer, ndims = struct.unpack_from("<IB", data, pos)
         pos += 5
         if pos + 4 * ndims > len(data):
             raise FormatError(f"{path}: truncated dims at offset {pos}")
-        shape = struct.unpack_from(f"<{ndims}I", data, pos)
+        shape = tuple(int(d) for d in struct.unpack_from(f"<{ndims}I", data, pos))
         pos += 4 * ndims
         size = math.prod(shape)
         nbytes = size * 8
         if pos + nbytes > len(data):
             raise FormatError(f"{path}: truncated tensor data at offset {pos}")
+        if index % 2:
+            want = f"layer {current}'s bias of shape ({width},)"
+            fits = layer == current and shape == (width,)
+        else:
+            want = (f"a layer {current} or {current + 1} weight taking {width} inputs"
+                    if current else "a layer 1 weight")
+            if layer == current + 1:
+                end_layer()
+                current, maps = layer, 0
+            fits = (layer == current and ndims == 2 and 0 not in shape
+                    and (width is None or shape[1] == width))
+            if fits:
+                layer_in = shape[1] if maps == 0 else layer_in
+                maps, width, weight_at = maps + 1, shape[0], head
+        if not fits:
+            raise FormatError(f"{path}: expected {want}, got layer {layer} shape "
+                              f"{shape} at offset {head}")
         chunk = np.frombuffer(data, dtype="<f8", count=size, offset=pos)
         bad = np.flatnonzero(~np.isfinite(chunk))
         if bad.size:
@@ -442,12 +477,15 @@ def load_params(path):
             raise FormatError(f"{path}: non-finite parameter value at offset "
                               f"{pos + 8 * int(bad[0])}")
         chunks.append(chunk)
-        entries.append(LayoutEntry(layer=layer, shape=tuple(int(d) for d in shape), offset=offset))
+        entries.append(LayoutEntry(layer=layer, shape=shape, offset=offset))
         offset += size
         pos += nbytes
+    if count % 2:
+        raise FormatError(f"{path}: weight without a bias at offset {weight_at}")
+    end_layer()
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes at offset {pos}")
-    values = np.concatenate(chunks, dtype=np.float64) if chunks else np.zeros(0)
+    values = np.concatenate(chunks, dtype=np.float64)
     return Layout(entries), values
 
 

@@ -1,4 +1,5 @@
-"""The functions the benchmark traces still exist under their dotted paths.
+"""The benchmark's own checks still pass, and the functions it traces still
+exist under their dotted paths.
 
 perfbench/layers.py names every traced function by dotted path, and the
 tracer records a path that no longer resolves as absent instead of failing.
@@ -7,16 +8,25 @@ per-layer number, so this test resolves every target with the tracer's own
 lookup. A function kept only so that its path resolves would read 0 just the
 same, so every target must also be used somewhere in the package. It also
 checks the file hooks' path arguments and the flop count's shape arithmetic
-against the network. It reads perfbench/ without importing it as a package.
+against the network. Each workload's traced run must count the calls that
+`layers.expected_counts` derives from its config and write the stored
+reference outputs, the checks that turn a benchmark run incorrect. It reads
+perfbench/ without importing it as a package.
 """
 
 import ast
+import gzip
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from fedlens.cli import main
 from fedlens.nn import Network, mlp_specs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -27,6 +37,7 @@ def load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
                                                   PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module    # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -92,3 +103,51 @@ def test_flop_count_covers_every_weight(kwargs):
     net = Network(mlp_specs(5, num_classes=3, **kwargs))
     weights = sum(e.size for e in net.layout if len(e.shape) == 2)
     assert LAYERS._matmul_macs(net.specs) == weights
+
+
+WORKLOADS = load("workloads")
+VERIFY = load("verify")
+
+
+def bench_env():
+    """The environment perfbench/run.py gives the commands it measures."""
+    env = dict(os.environ)
+    env.pop("FEDLENS_THREADS", None)
+    env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                                     "VECLIB_MAXIMUM_THREADS")})
+    env["PYTHONPATH"] = str(SRC.parent)
+    env["PYTHONHASHSEED"] = "0"
+    return env
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_traced_workload_matches_closed_form_counts_and_reference(name, tmp_path):
+    workload = WORKLOADS.WORKLOADS[name]
+    assert main(["preset", workload.preset, "--out", str(tmp_path)]) == 0
+    run_dir = tmp_path / "run"
+    text = WORKLOADS.workload_config(
+        workload, (tmp_path / f"{workload.preset}.cfg").read_text(), 1, str(run_dir))
+    cfg_path = tmp_path / "workload.cfg"
+    cfg_path.write_text(text)
+    commands = [("run", cfg_path)] + [("metrics", run_dir / "dumps")] * workload.dumps
+    docs = []
+    for command, arg in commands:
+        spans = tmp_path / f"spans-{command}.json"
+        done = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), str(spans),
+                               command, str(arg)], env=bench_env(), capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        docs.append(json.loads(spans.read_text()))
+    table = TRACER.SpanTable(docs)
+    counted = {key: value(table) for key, _, _, value in LAYERS.PER_LAYER}
+    expected = LAYERS.expected_counts(WORKLOADS.parse_config_text(text),
+                                      offline=workload.dumps)
+    assert {key: counted[key] for key in expected} == expected
+    reference = PERFBENCH / "reference" / name
+    rows = VERIFY.parse_rows((run_dir / "metrics.csv").read_text())
+    ref_rows = VERIFY.parse_rows(gzip.decompress(
+        (reference / "metrics.csv.gz").read_bytes()).decode())
+    assert VERIFY.against_reference(rows, ref_rows, 1e-9, "metrics.csv") == []
+    assert (run_dir / "accuracy.csv").read_bytes() == gzip.decompress(
+        (reference / "accuracy.csv.gz").read_bytes())

@@ -15,11 +15,12 @@ from conftest import is_registered, value_map
 import fedlens
 from fedlens.analysis import CSV_HEADER, read_csv, relative_change
 from fedlens.cli import main
-from fedlens.config import load_config, parse_config
+from fedlens.config import RULES, load_config, parse_config
 from fedlens import dumps as dumps_module
 from fedlens.dumps import feature_filename, model_filename, read_features, write_features
 from fedlens.errors import ConfigError, FormatError, NumericError
 from fedlens.metrics import FeatureMatrix
+from fedlens.nn import Network, mlp_specs, save_params
 from fedlens.runner import execute
 from test_data import write_idx_pair
 
@@ -52,39 +53,32 @@ dir = {out_dir}
 {output_extra}"""
 
 
+# texts outside each kind of RULES domain, given the domain's arg
+BAD_TEXTS = {
+    "at_least": lambda least: [str(least - 1)],
+    "finite": lambda _: ["nan", "inf", "-inf"],
+    "positive": lambda _: ["0.0", "-1.0", "nan", "inf"],
+    "unit": lambda _: ["-0.1", "1.0", "nan"],
+    "one_of": lambda _: ["bogus"],
+    "text": lambda _: [""],
+    "entries": lambda least: [f"{least},{least - 1}"],
+    "widths": lambda least: ["", f"{least},{least - 1}"],
+}
+
 # (field, bad value, other keys set with it): each is a config error that
-# `fedlens run` reports before it trains or creates the output dir
-BAD_VALUES = [
+# `fedlens run` reports before it trains or creates the output dir. The rows
+# built from RULES break one field's domain; the written ones break a rule
+# that reads several fields, or a domain in another context.
+BAD_VALUES = [(key, text, {}) for key, domain in RULES.items()
+              for text in BAD_TEXTS[domain.kind](domain.arg)] + [
     ("fed.batch_size", "0", {"fed.pretrain_epochs": "1"}),
-    ("fed.batch_size", "0", {}),
-    ("fed.lr", "0.0", {}),
-    ("fed.lr", "nan", {}),
-    ("fed.lr", "inf", {}),
-    ("fed.momentum", "1.0", {}),
-    ("fed.momentum", "-0.1", {}),
-    ("fed.momentum", "nan", {}),
-    ("metrics.probe_lr", "-1.0", {}),
-    ("metrics.finetune_lr", "-0.5", {}),
-    ("metrics.finetune_momentum", "1.0", {}),
-    ("data.clients", "0", {}),
-    ("fed.rounds", "0", {}),
-    ("fed.local_epochs", "-1", {}),
-    ("fed.eval_cadence", "0", {}),
     ("fed.personalization", "skip:", {}),
-    ("data.input_dim", "0", {}),
     ("data.train_per_client", "0", {}),
     ("data.test_per_client", "2", {}),
-    ("data.anchor_scale", "nan", {}),
-    ("data.offset_scale", "inf", {}),
-    ("data.scale_min", "-inf", {}),
-    ("data.scale_max", "nan", {}),
-    ("data.within_class_scale", "0.0", {}),
     # scales whose draws overflow float64, found from the generator's bound
     ("data.within_class_scale", "8.07e307", {"data.anchor_scale": "0"}),
     ("data.offset_scale", "1e308", {}),
     ("data.anchor_scale", "1e308", {}),
-    ("model.residual_width", "-1", {}),
-    ("model.residual_inner", "0", {}),
     ("metrics.eval_per_class", "6", {}),
     ("metrics.eval_per_class", "6", {"data.label_noise": "0.1"}),
     # found only in the drawn data: 15 unbalanced test rows leave some class short
@@ -194,8 +188,12 @@ class TestRun:
         cfg = write_config(tmp_path / "bad.cfg", out_dir)
         # a repeated section header reopens the section; the last value wins
         for key, text in {**also, field: value}.items():
-            section, _, name = key.partition(".")
-            cfg.write_text(cfg.read_text() + f"\n[{section}]\n{name} = {text}\n")
+            section, _, name = key.rpartition(".")
+            if section:
+                cfg.write_text(cfg.read_text() + f"\n[{section}]\n{name} = {text}\n")
+            else:
+                cfg.write_text(cfg.read_text().replace("scenario = baseline",
+                                                       f"{name} = {text}"))
         assert main(["run", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
         assert not out_dir.exists()
@@ -361,6 +359,38 @@ class TestMetricsCommand:
                             lambda path: read.append(path.name) or real(path))
         dumps_module.metrics_from_dumps(dumps)
         assert sorted(read) == sorted(p.name for p in dumps.glob("*.fpnv"))
+
+    def test_damaged_layer_field_exits_3_naming_the_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "dump.cfg", out_dir,
+                           "dump_features = true\ndump_models = true\n")
+        cfg.write_text(cfg.read_text() + "\n[fed]\nrounds = 2\n")
+        assert main(["run", str(cfg)]) == 0
+        snapshot = out_dir / "dumps" / model_filename(2, 0, "pre")
+        blob = bytearray(snapshot.read_bytes())
+        blob[10:14] = bytes([7] * 4)        # the first tensor's layer field
+        snapshot.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["metrics", str(out_dir / "dumps")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: FormatError: {snapshot}: "), err
+
+    # the run's network is 6 -> 8 -> 8 -> 3
+    @pytest.mark.parametrize("phases, input_dim, hidden, problem", [
+        (("post",), 6, (8,), "layout differs"),
+        (("pre", "post"), 5, (8, 8), "taking the 6 features"),
+    ], ids=["pair_layouts_differ", "interface_width"])
+    def test_snapshot_unlike_the_run_exits_3_naming_it(self, dump_run, tmp_path, capsys,
+                                                        phases, input_dim, hidden, problem):
+        dumps = tmp_path / "dumps"
+        shutil.copytree(dump_run["dumps"], dumps)
+        net = Network(mlp_specs(input_dim, hidden, 3)).init_random(seed=0)
+        for phase in phases:
+            save_params(net, dumps / model_filename(2, 1, phase))
+        assert main(["metrics", str(dumps)]) == 3
+        err = capsys.readouterr().err
+        path = dumps / model_filename(2, 1, phases[0])
+        assert err.startswith(f"error: FormatError: {path}: ") and problem in err, err
 
     def test_missing_post_dump_warns_and_skips(self, tmp_path, capsys):
         rng = np.random.default_rng(71)

@@ -1,25 +1,32 @@
-"""Config boundary properties: every valid config survives render and parse."""
+"""Config boundary properties: every valid config survives render and parse,
+the rule table judges every config as the rules it replaced did, and README
+states the same rules and defaults."""
 
 import math
+import re
 import sys
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedlens.config import (SCENARIOS, U16_MAX, ExperimentConfig, parse_config,
+from fedlens.config import (RULES, SCENARIOS, U16_MAX, ExperimentConfig, parse_config,
                             personalized_layers, render_config, synthetic_reach,
                             validate_config)
 from fedlens.errors import ConfigError
 from fedlens.runner import build_datasets
 
+import config_oracle
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 # one value per line, without the surrounding blanks that the parser strips
 LINE_TEXT = (st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
                      max_size=12)
              .map(str.strip))
-POSITIVE = st.integers(min_value=1)
 RATE = st.floats(min_value=0.0, max_value=math.inf, exclude_min=True, exclude_max=True)
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -32,47 +39,45 @@ BY_TYPE = {bool: st.booleans(), int: st.integers(), float: st.floats(allow_nan=F
            str: LINE_TEXT, tuple: st.lists(st.integers(), max_size=6).map(tuple)}
 
 
+# values inside each kind of RULES domain, given the domain's arg
+DOMAIN_VALUES = {
+    "at_least": lambda least: st.integers(min_value=least),
+    "finite": lambda _: FINITE,
+    "positive": lambda _: RATE,
+    "unit": lambda _: UNIT,
+    "one_of": st.sampled_from,
+    # no separators, so that stripping leaves the text non-empty
+    "text": lambda _: st.text(st.characters(blacklist_categories=("Cc", "Cs", "Z")),
+                              min_size=1, max_size=12).map(str.strip).filter(bool),
+    "entries": lambda least: st.lists(st.integers(min_value=least), max_size=4).map(tuple),
+    "widths": lambda least: st.lists(st.integers(min_value=least), min_size=1,
+                                     max_size=7).map(tuple),
+}
+
+
+def domain_values(key):
+    domain = RULES[key]
+    return DOMAIN_VALUES[domain.kind](domain.arg)
+
+
 def checked_fields(num_layers):
-    """Strategies for the fields whose values validate_config restricts."""
-    return {
-        "data.kind": st.sampled_from(("synthetic", "idx")),
-        "data.clients": POSITIVE,
-        "data.classes": st.integers(min_value=2),
-        "data.input_dim": POSITIVE,
+    """Strategies for the fields whose values validate_config restricts: the
+    RULES domains, narrowed where a rule reads several fields."""
+    rules = {key: domain_values(key) for key in RULES}
+    rules.update({
         "data.anchor_scale": SCALE,
         "data.within_class_scale": st.floats(0.0, 1e100, exclude_min=True),
         "data.scale_min": SCALE,
         "data.scale_max": SCALE,
         "data.offset_scale": SCALE,
-        "data.rotation": st.sampled_from(("random", "identity")),
-        "data.label_noise": UNIT,
-        "model.activation": st.sampled_from(("relu", "linear")),
-        "model.residual_width": st.integers(min_value=0),
-        "model.residual_inner": POSITIVE,
-        "fed.rounds": POSITIVE,
-        "fed.local_epochs": st.integers(min_value=0),
-        "fed.lr": RATE,
-        "fed.momentum": UNIT,
-        "fed.batch_size": POSITIVE,
-        "fed.eval_cadence": POSITIVE,
         "fed.personalization": st.one_of(
             st.sampled_from(("none", "classifier")),
             st.integers(0, num_layers).map(lambda k: f"successive:{k}"),
             st.lists(st.integers(1, num_layers), min_size=1, max_size=3).map(
                 lambda layers: "skip:" + ",".join(map(str, layers)))),
-        "fed.pretrain_epochs": st.integers(min_value=0),
         "metrics.taps": st.lists(st.integers(0, num_layers - 1), max_size=4).map(tuple),
-        "metrics.eval_per_class": POSITIVE,
-        "metrics.probe_rounds": st.lists(POSITIVE, max_size=4).map(tuple),
-        "metrics.probe_epochs": POSITIVE,
-        "metrics.probe_lr": RATE,
-        "metrics.probe_batch": POSITIVE,
-        "metrics.finetune_epochs": POSITIVE,
-        "metrics.finetune_lr": RATE,
-        "metrics.finetune_momentum": UNIT,
-        "metrics.finetune_batch": POSITIVE,
-        "output.dir": LINE_TEXT.filter(bool),
-    }
+    })
+    return rules
 
 
 # sizes that keep a whole `fedlens run` of a drawn config to milliseconds
@@ -99,10 +104,9 @@ TINY = {
 def valid_configs(draw, tiny=False):
     """Configs that validate_config accepts; with `tiny`, held to TINY sizes
     and at most three hidden layers of width 4."""
-    cfg = ExperimentConfig(scenario=draw(st.sampled_from(SCENARIOS)))
-    widths = st.integers(1, 4) if tiny else POSITIVE
-    cfg.model.hidden = draw(st.lists(widths, min_size=1, max_size=3 if tiny else 7)
-                            .map(tuple))
+    cfg = ExperimentConfig(scenario=draw(domain_values("scenario")))
+    cfg.model.hidden = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+                            if tiny else domain_values("model.hidden"))
     rules = checked_fields(cfg.num_layers)
     rules["model.hidden"] = st.just(cfg.model.hidden)
     if tiny:
@@ -188,3 +192,154 @@ def test_data_scales_are_bounded_by_the_generator(rotation):
     # idx data is not drawn, so its scales are not bounded
     d.kind, d.idx_dir = "idx", "anywhere"
     validate_config(cfg)
+
+
+# any value of a field's type, NaN and infinities included
+ANY_VALUE = {**BY_TYPE, float: st.floats()}
+# values of each type at and around the bounds a rule could have
+NEAR_BOUNDS = {
+    bool: [False, True],
+    int: list(range(-2, 4)),
+    float: [0.0, -0.0, 1.0, 1.0 - 2**-53, -1e-300, 5e-324, math.nan, math.inf, -math.inf],
+    str: list(SCENARIOS) + ["synthetic", "idx", "random", "identity", "relu", "linear",
+                            "", "none"],
+    tuple: [(), (0,), (1,), (2, 1), (1, 0), (-1,)],
+}
+SECTIONS = [top.name for top in fields(ExperimentConfig) if top.name != "scenario"]
+FIELD_KEYS = ["scenario"] + [f"{name}.{f.name}" for name in SECTIONS
+                             for f in fields(getattr(ExperimentConfig(), name))]
+
+
+def owner_of(cfg, key):
+    section, _, name = key.rpartition(".")
+    return (getattr(cfg, section) if section else cfg), name
+
+
+def set_field(draw, cfg):
+    owner, name = owner_of(cfg, draw(st.sampled_from(FIELD_KEYS)))
+    setattr(owner, name, draw(ANY_VALUE[type(getattr(owner, name))]))
+
+
+def set_rule_field(draw, cfg):
+    owner, name = owner_of(cfg, draw(st.sampled_from(list(RULES))))
+    setattr(owner, name, draw(st.sampled_from(NEAR_BOUNDS[type(getattr(owner, name))])))
+
+
+def drop_idx_dir(draw, cfg):
+    cfg.data.kind, cfg.data.idx_dir = "idx", ""
+
+
+def invert_scales(draw, cfg):
+    low, high = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+    cfg.data.scale_min, cfg.data.scale_max = high, low
+
+
+def starve_split(draw, cfg):
+    key = draw(st.sampled_from(("train_per_client", "test_per_client")))
+    setattr(cfg.data, key, draw(st.integers(max_value=cfg.data.classes - 1)))
+
+
+def overflow_draws(draw, cfg):
+    # 14 * 1e307 is past float64 whatever the other scales are
+    cfg.data.within_class_scale = draw(st.floats(1e307, 1e308))
+
+
+def dump_too_many_rounds(draw, cfg):
+    cfg.output.dump_features = True
+    cfg.fed.rounds = draw(st.integers(min_value=U16_MAX + 1))
+
+
+def bad_personalization(draw, cfg):
+    n = cfg.num_layers
+    cfg.fed.personalization = draw(st.sampled_from(
+        (f"successive:{n + 1}", "successive:x", f"skip:{n + 1}", "skip:0", "skip:", "all")))
+
+
+def personalization_without_mode(draw, cfg):
+    cfg.scenario, cfg.fed.personalization = "personalization", "none"
+
+
+def tap_out_of_range(draw, cfg):
+    tap = draw(st.integers(min_value=cfg.num_layers) | st.integers(max_value=-1))
+    cfg.metrics.taps += (tap,)
+
+
+def too_many_eval_rows(draw, cfg):
+    cfg.metrics.eval_per_class = cfg.data.test_per_client // cfg.data.classes + 1
+
+
+# each edit of a valid config breaks one rule, or with kind = idx or
+# unbalanced data maybe none; set_field may break a field's own rule and the
+# rules that read it
+EDITS = (set_field, set_rule_field, drop_idx_dir, invert_scales, starve_split,
+         overflow_draws, dump_too_many_rounds, bad_personalization,
+         personalization_without_mode, tap_out_of_range, too_many_eval_rows)
+
+
+def verdict(validate, cfg):
+    """None if `validate` accepts the config, else (error type, field)."""
+    try:
+        validate(cfg)
+    except Exception as exc:  # noqa: BLE001 - the oracle's own error types count too
+        return type(exc).__name__, getattr(exc, "field", None)
+    return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_rule_table_keeps_every_verdict(data):
+    cfg = data.draw(valid_configs())
+    edits = data.draw(st.lists(st.sampled_from(EDITS), max_size=3))
+    for edit in edits:
+        edit(data.draw, cfg)
+    old = verdict(config_oracle.validate_config, cfg)
+    new = verdict(validate_config, cfg)
+    assert (old is None) == (new is None), (old, new)
+    if len(edits) <= 1:
+        assert old == new
+    else:
+        # with several rules broken the table may name another of them first
+        assert new is None or new[0] == "ConfigError"
+
+
+@pytest.mark.parametrize("key", list(RULES))
+def test_each_rule_judges_values_near_its_bound_as_before(key):
+    owner, name = owner_of(ExperimentConfig(), key)
+    for value in NEAR_BOUNDS[type(getattr(owner, name))]:
+        cfg = ExperimentConfig()
+        setattr(owner_of(cfg, key)[0], name, value)
+        assert verdict(validate_config, cfg) == verdict(config_oracle.validate_config,
+                                                        cfg), value
+
+
+def readme_section(heading):
+    text = README.read_text()
+    start = text.index(f"\n## {heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else len(text)]
+
+
+def test_readme_example_config_is_the_default():
+    block = re.search(r"```ini\n(.*?)```", readme_section("Config format"), re.S).group(1)
+    assert parse_config(block) == ExperimentConfig()
+
+
+def capitalized(text):
+    return text[0].upper() + text[1:]
+
+
+def test_readme_lists_every_rule_under_its_bound():
+    section = readme_section("Config format")
+    rules = section[section.index("Each field's bound"):section.index("These bounds are")]
+    bullets = {}
+    for bullet in rules.split("\n- ")[1:]:
+        lead, _, body = " ".join(bullet.split()).partition(": ")
+        bullets[lead] = body
+    for key, domain in RULES.items():
+        assert f"`{key}`" in bullets.get(capitalized(domain.bound), ""), \
+            f"README lists {key} under no {domain.bound!r} rule"
+    # a rule bullet names only the fields of its bound
+    for lead, body in bullets.items():
+        if lead in {capitalized(d.bound) for d in RULES.values()}:
+            for key in re.findall(r"`([a-z_.]+)`", body):
+                assert capitalized(RULES[key].bound) == lead, (lead, key)

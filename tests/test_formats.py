@@ -2,6 +2,8 @@
 small FPNV parameter file or FPLF feature dump either loads or raises a
 FormatError naming the file, never another exception."""
 
+import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from fedlens.dumps import FPLF_HEADER, read_features, write_features
 from fedlens.errors import FormatError
 from fedlens.metrics import FeatureMatrix
-from fedlens.nn import Network, load_params, mlp_specs, save_params
+from fedlens.nn import (FPNV_MAGIC, FPNV_VERSION, Network, load_params, mlp_specs,
+                        save_params)
 
 
 def damaged(blob: bytes):
@@ -106,3 +109,46 @@ def test_non_finite_fpnv_payload_names_file_and_offset(tmp_path, value, where):
     with pytest.raises(FormatError, match=f"^{path}: non-finite parameter value "
                                           f"at offset {at}$"):
         load_params(path)
+
+
+def fpnv_of(tensors):
+    """An FPNV file of zero-valued tensors, each given as (layer, shape)."""
+    blob = FPNV_MAGIC + struct.pack("<HI", FPNV_VERSION, len(tensors))
+    for layer, shape in tensors:
+        blob += struct.pack(f"<IB{len(shape)}I", layer, len(shape), *shape)
+        blob += bytes(8 * math.prod(shape))
+    return blob
+
+
+# a 3 -> 2 first layer; its weight's header is at offset 10, its bias's at 71
+# and the next tensor's at 96
+FIRST = [(1, (2, 3)), (1, (2,))]
+
+
+@pytest.mark.parametrize("tensors, at", [
+    ([(7, (2, 3)), (7, (2,))], 10),                        # no layer 1
+    (FIRST + [(3, (2, 2)), (3, (2,))], 96),                # layer 2 skipped
+    (FIRST + [(2, (2, 4)), (2, (2,))], 96),                # widths do not link
+    ([(1, (2, 3)), (1, (3,))], 71),                        # bias of the wrong width
+    ([(1, (2,)), (1, (2,))], 10),                          # 1-D first tensor
+    ([(1, (2, 3)), (1, (2,)), (1, (4, 2)), (1, (4,))], 96),  # two maps, 3 -> 4
+    ([(1, (2, 3))], 10),                                   # weight without a bias
+    ([(1, (0, 3)), (1, (0,))], 10),                        # empty map
+], ids=["layer_7", "gap", "chain_width", "bias_width", "no_weight", "no_return",
+        "no_bias", "empty"])
+def test_bad_fpnv_layout_names_file_and_header_offset(tmp_path, tensors, at):
+    path = tmp_path / "model.fpnv"
+    path.write_bytes(fpnv_of(tensors))
+    with pytest.raises(FormatError, match=f"^{path}: .* at offset {at}$"):
+        load_params(path)
+
+
+def test_every_network_layout_loads(tmp_path):
+    # the chain rules accept what save_params writes, residual blocks included
+    path = tmp_path / "model.fpnv"
+    for specs in (mlp_specs(3, (4, 4), 2, residual=True, residual_width=5,
+                            residual_inner=3), mlp_specs(3, (), 2)):
+        net = Network(specs).init_random(seed=1)
+        save_params(net, path)
+        layout, values = load_params(path)
+        assert layout == net.layout and np.array_equal(values, net.values)

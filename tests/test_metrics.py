@@ -5,6 +5,9 @@ computes the same quantities through streaming sums and its own SVD."""
 import numpy as np
 import pytest
 from conftest import is_registered
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedlens.analysis import relative_change
 from fedlens.errors import ShapeError
@@ -227,6 +230,26 @@ class TestPairwiseDistances:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             pairwise_distances(np.ones((2, 3)), np.ones((3, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_scratch_buffers_give_the_plain_formulas_bit_for_bit(self, data):
+        # zeros, subnormals, shared and negated entries and sums past float64
+        values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0]))
+        a = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                              max_side=4), elements=values))
+        signs = data.draw(hnp.arrays(np.float64, a.shape, elements=st.sampled_from(
+            [1.0, -1.0, np.nan])))
+        b = data.draw(hnp.arrays(np.float64, a.shape, elements=values))
+        b = np.where(np.isnan(signs), b, signs * a)
+        with np.errstate(all="ignore"):
+            diff = np.abs(a - b)
+            denom = np.abs(a) + np.abs(b)
+            want = (np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0).mean(),
+                    ((a - b) ** 2).mean(), diff.mean())
+            d = pairwise_distances(a, b)
+        np.testing.assert_array_equal((d.l1_norm, d.mse, d.l1), want)
 
 
 class TestRelativeChange:
