@@ -13,8 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import (ACCURACY_CSV, METRICS_CSV, read_csv, records_to_csv,
-                       relative_change_records, write_csv)
+from .analysis import (ACCURACY_CSV, METRICS_CSV, read_csv, relative_change_records,
+                       write_csv)
 from .config import PRESETS, load_config, preset, render_config
 from .errors import ConfigError
 
@@ -68,7 +68,7 @@ def _cmd_export(args) -> int:
         records.extend(read_csv(acc_path))
     records.extend(relative_change_records(records))
     out = Path(args.out) if args.out else run_dir / "long.csv"
-    out.write_text(records_to_csv(records), newline="\n")
+    write_csv(records, out)
     print(f"wrote {out} ({len(records)} records)")
     return EXIT_OK
 

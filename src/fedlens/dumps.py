@@ -146,7 +146,7 @@ def metrics_from_dumps(dump_dir):
                 f"round {rnd} client {client} layer {layer}: missing {missing} dump, skipped")
             continue
         for fm in pair.values():
-            weights = {}
+            weight = None
             if fm.phase in snapshots:
                 snapshot, layout, values = snapshots[fm.phase]
                 weight = (layout.interface_weight(values, layer + 1)
@@ -155,9 +155,9 @@ def metrics_from_dumps(dump_dir):
                     raise FormatError(f"{snapshot}: no layer {layer + 1} weight taking the "
                                       f"{fm.dim} features of "
                                       f"{paths[(rnd, client, layer, fm.phase)]}")
-                weights[layer] = weight
-            records.extend(feature_records([fm], weights))
-        records.extend(distance_records(pair["pre"], pair["post"], rnd, client, layer))
+            records.extend(feature_records(fm, weight))
+        records.extend(distance_records(pair["pre"].values, pair["post"].values, rnd,
+                                        client, layer))
     for path in models.values():
         load_params(path)  # a snapshot without feature dumps is still checked
     records.extend(relative_change_records(records))

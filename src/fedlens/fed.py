@@ -20,6 +20,7 @@ from .config import personalized_layers
 from .data import ClientDataset, balanced_eval_subset
 from .dumps import write_round_dumps
 from .errors import NumericError, ShapeError
+from .linalg import as_matrix
 from .metrics import (accuracy, distance_records, extract_tap_features, feature_records,
                       linear_probe, walk_taps)
 from .nn import Network, mlp_specs, sgd_epochs
@@ -190,16 +191,17 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
                               round_index=r, client=m):
             t = pair[0].layer
             for net, fm in zip(pair_nets, pair):
-                records.extend(feature_records([fm], {t: net.interface_weight(t + 1)}))
+                records.extend(feature_records(fm, net.interface_weight(t + 1)))
                 if dump_dir is not None:
                     write_round_dumps(dump_dir, {t: fm}, r, m, fm.phase)
             if mt.distances:
-                records.extend(distance_records(*pair, r, m, t))
+                records.extend(distance_records(pair[0].values, pair[1].values, r, m, t))
         if mt.distances:
-            pre, post = (net.values for net in pair_nets)
+            # pairwise_distances does not scan its inputs: check each vector once here
+            pre, post = (as_matrix(net.values[None], "parameters") for net in pair_nets)
             for layer in range(1, num_layers + 1):
                 slc = layout.layer_slice(layer)
-                records.extend(distance_records(pre[slc], post[slc], r, m, layer,
+                records.extend(distance_records(pre[:, slc], post[:, slc], r, m, layer,
                                                 prefix="param_"))
 
     # every client starts from the same vector; from_vector copies it
@@ -234,10 +236,10 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
                             seed=derive_seed(fed.seed, "finetune", m, r))
                     t = num_layers - 1
                     records.extend(_accuracy_records(tuned, datasets[m], r, "tuned"))
-                    fms = extract_tap_features(tuned, *eval_sets[m], (t,), phase="tuned",
-                                               round_index=r, client=m)
-                    records.extend(feature_records(
-                        fms.values(), {t: tuned.interface_weight(t + 1)}, stats=()))
+                    fm = extract_tap_features(tuned, *eval_sets[m], (t,), phase="tuned",
+                                              round_index=r, client=m)[t]
+                    records.extend(feature_records(fm, tuned.interface_weight(t + 1),
+                                                   stats=()))
             if r in mt.probe_rounds:
                 records.extend(_probe_records(cfg, num_layers - 1, nets, post_nets,
                                               datasets, r))

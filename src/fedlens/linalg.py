@@ -7,8 +7,6 @@ singular values count as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError, ShapeError
@@ -24,32 +22,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD factors with a = u @ diag(s) @ v.T.
-
-    u has orthonormal columns (rows x k), s is non-negative and sorted
-    descending (length k = min(rows, cols)), v has orthonormal columns
-    (cols x k).
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return int(np.count_nonzero(self.s))
-
-
-def svd(a) -> SvdFactors:
+def svd(a):
     """Thin singular value decomposition through LAPACK (numpy.linalg.svd).
 
-    Singular values at or below max(rows, cols) * eps * s_max are set to
-    exactly 0.0, so `rank` counts only the numerically non-zero directions;
-    u and v stay orthonormal either way.
+    Returns (u, s, v) with a = u @ diag(s) @ v.T: u (rows x k) and v
+    (cols x k) have orthonormal columns, and s (length k = min(rows, cols))
+    is non-negative and sorted descending. Singular values at or below
+    max(rows, cols) * eps * s_max are set to exactly 0.0, so the rank is the
+    count of non-zero values in s; u and v stay orthonormal either way.
     """
     a = as_matrix(a)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     cutoff = max(a.shape) * np.finfo(np.float64).eps * s.max(initial=0.0)
-    return SvdFactors(u=u, s=np.where(s > cutoff, s, 0.0), v=vt.T)
+    return u, np.where(s > cutoff, s, 0.0), vt.T

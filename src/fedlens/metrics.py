@@ -27,7 +27,7 @@ from .errors import ShapeError
 from .nn import LayerSpec, Network, sgd_epochs
 from .seeds import derive_seed
 
-# ClassStats fields that every pre/post capture records per tap
+# class_stats values that every pre/post capture records per tap
 FEATURE_STATS = ("sigma_w", "sigma_b", "tr_w", "tr_b", "tr_t")
 
 
@@ -59,40 +59,6 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class ClassStats:
-    """Per-class means and scatter traces of one feature matrix."""
-
-    class_ids: np.ndarray
-    mu: np.ndarray        # (num observed classes, D) class means
-    mu_global: np.ndarray
-    tr_w: float
-    tr_b: float
-    tr_t: float
-    sigma_w: float
-    sigma_b: float
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class AlignmentResult:
-    """Principal-angle cosines between a feature subspace and a weight subspace."""
-
-    cosines: np.ndarray
-    mean_alignment: float
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class PairwiseDistances:
-    """Elementwise and row-wise distances between two equal-shape matrices."""
-
-    l1_norm: float
-    mse: float
-    l1: float
-    cosine: float
-
-
 def class_ids(labels) -> np.ndarray:
     """Sorted distinct class ids of a label array."""
     # a sort, not np.unique: numpy 2.4's unique imports numpy.ma, about 1 MB
@@ -100,65 +66,55 @@ def class_ids(labels) -> np.ndarray:
     return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
 
 
-def class_stats(features, labels=None) -> ClassStats:
-    """Class means plus within/between/total scatter traces.
+def class_stats(fm: FeatureMatrix):
+    """Class means plus within/between/total scatter traces of a FeatureMatrix.
 
-    Accepts a FeatureMatrix or a (values, labels) pair. If the total trace is
-    zero (all rows identical) the normalized variances are reported as zeros
-    and the result is flagged degenerate.
+    Returns (mu, stats): mu holds one row per observed class, in class id
+    order, and stats maps each FEATURE_STATS name to its value. If the total
+    trace is zero (all rows identical) the normalized variances are zeros.
     """
-    if isinstance(features, FeatureMatrix):
-        values, labels = features.values, features.labels
-    else:
-        values = linalg.as_matrix(features, "features")
-        labels = np.asarray(labels, dtype=int)
-    if len(labels) != len(values):
-        raise ShapeError("labels must match feature rows")
+    values, labels = fm.values, fm.labels
     n = len(values)
     ids = class_ids(labels)
-    mu = np.stack([values[labels == c].mean(axis=0) for c in ids])
-    mu_global = values.mean(axis=0)
+    mu = np.empty((len(ids), values.shape[1]))
     tr_w = 0.0
     for i, c in enumerate(ids):
-        dev = values[labels == c] - mu[i]
+        rows = values[labels == c]
+        mu[i] = rows.mean(axis=0)
+        dev = rows - mu[i]
         tr_w += float((dev * dev).sum())
     tr_w /= n
+    mu_global = values.mean(axis=0)
     diff = mu - mu_global
     tr_b = float((diff * diff).sum()) / len(ids)
     dev = values - mu_global
     tr_t = float((dev * dev).sum()) / n
-    if tr_t == 0.0:
-        return ClassStats(ids, mu, mu_global, tr_w, tr_b, tr_t,
-                          sigma_w=0.0, sigma_b=0.0, degenerate=True)
-    return ClassStats(ids, mu, mu_global, tr_w, tr_b, tr_t,
-                      sigma_w=tr_w / tr_t, sigma_b=tr_b / tr_t)
+    sigma = (0.0, 0.0) if tr_t == 0.0 else (tr_w / tr_t, tr_b / tr_t)
+    return mu, dict(zip(FEATURE_STATS, (*sigma, tr_w, tr_b, tr_t)))
 
 
-def pabs_alignment(class_means, next_weights) -> AlignmentResult:
-    """Mean principal-angle cosine between class-mean rows and weight input space.
+def pabs_alignment(class_means, next_weights) -> np.ndarray:
+    """Principal-angle cosines between class-mean rows and weight input space.
 
     The class-mean matrix (C x D) contributes the basis of its row space; the
     weight matrix that consumes these features (out x D) contributes its top-C
     input-space basis: the right singular vectors of its C largest non-zero
-    singular values, fewer when it has lower rank. Cosines are the singular
-    values of the basis cross product, clipped into [0, 1]. A rank-zero side
-    gives alignment 0 and a degenerate flag.
+    singular values, fewer when it has lower rank. The cosines are the
+    singular values of the basis cross product, clipped into [0, 1]; there
+    are none when either side has rank zero.
     """
     z = linalg.as_matrix(class_means, "class means")
     w = linalg.as_matrix(next_weights, "weights")
     if z.shape[1] != w.shape[1]:
         raise ShapeError(
             f"feature dim mismatch: class means {z.shape} vs weights {w.shape}")
-    c = z.shape[0]
-    fz = linalg.svd(z)
-    basis_z = fz.v[:, :fz.rank]
-    fw = linalg.svd(w)
-    basis_w = fw.v[:, :min(c, fw.rank)]
+    _, sz, vz = linalg.svd(z)
+    basis_z = vz[:, :np.count_nonzero(sz)]
+    _, sw, vw = linalg.svd(w)
+    basis_w = vw[:, :min(len(z), np.count_nonzero(sw))]
     if basis_z.shape[1] == 0 or basis_w.shape[1] == 0:
-        return AlignmentResult(np.zeros(0), 0.0, degenerate=True)
-    cross = basis_w.T @ basis_z
-    cosines = np.clip(linalg.svd(cross).s, 0.0, 1.0)
-    return AlignmentResult(cosines, float(cosines.mean()))
+        return np.zeros(0)
+    return np.clip(linalg.svd(basis_w.T @ basis_z)[1], 0.0, 1.0)
 
 
 def accuracy(logits, labels) -> float:
@@ -195,24 +151,15 @@ def linear_probe(train_features: FeatureMatrix, test_features: FeatureMatrix,
     return best
 
 
-def _as_rows(obj) -> np.ndarray:
-    if isinstance(obj, FeatureMatrix):
-        return obj.values
-    arr = np.asarray(obj, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return linalg.as_matrix(arr, "operand")
+def pairwise_distances(a, b) -> dict:
+    """Four scalar distances between two finite 2-D arrays of identical shape.
 
-
-def pairwise_distances(pre, post) -> PairwiseDistances:
-    """Four scalar distances between two matrices of identical shape.
-
-    l1_norm averages |a-b| / (|a|+|b|) elementwise (0 where both are 0);
-    mse and l1 are plain means; cosine averages row-wise cosine similarity
-    (1 when both rows are zero, 0 when exactly one is).
+    Returns {"l1_norm", "mse", "l1", "cos"}: l1_norm averages
+    |a-b| / (|a|+|b|) elementwise (0 where both are 0); mse and l1 are plain
+    means; cos averages row-wise cosine similarity (1 when both rows are
+    zero, 0 when exactly one is). The inputs are not checked for finiteness:
+    a FeatureMatrix's values already were.
     """
-    a = _as_rows(pre)
-    b = _as_rows(post)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     na = np.linalg.norm(a, axis=1)
@@ -236,7 +183,7 @@ def pairwise_distances(pre, post) -> PairwiseDistances:
     denom = np.maximum(np.abs(np.add(a, b, out=sq), out=sq), diff, out=sq)
     # where denom is 0, a = b = 0 and diff already holds the 0 the ratio gets
     l1_norm = float(np.divide(diff, denom, out=diff, where=denom > 0).mean())
-    return PairwiseDistances(l1_norm, mse, l1, cosine)
+    return {"l1_norm": l1_norm, "mse": mse, "l1": l1, "cos": cosine}
 
 
 def _average_ranks(values) -> np.ndarray:
@@ -299,31 +246,27 @@ def extract_tap_features(net: Network, x, labels, tap_layers=None,
                                                 batch_size, round_index, client)}
 
 
-def feature_records(taps, weights, stats=FEATURE_STATS):
-    """Feature-quality records of one capture, keyed by each matrix's context.
+def feature_records(fm: FeatureMatrix, weight=None, stats=FEATURE_STATS):
+    """Feature-quality records of one tapped FeatureMatrix, keyed by its context.
 
-    `taps` holds FeatureMatrix objects; each gives its round, phase, client
-    and tap layer to its records. `stats` names the ClassStats fields to
-    record. Alignment at tap l compares that tap's class means against
-    `weights[l]`, the first weight matrix of layer l+1, which consumes the
-    features; taps without a known weight get no alignment record.
+    The matrix gives its round, phase, client and tap layer to its records.
+    `stats` names the class_stats values to record. With `weight`, the first
+    weight matrix of layer l+1, which consumes the features of tap l, an
+    `alignment` record follows: the mean of the tap's class-mean cosines
+    against it, 0.0 when there are none (a rank-zero side).
     """
-    out = []
-    for fm in taps:
-        cs = class_stats(fm)
-        out.extend(MetricRecord(fm.round, fm.phase, fm.client, fm.layer, name,
-                                getattr(cs, name)) for name in stats)
-        w = weights.get(fm.layer)
-        if w is not None:
-            out.append(MetricRecord(fm.round, fm.phase, fm.client, fm.layer,
-                                    "alignment", pabs_alignment(cs.mu, w).mean_alignment))
+    mu, values = class_stats(fm)
+    out = [MetricRecord(fm.round, fm.phase, fm.client, fm.layer, name, values[name])
+           for name in stats]
+    if weight is not None:
+        cosines = pabs_alignment(mu, weight)
+        out.append(MetricRecord(fm.round, fm.phase, fm.client, fm.layer, "alignment",
+                                float(cosines.mean()) if cosines.size else 0.0))
     return out
 
 
 def distance_records(pre, post, round_index: int, client: int, layer: int,
                      prefix: str = ""):
     """The four pre/post distances as phase "delta" records named <prefix>dist_*."""
-    d = pairwise_distances(pre, post)
     return [MetricRecord(round_index, "delta", client, layer, f"{prefix}dist_{name}", value)
-            for name, value in (("l1_norm", d.l1_norm), ("mse", d.mse),
-                                ("l1", d.l1), ("cos", d.cosine))]
+            for name, value in pairwise_distances(pre, post).items()]

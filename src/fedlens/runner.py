@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ACCURACY_CSV, METRICS_CSV, records_to_csv
+from .analysis import ACCURACY_CSV, METRICS_CSV, write_csv
 from .config import ExperimentConfig, personalized_layers, render_config
 from .data import ClientDataset, generate_federation_data, load_idx, make_domain_specs
 from .errors import ConfigError, NumericError
@@ -102,7 +102,7 @@ def run_to_dir(cfg: ExperimentConfig) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     acc = [r for r in records if r.metric in ACCURACY_METRICS]
     rest = [r for r in records if r.metric not in ACCURACY_METRICS]
-    (out_dir / METRICS_CSV).write_text(records_to_csv(rest), newline="\n")
-    (out_dir / ACCURACY_CSV).write_text(records_to_csv(acc), newline="\n")
+    write_csv(rest, out_dir / METRICS_CSV)
+    write_csv(acc, out_dir / ACCURACY_CSV)
     (out_dir / MANIFEST).write_text(_render_manifest(cfg), newline="\n")
     return out_dir

@@ -17,7 +17,7 @@ from fedlens.config import parse_config, preset
 from fedlens.data import generate_federation_data, make_domain_specs
 from fedlens.dumps import metrics_from_dumps
 from fedlens.fed import aggregate, client_round_seed, run_federation
-from fedlens.metrics import class_stats, pabs_alignment, spearman
+from fedlens.metrics import FeatureMatrix, class_stats, pabs_alignment, spearman
 from fedlens.nn import LayerSpec, Network, mlp_specs, sgd_epochs
 from fedlens.runner import execute, run_to_dir
 from fedlens.seeds import derive_seed
@@ -166,9 +166,9 @@ def test_metric_kernels_match_independent_oracles():
         labels = rng.integers(0, c, size=n)
         labels[:c] = np.arange(c)  # every class observed
         values = rng.normal(size=(n, d)) + 3.0 * rng.normal(size=(c, d))[labels]
-        cs = class_stats(values, labels)
+        _, cs = class_stats(FeatureMatrix(values, labels))
         want = dense_covariance_stats(values, labels)
-        got = (cs.tr_w, cs.tr_b, cs.tr_t, cs.sigma_w, cs.sigma_b)
+        got = (cs["tr_w"], cs["tr_b"], cs["tr_t"], cs["sigma_w"], cs["sigma_b"])
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-10 * max(abs(w), 1e-12)
     for _ in range(50):
@@ -177,15 +177,15 @@ def test_metric_kernels_match_independent_oracles():
         d = int(rng.integers(2, 30))
         labels = np.repeat(np.arange(c), per)
         values = rng.normal(size=(c * per, d)) + rng.normal(size=(c, d))[labels]
-        cs = class_stats(values, labels)
-        assert abs(cs.sigma_w + cs.sigma_b - 1.0) <= 1e-8
+        _, cs = class_stats(FeatureMatrix(values, labels))
+        assert abs(cs["sigma_w"] + cs["sigma_b"] - 1.0) <= 1e-8
     for _ in range(100):
         c = int(rng.integers(2, 9))
         d = int(rng.integers(c, 31))
         k = int(rng.integers(c, 21))
         mu = rng.normal(size=(c, d))
         w = rng.normal(size=(k, d))
-        got = np.sort(pabs_alignment(mu, w).cosines)[::-1]
+        got = np.sort(pabs_alignment(mu, w))[::-1]
         want = np.sort(oracle_pabs(mu, w))[::-1]
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-8

@@ -51,26 +51,31 @@ def oracle_pabs(class_means, weights):
     return np.clip(cos, 0.0, 1.0)
 
 
+def stats_of(values, labels):
+    """class_stats values of a plain (values, labels) pair."""
+    return class_stats(FeatureMatrix(values, labels))[1]
+
+
 class TestClassStats:
     def test_point_classes(self):
         e1 = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        cs = class_stats(e1, [0, 1])
-        assert cs.sigma_w == 0.0
-        assert cs.sigma_b == pytest.approx(1.0, abs=1e-15)
+        cs = stats_of(e1, [0, 1])
+        assert cs["sigma_w"] == 0.0
+        assert cs["sigma_b"] == pytest.approx(1.0, abs=1e-15)
 
     def test_single_class(self):
-        cs = class_stats(np.array([[0.0, 1.0], [0.0, 3.0]]), [2, 2])
-        assert cs.tr_b == 0.0
-        assert cs.sigma_w == pytest.approx(1.0, abs=1e-15)
+        cs = stats_of(np.array([[0.0, 1.0], [0.0, 3.0]]), [2, 2])
+        assert cs["tr_b"] == 0.0
+        assert cs["sigma_w"] == pytest.approx(1.0, abs=1e-15)
 
     def test_hand_worked_example(self):
         values = np.array([[0.0, 0], [2, 0], [4, 0], [6, 0]])
-        cs = class_stats(values, [0, 0, 1, 1])
-        assert cs.tr_w == pytest.approx(1.0, abs=1e-12)
-        assert cs.tr_b == pytest.approx(4.0, abs=1e-12)
-        assert cs.tr_t == pytest.approx(5.0, abs=1e-12)
-        assert cs.sigma_w == pytest.approx(0.2, abs=1e-12)
-        assert cs.sigma_b == pytest.approx(0.8, abs=1e-12)
+        cs = stats_of(values, [0, 0, 1, 1])
+        assert cs["tr_w"] == pytest.approx(1.0, abs=1e-12)
+        assert cs["tr_b"] == pytest.approx(4.0, abs=1e-12)
+        assert cs["tr_t"] == pytest.approx(5.0, abs=1e-12)
+        assert cs["sigma_w"] == pytest.approx(0.2, abs=1e-12)
+        assert cs["sigma_b"] == pytest.approx(0.8, abs=1e-12)
 
     def test_streaming_matches_dense_oracle(self):
         rng = np.random.default_rng(17)
@@ -81,9 +86,9 @@ class TestClassStats:
             labels = rng.integers(0, c, size=n)
             labels[:c] = np.arange(c)  # every class present
             values = rng.normal(size=(n, d)) + 2.0 * labels[:, None]
-            cs = class_stats(values, labels)
+            cs = stats_of(values, labels)
             oracle = dense_covariance_stats(values, labels)
-            mine = (cs.tr_w, cs.tr_b, cs.tr_t, cs.sigma_w, cs.sigma_b)
+            mine = (cs["tr_w"], cs["tr_b"], cs["tr_t"], cs["sigma_w"], cs["sigma_b"])
             for got, want in zip(mine, oracle):
                 assert abs(got - want) / max(abs(want), 1e-12) < 1e-10
 
@@ -93,29 +98,29 @@ class TestClassStats:
             c, per = 4, 30
             labels = np.repeat(np.arange(c), per)
             values = rng.normal(size=(c * per, 12)) + 3.0 * labels[:, None]
-            cs = class_stats(values, labels)
-            assert abs(cs.tr_t - (cs.tr_w + cs.tr_b)) <= 1e-8 * cs.tr_t
-            assert cs.sigma_w + cs.sigma_b == pytest.approx(1.0, abs=1e-8)
-            assert 0.0 <= cs.sigma_w <= 1.0 and 0.0 <= cs.sigma_b <= 1.0
+            cs = stats_of(values, labels)
+            assert abs(cs["tr_t"] - (cs["tr_w"] + cs["tr_b"])) <= 1e-8 * cs["tr_t"]
+            assert cs["sigma_w"] + cs["sigma_b"] == pytest.approx(1.0, abs=1e-8)
+            assert 0.0 <= cs["sigma_w"] <= 1.0 and 0.0 <= cs["sigma_b"] <= 1.0
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(21)
         values = rng.normal(size=(60, 8))
         labels = rng.integers(0, 3, size=60)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-        a = class_stats(values, labels)
-        b = class_stats(values @ q, labels)
-        assert abs(a.sigma_w - b.sigma_w) < 1e-8
-        assert abs(a.sigma_b - b.sigma_b) < 1e-8
+        a = stats_of(values, labels)
+        b = stats_of(values @ q, labels)
+        assert abs(a["sigma_w"] - b["sigma_w"]) < 1e-8
+        assert abs(a["sigma_b"] - b["sigma_b"]) < 1e-8
 
     def test_degenerate_all_identical(self):
-        cs = class_stats(np.ones((4, 3)), [0, 0, 1, 1])
-        assert cs.degenerate
-        assert cs.sigma_w == 0.0 and cs.sigma_b == 0.0
+        cs = stats_of(np.ones((4, 3)), [0, 0, 1, 1])
+        assert cs["tr_t"] == 0.0  # degenerate: no total scatter
+        assert cs["sigma_w"] == 0.0 and cs["sigma_b"] == 0.0
 
     def test_label_length_mismatch(self):
         with pytest.raises(ShapeError):
-            class_stats(np.ones((3, 2)), [0, 1])
+            stats_of(np.ones((3, 2)), [0, 1])
 
 
 class TestPabsAlignment:
@@ -124,22 +129,22 @@ class TestPabsAlignment:
         # input subspace
         means = np.array([[1.0, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0]])
         weights = np.diag([5.0, 4.0, 3.0, 0.01])[:3]
-        res = pabs_alignment(means, weights)
-        assert res.cosines.shape == (3,)
-        assert res.mean_alignment == pytest.approx(1.0, abs=1e-8)
+        cosines = pabs_alignment(means, weights)
+        assert cosines.shape == (3,)
+        assert cosines.mean() == pytest.approx(1.0, abs=1e-8)
 
     def test_orthogonal_subspaces(self):
         means = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0]])
         weights = np.array([[0.0, 0, 1, 0], [0, 0, 0, 1]])
-        res = pabs_alignment(means, weights)
-        assert res.mean_alignment == pytest.approx(0.0, abs=1e-8)
+        cosines = pabs_alignment(means, weights)
+        assert cosines.mean() == pytest.approx(0.0, abs=1e-8)
 
     def test_half_overlap(self):
         means = np.array([[1.0, 0, 0], [0, 1, 0]])
         weights = np.array([[1.0, 0, 0], [0, 0, 1]])
-        res = pabs_alignment(means, weights)
-        assert np.allclose(np.sort(res.cosines), [0.0, 1.0], atol=1e-8)
-        assert res.mean_alignment == pytest.approx(0.5, abs=1e-8)
+        cosines = pabs_alignment(means, weights)
+        assert np.allclose(np.sort(cosines), [0.0, 1.0], atol=1e-8)
+        assert cosines.mean() == pytest.approx(0.5, abs=1e-8)
 
     def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(23)
@@ -149,22 +154,22 @@ class TestPabsAlignment:
             out = int(rng.integers(c, 11))
             means = rng.normal(size=(c, d))
             weights = rng.normal(size=(out, d))
-            res = pabs_alignment(means, weights)
+            cosines = pabs_alignment(means, weights)
             want = oracle_pabs(means, weights)
-            assert res.cosines.shape == want.shape
-            assert np.abs(np.sort(res.cosines) - np.sort(want)).max() < 1e-8
+            assert cosines.shape == want.shape
+            assert np.abs(np.sort(cosines) - np.sort(want)).max() < 1e-8
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(29)
         means = rng.normal(size=(3, 7))
         weights = rng.normal(size=(5, 7))
-        base = pabs_alignment(means, weights).cosines
-        scaled = pabs_alignment(3.7 * means, 0.02 * weights).cosines
+        base = pabs_alignment(means, weights)
+        scaled = pabs_alignment(3.7 * means, 0.02 * weights)
         assert np.abs(base - scaled).max() < 1e-8
 
     def test_zero_class_means_degenerate(self):
-        res = pabs_alignment(np.zeros((2, 4)), np.eye(4))
-        assert res.degenerate and res.mean_alignment == 0.0
+        # a rank-zero side gives no cosines; feature_records records 0.0
+        assert pabs_alignment(np.zeros((2, 4)), np.eye(4)).size == 0
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
@@ -205,27 +210,27 @@ class TestPairwiseDistances:
     def test_identical_inputs(self):
         a = np.random.default_rng(37).normal(size=(5, 4))
         d = pairwise_distances(a, a.copy())
-        assert (d.l1_norm, d.mse, d.l1, d.cosine) == (0.0, 0.0, 0.0, 1.0)
+        assert (d["l1_norm"], d["mse"], d["l1"], d["cos"]) == (0.0, 0.0, 0.0, 1.0)
 
     def test_unit_basis_rows(self):
         d = pairwise_distances(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        assert d.l1_norm == pytest.approx(1.0)
-        assert d.mse == pytest.approx(1.0)
-        assert d.l1 == pytest.approx(1.0)
-        assert d.cosine == pytest.approx(0.0, abs=1e-15)
+        assert d["l1_norm"] == pytest.approx(1.0)
+        assert d["mse"] == pytest.approx(1.0)
+        assert d["l1"] == pytest.approx(1.0)
+        assert d["cos"] == pytest.approx(0.0, abs=1e-15)
 
     def test_antipodal_rows(self):
         v = np.array([[1.0, 2.0, -3.0]])
-        assert pairwise_distances(v, -v).cosine == pytest.approx(-1.0)
+        assert pairwise_distances(v, -v)["cos"] == pytest.approx(-1.0)
 
     def test_zero_norm_conventions(self):
         a = np.array([[0.0, 0.0], [1.0, 0.0]])
         b = np.array([[0.0, 0.0], [0.0, 0.0]])
         d = pairwise_distances(a, b)
         # row 1: both zero -> cosine 1; row 2: one zero -> cosine 0
-        assert d.cosine == pytest.approx(0.5)
+        assert d["cos"] == pytest.approx(0.5)
         # elementwise 0/0 counts as zero distance
-        assert d.l1_norm == pytest.approx(0.25)
+        assert d["l1_norm"] == pytest.approx(0.25)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -249,7 +254,7 @@ class TestPairwiseDistances:
             want = (np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0).mean(),
                     ((a - b) ** 2).mean(), diff.mean())
             d = pairwise_distances(a, b)
-        np.testing.assert_array_equal((d.l1_norm, d.mse, d.l1), want)
+        np.testing.assert_array_equal((d["l1_norm"], d["mse"], d["l1"]), want)
 
 
 class TestRelativeChange:
@@ -290,7 +295,7 @@ class TestCaptureRecords:
                              phase="post", round=4, client=1)
 
     def test_keys_come_from_the_feature_matrix(self):
-        records = feature_records([self.fm()], {})
+        records = feature_records(self.fm())
         assert {(r.round, r.phase, r.client, r.layer) for r in records} == {(4, "post", 1, 2)}
         # no weight for the tap: variances only, no alignment
         assert [r.metric for r in records] == list(FEATURE_STATS)
@@ -298,23 +303,35 @@ class TestCaptureRecords:
     def test_alignment_only_capture(self):
         fm = self.fm()
         w = np.random.default_rng(54).normal(size=(5, 4))
-        records = feature_records([fm], {2: w}, stats=())
+        records = feature_records(fm, w, stats=())
         assert [r.metric for r in records] == ["alignment"]
-        assert records[0].value == pabs_alignment(class_stats(fm).mu, w).mean_alignment
+        assert records[0].value == pabs_alignment(class_stats(fm)[0], w).mean()
+
+    def test_degenerate_captures_record_zeros(self):
+        # all rows identical: no scatter at all, so both sigmas are 0
+        same = FeatureMatrix(np.ones((4, 3)), [0, 0, 1, 1], layer=1)
+        values = {r.metric: r.value for r in feature_records(same)}
+        assert values["sigma_w"] == 0.0 and values["sigma_b"] == 0.0
+        # zero class means have rank 0: no cosines, and an alignment of exactly 0
+        zero = FeatureMatrix(np.zeros((4, 3)), [0, 0, 1, 1], layer=1)
+        records = feature_records(zero, np.eye(3))
+        assert records[-1].metric == "alignment" and records[-1].value == 0.0
 
     def test_distance_records_carry_the_prefix(self):
         rng = np.random.default_rng(55)
-        a, b = rng.normal(size=(2, 7))
+        a, b = rng.normal(size=(2, 1, 7))
         d = pairwise_distances(a, b)
         records = distance_records(a, b, 3, 0, 1, prefix="param_")
         assert {r.metric: r.value for r in records} == {
-            "param_dist_l1_norm": d.l1_norm, "param_dist_mse": d.mse,
-            "param_dist_l1": d.l1, "param_dist_cos": d.cosine}
+            "param_dist_l1_norm": d["l1_norm"], "param_dist_mse": d["mse"],
+            "param_dist_l1": d["l1"], "param_dist_cos": d["cos"]}
         assert {(r.round, r.phase, r.client, r.layer) for r in records} == {(3, "delta", 0, 1)}
 
 
-def interface_weights(net):
-    return {t: net.interface_weight(t + 1) for t in range(net.num_layers)}
+def tap_records(net, taps):
+    """feature_records of every tap, each against its interface weight."""
+    return [r for t, fm in taps.items()
+            for r in feature_records(fm, net.interface_weight(t + 1))]
 
 
 class TestTapSweep:
@@ -332,9 +349,8 @@ class TestTapSweep:
         net, x, labels = self.make_net_and_data()
         full = extract_tap_features(net, x, labels, batch_size=len(x))
         batched = extract_tap_features(net, x, labels, batch_size=16)
-        weights = interface_weights(net)
-        rec_full = feature_records(full.values(), weights)
-        rec_batched = feature_records(batched.values(), weights)
+        rec_full = tap_records(net, full)
+        rec_batched = tap_records(net, batched)
         assert len(rec_full) == len(rec_batched)
         for a, b in zip(rec_full, rec_batched):
             assert (a.layer, a.metric) == (b.layer, b.metric)
@@ -347,14 +363,14 @@ class TestTapSweep:
             tensors[0][...] = np.eye(dim)
         _, x, labels = self.make_net_and_data()
         taps = extract_tap_features(net, x, labels)
-        base = class_stats(taps[0]).sigma_w
+        base = class_stats(taps[0])[1]["sigma_w"]
         for t, fm in taps.items():
-            assert class_stats(fm).sigma_w == pytest.approx(base, abs=1e-12)
+            assert class_stats(fm)[1]["sigma_w"] == pytest.approx(base, abs=1e-12)
 
     def test_record_count_and_registered_names(self):
         net, x, labels = self.make_net_and_data()
         taps = extract_tap_features(net, x, labels)
-        records = feature_records(taps.values(), interface_weights(net))
+        records = tap_records(net, taps)
         assert len(records) == net.num_layers * 6  # 6 metrics per tap
         assert all(is_registered(r.metric) for r in records)
 
