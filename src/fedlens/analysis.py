@@ -67,8 +67,11 @@ def write_csv(records, path) -> None:
 
 def read_csv(path):
     """Parse a metric CSV written by this package back into records."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text at offset {exc.start}") from None
     if not lines or lines[0] != CSV_HEADER:
         raise FormatError(f"{path}: expected header {CSV_HEADER!r}")
     records = []

@@ -10,6 +10,7 @@ run manifests embed.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -111,9 +112,9 @@ class Domain:
 
     `kind` is at_least (at least `arg`), finite, positive (in (0, inf)),
     unit (in [0, 1)), one_of (a member of the tuple `arg`), text (not
-    empty), entries (every list entry at least `arg`) or widths (entries,
-    and at least one). `bound` names the values in error messages and in
-    README's rule list.
+    empty, and no note), noteless (no note), entries (every list entry at
+    least `arg`) or widths (entries, and at least one). `bound` names the
+    values in error messages and in README's rule list.
     """
 
     kind: str
@@ -128,6 +129,9 @@ class Domain:
         return _KINDS[self.kind][1](value, self.arg)
 
 
+# a `#` after whitespace: the format keeps it as part of a value, so a note
+# after a path would name another directory
+_NOTE = re.compile(r"\s#")
 # domain kind -> (bound, test of a value v against the domain's arg a); the
 # range tests are written so that NaN fails them
 _KINDS = {
@@ -136,7 +140,8 @@ _KINDS = {
     "positive": ("in (0, inf)", lambda v, a: 0.0 < v < math.inf),
     "unit": ("in [0, 1)", lambda v, a: 0.0 <= v < 1.0),
     "one_of": ("one of {}", lambda v, a: v in a),
-    "text": ("non-empty text", lambda v, a: bool(v)),
+    "text": ("non-empty text without a # note", lambda v, a: bool(v) and not _NOTE.search(v)),
+    "noteless": ("text without a # note", lambda v, a: not _NOTE.search(v)),
     "entries": ("entries at least {}", lambda v, a: all(x >= a for x in v)),
     "widths": ("non-empty, entries at least {}",
                lambda v, a: bool(v) and all(x >= a for x in v)),
@@ -158,6 +163,7 @@ RULES = {
     "data.offset_scale": Domain("finite"),
     "data.rotation": Domain("one_of", ("random", "identity")),
     "data.label_noise": Domain("unit"),
+    "data.idx_dir": Domain("noteless"),
     "model.hidden": Domain("widths", 1),
     "model.activation": Domain("one_of", ("relu", "linear")),
     "model.residual_width": Domain("at_least", 0),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import FormatError
 from .metrics import class_ids
 from .seeds import derive_seed
 
@@ -31,26 +31,12 @@ class DomainSpec:
     label is flipped to a uniformly random other class.
     """
 
-    num_classes: int
-    input_dim: int
-    class_means: np.ndarray  # (num_classes, input_dim)
+    class_means: np.ndarray  # (classes, input_dim)
     within_class_scale: float
     rotation: np.ndarray     # (input_dim, input_dim), orthogonal
     scaling: np.ndarray      # (input_dim,)
     offset: np.ndarray       # (input_dim,)
     label_noise: float = 0.0
-
-    def __post_init__(self):
-        c, n = self.num_classes, self.input_dim
-        if self.class_means.shape != (c, n):
-            raise ShapeError(f"class_means must be ({c}, {n})")
-        if self.rotation.shape != (n, n):
-            raise ShapeError(f"rotation must be ({n}, {n})")
-        err = np.abs(self.rotation.T @ self.rotation - np.eye(n)).max()
-        if err > 1e-10:
-            raise ShapeError(f"rotation is not orthogonal (error {err:.2e})")
-        if self.scaling.shape != (n,) or self.offset.shape != (n,):
-            raise ShapeError(f"scaling and offset must be ({n},)")
 
     def transform(self, v: np.ndarray) -> np.ndarray:
         """Apply the domain distortion to rows of v."""
@@ -98,14 +84,13 @@ def make_domain_specs(num_clients: int, num_classes: int, input_dim: int, seed: 
         scaling = rng.uniform(lo, hi, size=input_dim)
         offset = rng.normal(size=input_dim) * offset_scale
         specs.append(DomainSpec(
-            num_classes=num_classes, input_dim=input_dim, class_means=anchors,
-            within_class_scale=within_class_scale, rotation=rot,
+            class_means=anchors, within_class_scale=within_class_scale, rotation=rot,
             scaling=scaling, offset=offset, label_noise=label_noise))
     return specs
 
 
 def _draw_split(spec: DomainSpec, count: int, balanced: bool, rng, with_noise: bool):
-    c = spec.num_classes
+    c, dim = spec.class_means.shape
     if balanced:
         per = count // c
         rem = count - per * c
@@ -113,7 +98,7 @@ def _draw_split(spec: DomainSpec, count: int, balanced: bool, rng, with_noise: b
         labels = np.repeat(np.arange(c), counts)
     else:
         labels = rng.integers(0, c, size=count)
-    g = rng.normal(size=(count, spec.input_dim))
+    g = rng.normal(size=(count, dim))
     x = spec.transform(spec.class_means[labels] + spec.within_class_scale * g)
     if with_noise and spec.label_noise > 0:
         flip = rng.random(count) < spec.label_noise
@@ -126,13 +111,6 @@ def _draw_split(spec: DomainSpec, count: int, balanced: bool, rng, with_noise: b
 def generate_federation_data(specs, n_train: int, n_test: int, seed: int,
                              balanced: bool = True):
     """Draw deterministic train/test splits for every client."""
-    if not specs:
-        raise ConfigError("need at least one domain spec", field="data")
-    base = specs[0]
-    for sp in specs:
-        if (sp.num_classes, sp.input_dim) != (base.num_classes, base.input_dim):
-            raise ConfigError("domain specs disagree on classes or input dim",
-                              field="data")
     datasets = []
     for m, sp in enumerate(specs):
         rng = np.random.default_rng(derive_seed(seed, "samples", m))

@@ -11,7 +11,6 @@ fresh every round.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,24 +24,6 @@ from .metrics import (accuracy, distance_records, extract_tap_features, feature_
                       linear_probe, walk_taps)
 from .nn import Network, mlp_specs, sgd_epochs
 from .seeds import derive_seed
-
-
-@dataclass
-class RoundState:
-    """Snapshot of one round: locally trained, averaged, and spliced vectors."""
-
-    round: int
-    pre: list
-    shared: np.ndarray
-    post: list
-
-
-@dataclass
-class RunResult:
-    """A run's sorted records and its last round; the rest derives from the config."""
-
-    records: list
-    final: RoundState
 
 
 def aggregate(rows, counts) -> np.ndarray:
@@ -64,10 +45,12 @@ def aggregate(rows, counts) -> np.ndarray:
     if not (weights > 0).all():
         raise ShapeError("sample counts must be positive")
     order = sorted(range(len(rows)), key=lambda i: (weights[i], rows[i].tobytes()))
+    # the envelope too: which of 0.0 and -0.0 np.minimum returns depends on order
+    rows = [rows[i] for i in order]
     total = weights.sum()
     acc = np.zeros_like(rows[0])
-    for i in order:
-        acc += (weights[i] / total) * rows[i]
+    for i, row in zip(order, rows):
+        acc += (weights[i] / total) * row
     np.clip(acc, np.minimum.reduce(rows), np.maximum.reduce(rows), out=acc)
     return acc
 
@@ -132,8 +115,9 @@ def build_arch(cfg):
                      residual_inner=cfg.model.residual_inner)
 
 
-def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
-    """Run an ExperimentConfig's rounds of train/aggregate/splice with capture.
+def run_federation(cfg, datasets, dump_dir=None) -> list:
+    """Run an ExperimentConfig's rounds of train/aggregate/splice with capture;
+    returns the sorted records.
 
     `cfg` has passed `validate_config`; there is one client per dataset.
     Every client starts from the seeded random init, first trained on the
@@ -145,10 +129,13 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
     distances; the two walk that data together one layer at a time
     (`walk_taps`), so a capture holds one pre/post tap pair. In the
     finetune scenario each post model's classifier is retrained and
-    captured as phase "tuned": accuracy and the penultimate alignment only. Captures only read the models, so neither capture order
-    nor client order affects results. A NumericError from pretraining names
-    that stage; one from local training or fine-tuning names its round,
-    client and stage.
+    captured as phase "tuned": accuracy and the penultimate alignment only.
+    Captures only read the models, so neither capture order nor client
+    order affects results. With `dump_dir` set, each capture's feature
+    matrices are dumped there, and with `output.dump_models` its pre and
+    post models too. A NumericError from pretraining names that stage;
+    one from local training or fine-tuning names its round, client and
+    stage.
     """
     fed, mt = cfg.fed, cfg.metrics
     arch = build_arch(cfg)
@@ -245,7 +232,7 @@ def run_federation(cfg, datasets, dump_dir=None) -> RunResult:
                                               datasets, r))
 
     records.sort(key=MetricRecord.sort_key)
-    return RunResult(records, RoundState(fed.rounds, trained, shared, client_params))
+    return records
 
 
 def _probe_records(cfg, t, pre_nets, post_nets, datasets, r):

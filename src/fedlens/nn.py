@@ -61,10 +61,6 @@ class LayerSpec:
         return [(a, b, i < self.inner_layers - 1)
                 for i, (a, b) in enumerate(zip(dims, dims[1:]))]
 
-    def tensor_shapes(self):
-        """Canonical parameter tensor shapes: each map's weight, then its bias."""
-        return [shape for a, b, _ in self.maps() for shape in ((b, a), (b,))]
-
 
 @dataclass(frozen=True, slots=True)
 class LayoutEntry:
@@ -115,10 +111,10 @@ class Network:
     """A chain of LayerSpec layers ending in a linear classifier.
 
     All parameters live in one contiguous float64 vector, `values`, laid out
-    as `layout` says; `params[l][i]` is a reshaped view of tensor i of layer
-    l + 1, so writes through either form show up in the other. The final
-    layer's out_dim is the class count; training minimizes mean softmax
-    cross-entropy of the logits.
+    as `layout` says: per layer, each affine map's weight, then its bias.
+    The kernels read the maps through reshaped views of `values`, so a write
+    through a view shows up in the vector. The final layer's out_dim is the
+    class count; training minimizes mean softmax cross-entropy of the logits.
     """
 
     def __init__(self, specs):
@@ -130,27 +126,22 @@ class Network:
                 raise ShapeError(
                     f"layer dims do not chain: {a.out_dim} then {b.in_dim}")
         self.specs = specs
+        self.values = np.zeros(sum(b * (a + 1) for spec in specs
+                                   for a, b, _ in spec.maps()))
+        # per layer, each map's (weight, bias, relu after, offset of the weight
+        # in `values`); its bias follows the weight
+        self._maps = []
         entries, offset = [], 0
         for layer, spec in enumerate(specs, start=1):
-            for shape in spec.tensor_shapes():
-                entries.append(LayoutEntry(layer=layer, shape=shape, offset=offset))
-                offset += entries[-1].size
+            maps = []
+            for a, b, relu in spec.maps():
+                mid = offset + a * b
+                maps.append((self.values[offset:mid].reshape(b, a),
+                             self.values[mid:mid + b], relu, offset))
+                entries += [LayoutEntry(layer, (b, a), offset), LayoutEntry(layer, (b,), mid)]
+                offset = mid + b
+            self._maps.append(maps)
         self.layout = Layout(entries)
-        # a plain tuple: loss_and_grad reads a layer's start on every minibatch
-        self._layer_starts = tuple(self.layout.layer_slice(layer).start
-                                   for layer in range(1, len(specs) + 1))
-        self.values = np.zeros(offset)
-        self.params = [[] for _ in specs]
-        offsets = [[] for _ in specs]
-        for e in entries:
-            self.params[e.layer - 1].append(self.values[e.offset:e.offset + e.size]
-                                            .reshape(e.shape))
-            offsets[e.layer - 1].append(e.offset)
-        # built once for the kernels: per layer, each map's (weight, bias, relu
-        # after, offset of the weight in `values`); its bias follows the weight
-        self._maps = [list(zip(t[0::2], t[1::2], [relu for _, _, relu in spec.maps()],
-                               o[0::2]))
-                      for spec, t, o in zip(specs, self.params, offsets)]
 
     @property
     def num_layers(self) -> int:
@@ -168,18 +159,16 @@ class Network:
         """Offset in `values` where the parameters of a 1-based layer begin."""
         if not 1 <= layer <= self.num_layers:
             raise ShapeError(f"layer index {layer} out of range 1..{self.num_layers}")
-        return self._layer_starts[layer - 1]
+        return self._maps[layer - 1][0][3]
 
     def init_random(self, seed: int = 0) -> "Network":
         """Uniform weights in +-1/sqrt(fan_in); biases zero. Deterministic."""
         rng = np.random.default_rng(seed)
-        for tensors in self.params:
-            for arr in tensors:
-                if arr.ndim == 2:
-                    bound = 1.0 / np.sqrt(arr.shape[1])
-                    arr[...] = rng.uniform(-bound, bound, size=arr.shape)
-                else:
-                    arr[...] = 0.0
+        for maps in self._maps:
+            for w, b, _, _ in maps:
+                bound = 1.0 / np.sqrt(w.shape[1])
+                w[...] = rng.uniform(-bound, bound, size=w.shape)
+                b[...] = 0.0
         return self
 
     def flatten(self) -> np.ndarray:

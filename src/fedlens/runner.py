@@ -10,7 +10,7 @@ from .analysis import ACCURACY_CSV, METRICS_CSV, write_csv
 from .config import ExperimentConfig, personalized_layers, render_config
 from .data import ClientDataset, generate_federation_data, load_idx, make_domain_specs
 from .errors import ConfigError, NumericError
-from .fed import RunResult, client_round_seed, run_federation
+from .fed import client_round_seed, run_federation
 from .seeds import derive_seed
 
 MANIFEST = "manifest.txt"
@@ -45,8 +45,9 @@ def build_datasets(cfg: ExperimentConfig):
 # the finite checks report overflow and divergence; numpy's warnings would
 # only repeat it on stderr
 @np.errstate(all="ignore")
-def execute(cfg: ExperimentConfig, dump_dir=None) -> RunResult:
-    """Run one experiment in memory; file writing happens in run_to_dir."""
+def execute(cfg: ExperimentConfig, dump_dir=None) -> list:
+    """Run one experiment in memory and return its sorted records; file writing
+    happens in run_to_dir."""
     d, per_class = cfg.data, cfg.metrics.eval_per_class
     datasets = build_datasets(cfg)
     for ds in datasets:
@@ -97,7 +98,7 @@ def run_to_dir(cfg: ExperimentConfig) -> Path:
     """Execute and write metrics.csv, accuracy.csv, manifest.txt, and dumps."""
     out_dir = Path(cfg.output.dir)
     dump_dir = out_dir / DUMP_SUBDIR if cfg.output.dump_features else None
-    records = execute(cfg, dump_dir=dump_dir).records
+    records = execute(cfg, dump_dir=dump_dir)
     # only now, so a run that fails leaves no empty directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
     acc = [r for r in records if r.metric in ACCURACY_METRICS]

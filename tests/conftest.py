@@ -1,14 +1,19 @@
-"""Shared test plumbing: session timing, suite ordering, record lookups and
-the registry of metric names.
+"""Shared test plumbing: session timing, suite ordering, record lookups, the
+registry of metric names, and views of a run's or a network's parameters.
 
 The acceptance module asserts a wall-clock budget for the whole suite, so
 it must run last; everything else keeps collection order.
 """
 
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 from fedlens.config import ExperimentConfig, validate_config
+from fedlens.dumps import model_filename
+from fedlens.fed import run_federation
+from fedlens.nn import load_params
 
 _SESSION_START = time.monotonic()
 
@@ -77,3 +82,29 @@ def mean_over(records, metric, layers=None, rounds=None, phase=None, clients=Non
     for r in chosen:
         per_layer.setdefault(r.layer, []).append(r.value)
     return {layer: sum(vals) / len(vals) for layer, vals in sorted(per_layer.items())}
+
+
+def param_views(net):
+    """Each layer's parameter tensors as views of `net.values`, placed by
+    `net.layout`: per map, its weight, then its bias."""
+    out = [[] for _ in net.specs]
+    for e in net.layout:
+        out[e.layer - 1].append(net.values[e.offset:e.offset + e.size].reshape(e.shape))
+    return out
+
+
+def last_round_vectors(cfg, datasets):
+    """Run a federation with model snapshots on; return (records, pre, post).
+
+    pre and post hold each client's locally trained and spliced vectors of
+    the last round, read back from that round's `.fpnv` snapshots, so the
+    last round must be an evaluation round.
+    """
+    r = cfg.fed.rounds
+    assert r % cfg.fed.eval_cadence == 0, "snapshots are written on eval rounds only"
+    cfg = replace(cfg, output=replace(cfg.output, dump_models=True))
+    with tempfile.TemporaryDirectory() as dump_dir:
+        records = run_federation(cfg, datasets, dump_dir)
+        pre, post = ([load_params(Path(dump_dir) / model_filename(r, m, phase))[1]
+                      for m in range(len(datasets))] for phase in ("pre", "post"))
+    return records, pre, post

@@ -10,13 +10,14 @@ cached for all later tests in this module.
 import time
 
 import numpy as np
-from conftest import mean_over, select, session_elapsed, small_config, value_map
+from conftest import (last_round_vectors, mean_over, select, session_elapsed, small_config,
+                      value_map)
 
 from fedlens.analysis import read_csv, relative_change_records
 from fedlens.config import parse_config, preset
 from fedlens.data import generate_federation_data, make_domain_specs
 from fedlens.dumps import metrics_from_dumps
-from fedlens.fed import aggregate, client_round_seed, run_federation
+from fedlens.fed import aggregate, client_round_seed
 from fedlens.metrics import FeatureMatrix, class_stats, pabs_alignment, spearman
 from fedlens.nn import LayerSpec, Network, mlp_specs, sgd_epochs
 from fedlens.runner import execute, run_to_dir
@@ -66,25 +67,25 @@ def finetune_run(seed):
                        probe_rounds=(22, 24, 26, 28, 30))
 
 
-def eval_rounds(result):
+def eval_rounds(records):
     """The rounds a run captured, in order."""
-    return sorted({r.round for r in result.records})
+    return sorted({r.round for r in records})
 
 
 def majority(flags) -> bool:
     return sum(bool(f) for f in flags) >= 2
 
 
-def rel_sigma_means(result):
+def rel_sigma_means(records):
     """Mean relative sigma_w change per tap over all eval rounds and clients."""
-    rels = relative_change_records(result.records)
+    rels = relative_change_records(records)
     return mean_over(rels, "rel_sigma_w")
 
 
-def train_acc_gap_points(result):
+def train_acc_gap_points(records):
     """Mean (pre - post) local train accuracy over rounds 5..25, in points."""
-    vm = value_map(select(result.records, metric="train_acc"))
-    rounds = [r for r in eval_rounds(result) if 5 <= r <= 25]
+    vm = value_map(select(records, metric="train_acc"))
+    rounds = [r for r in eval_rounds(records) if 5 <= r <= 25]
     diffs = [vm[(r, "pre", m, -1, "train_acc")]
              - vm[(r, "post", m, -1, "train_acc")]
              for r in rounds for m in range(CLIENTS)]
@@ -222,13 +223,13 @@ def test_training_gradients_and_aggregation_invariants():
     datasets = generate_federation_data(specs, 60, 30, seed=202)
     cfg = small_config(1, local_epochs=2, rounds=4, batch_size=16, eval_cadence=4,
                        seed=203)
-    result = run_federation(cfg, datasets)
+    _, _, post = last_round_vectors(cfg, datasets)
     central = Network(arch2).init_random(derive_seed(203, "init"))
     for r in range(1, 5):
         sgd_epochs(central, datasets[0].train_x, datasets[0].train_labels, epochs=2,
                    lr=cfg.fed.lr, momentum=cfg.fed.momentum, batch_size=16,
                    seed=client_round_seed(203, 0, r))
-    assert result.final.post[0].tobytes() == central.flatten().tobytes()
+    assert post[0].tobytes() == central.flatten().tobytes()
 
     # aggregation: permutation invariance (bitwise) and convexity envelope
     rng2 = np.random.default_rng(104)
@@ -270,10 +271,10 @@ def test_feature_vs_parameter_distance_depth_trends():
     flags = []
     for s in SEEDS:
         res = heterogeneous_run(s)
-        feat = mean_over(res.records, "dist_l1_norm", phase="delta")
+        feat = mean_over(res, "dist_l1_norm", phase="delta")
         feat_taps = [t for t in sorted(feat) if t >= 1]  # tap 0 is the raw input
         rho_feat = spearman(feat_taps, [feat[t] for t in feat_taps])
-        par = mean_over(res.records, "param_dist_l1_norm", phase="delta")
+        par = mean_over(res, "param_dist_l1_norm", phase="delta")
         layers = [l for l in sorted(par) if l <= PEN_TAP]  # classifier excluded
         rho_par = spearman(layers, [par[l] for l in layers])
         detail.append((rho_feat, rho_par))
@@ -283,7 +284,7 @@ def test_feature_vs_parameter_distance_depth_trends():
 
 def test_alignment_change_peaks_at_classifier_interface():
     res = heterogeneous_run(SEEDS[0])
-    vm = value_map(relative_change_records(res.records))
+    vm = value_map(relative_change_records(res))
     rounds = [r for r in eval_rounds(res) if r > 5]
     hits = 0
     for r in rounds:
@@ -324,7 +325,7 @@ def test_classifier_finetune_recovers_accuracy_and_alignment():
     flags = []
     for s in SEEDS:
         res = finetune_run(s)
-        vm = value_map(res.records)
+        vm = value_map(res)
         cells = [(r, m) for r in eval_rounds(res) if r > 5
                  for m in range(CLIENTS)]
         hits = sum(
@@ -343,7 +344,7 @@ def test_post_aggregation_features_generalize_better():
     flags = []
     for s in SEEDS:
         res = finetune_run(s)
-        vm = value_map(res.records)
+        vm = value_map(res)
         rounds = [r for r in (22, 24, 26, 28, 30) if r in eval_rounds(res)]
         assert rounds
         ok = 0

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import param_views
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,7 +144,7 @@ def test_walk_raises_the_forward_error_of_a_non_finite_layer(data, kind, seed):
     taps.add(data.draw(st.integers(1, len(nets[0].specs) - 1)))
     k = data.draw(st.integers(1, max(taps)))
     # an infinite last bias makes every row leave layer k non-finite
-    nets[1].params[k - 1][-1][...] = np.inf
+    param_views(nets[1])[k - 1][-1][...] = np.inf
     with pytest.raises(NumericError) as want:
         nets[1].forward(x[:256])
     with pytest.raises(NumericError) as got:

@@ -60,7 +60,8 @@ BAD_TEXTS = {
     "positive": lambda _: ["0.0", "-1.0", "nan", "inf"],
     "unit": lambda _: ["-0.1", "1.0", "nan"],
     "one_of": lambda _: ["bogus"],
-    "text": lambda _: [""],
+    "text": lambda _: ["", "out   # where results go"],
+    "noteless": lambda _: ["data   # where the IDX files are"],
     "entries": lambda least: [f"{least},{least - 1}"],
     "widths": lambda least: ["", f"{least},{least - 1}"],
 }
@@ -81,6 +82,8 @@ BAD_VALUES = [(key, text, {}) for key, domain in RULES.items()
     ("data.anchor_scale", "1e308", {}),
     ("metrics.eval_per_class", "6", {}),
     ("metrics.eval_per_class", "6", {"data.label_noise": "0.1"}),
+    # a note is checked before the IDX files are looked for
+    ("data.idx_dir", "data   # where the IDX files are", {"data.kind": "idx"}),
     # found only in the drawn data: 15 unbalanced test rows leave some class short
     ("metrics.eval_per_class", "5", {"data.balanced": "false"}),
 ]

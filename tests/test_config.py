@@ -22,6 +22,8 @@ from fedlens.runner import build_datasets
 import config_oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# a `#` after whitespace, which text fields reject as a note
+NOTE = re.compile(r"\s#")
 
 # one value per line, without the surrounding blanks that the parser strips
 LINE_TEXT = (st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
@@ -49,6 +51,7 @@ DOMAIN_VALUES = {
     # no separators, so that stripping leaves the text non-empty
     "text": lambda _: st.text(st.characters(blacklist_categories=("Cc", "Cs", "Z")),
                               min_size=1, max_size=12).map(str.strip).filter(bool),
+    "noteless": lambda _: LINE_TEXT.filter(lambda text: not NOTE.search(text)),
     "entries": lambda least: st.lists(st.integers(min_value=least), max_size=4).map(tuple),
     "widths": lambda least: st.lists(st.integers(min_value=least), min_size=1,
                                      max_size=7).map(tuple),
@@ -202,7 +205,7 @@ NEAR_BOUNDS = {
     int: list(range(-2, 4)),
     float: [0.0, -0.0, 1.0, 1.0 - 2**-53, -1e-300, 5e-324, math.nan, math.inf, -math.inf],
     str: list(SCENARIOS) + ["synthetic", "idx", "random", "identity", "relu", "linear",
-                            "", "none"],
+                            "", "none", "runs/a#b", "runs/out  # note", "\t#"],
     tuple: [(), (0,), (1,), (2, 1), (1, 0), (-1,)],
 }
 SECTIONS = [top.name for top in fields(ExperimentConfig) if top.name != "scenario"]
@@ -276,6 +279,16 @@ EDITS = (set_field, set_rule_field, drop_idx_dir, invert_scales, starve_split,
          personalization_without_mode, tap_out_of_range, too_many_eval_rows)
 
 
+def oracle(cfg):
+    """The frozen oracle plus the rule added after it: a `#` note in a text
+    field is an error on that field."""
+    for key in ("data.idx_dir", "output.dir"):
+        owner, name = owner_of(cfg, key)
+        if NOTE.search(getattr(owner, name)):
+            raise ConfigError("a # note", field=key)
+    config_oracle.validate_config(cfg)
+
+
 def verdict(validate, cfg):
     """None if `validate` accepts the config, else (error type, field)."""
     try:
@@ -292,7 +305,7 @@ def test_rule_table_keeps_every_verdict(data):
     edits = data.draw(st.lists(st.sampled_from(EDITS), max_size=3))
     for edit in edits:
         edit(data.draw, cfg)
-    old = verdict(config_oracle.validate_config, cfg)
+    old = verdict(oracle, cfg)
     new = verdict(validate_config, cfg)
     assert (old is None) == (new is None), (old, new)
     if len(edits) <= 1:
@@ -308,8 +321,7 @@ def test_each_rule_judges_values_near_its_bound_as_before(key):
     for value in NEAR_BOUNDS[type(getattr(owner, name))]:
         cfg = ExperimentConfig()
         setattr(owner_of(cfg, key)[0], name, value)
-        assert verdict(validate_config, cfg) == verdict(config_oracle.validate_config,
-                                                        cfg), value
+        assert verdict(validate_config, cfg) == verdict(oracle, cfg), value
 
 
 def readme_section(heading):

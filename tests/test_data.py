@@ -38,6 +38,16 @@ class TestGenerator:
         ds = generate_federation_data(specs, 40, 40, seed=1)
         assert not np.array_equal(ds[0].train_x, ds[1].train_x)
 
+    def test_random_specs_share_anchors_and_rotate_orthogonally(self):
+        specs = make_domain_specs(3, 4, 6, seed=11, scale_range=(0.5, 2.0),
+                                  offset_scale=1.0)
+        for sp in specs:
+            assert sp.class_means is specs[0].class_means
+            assert sp.class_means.shape == (4, 6)
+            assert sp.rotation.shape == (6, 6)
+            assert np.abs(sp.rotation.T @ sp.rotation - np.eye(6)).max() < 1e-12
+            assert sp.scaling.shape == sp.offset.shape == (6,)
+
     def test_vanishing_spread_pins_samples_to_anchors(self):
         specs = make_domain_specs(2, 3, 5, seed=2, rotation="identity",
                                   scale_range=(1.0, 1.0), offset_scale=0.0,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_registered, small_config
+from conftest import is_registered, last_round_vectors, param_views, small_config
 
 from fedlens.config import LOCAL_EPOCH_ABLATION, personalized_layers, validate_config
 
@@ -39,18 +39,20 @@ def kept_layers(mode, hidden=(8, 8)):
     Each layer's span of every client's next start point must be either
     fully the client's own trained values or fully the shared average.
     """
-    cfg = small_config(3, local_epochs=1, rounds=1, batch_size=32, eval_cadence=2,
+    cfg = small_config(3, local_epochs=1, rounds=1, batch_size=32, eval_cadence=1,
                        personalization=mode, seed=31)
     cfg.model = replace(cfg.model, hidden=tuple(hidden))
     validate_config(cfg)
-    final = run_federation(cfg, small_federation(num_clients=3)).final
+    datasets = small_federation(num_clients=3)
+    _, pres, posts = last_round_vectors(cfg, datasets)
+    shared = aggregate(pres, [ds.n_train for ds in datasets])
     layout = Network(build_arch(cfg)).layout
     kept = set()
     for layer in range(1, len(hidden) + 2):
         slc = layout.layer_slice(layer)
         sides = {(np.array_equal(post[slc], pre[slc]),
-                  np.array_equal(post[slc], final.shared[slc]))
-                 for pre, post in zip(final.pre, final.post)}
+                  np.array_equal(post[slc], shared[slc]))
+                 for pre, post in zip(pres, posts)}
         assert sides in ({(True, False)}, {(False, True)}), (layer, sides)
         if sides == {(True, False)}:
             kept.add(layer)
@@ -201,13 +203,13 @@ class TestRunFederation:
         datasets = small_federation(num_clients=1)
         cfg = small_config(1, local_epochs=2, rounds=3, batch_size=16,
                            eval_cadence=1, seed=13)
-        result = run_federation(cfg, datasets)
+        _, _, post = last_round_vectors(cfg, datasets)
         central = Network(ARCH).init_random(derive_seed(13, "init"))
         for r in range(1, 4):
             sgd_epochs(central, datasets[0].train_x, datasets[0].train_labels,
                        epochs=2, lr=cfg.fed.lr, momentum=cfg.fed.momentum,
                        batch_size=16, seed=client_round_seed(13, 0, r))
-        assert result.final.post[0].tobytes() == central.flatten().tobytes()
+        assert post[0].tobytes() == central.flatten().tobytes()
 
     def test_identical_inputs_make_aggregation_a_no_op(self):
         # the per-client shuffle streams are deliberately distinct inside a
@@ -227,20 +229,20 @@ class TestRunFederation:
     def test_zero_local_epochs_pipeline_no_op(self):
         datasets = small_federation(num_clients=3)
         cfg = small_config(3, local_epochs=0, rounds=2, eval_cadence=1, seed=23)
-        result = run_federation(cfg, datasets)
+        _, _, post = last_round_vectors(cfg, datasets)
         init = Network(ARCH).init_random(derive_seed(23, "init")).flatten()
-        for row in result.final.post:
+        for row in post:
             assert row.tobytes() == init.tobytes()
 
     def test_capture_schedule(self):
         datasets = small_federation(num_clients=3)
         cfg = small_config(3, metrics={"distances": False}, local_epochs=1, rounds=2,
                            batch_size=32, eval_cadence=1, seed=25)
-        result = run_federation(cfg, datasets)
-        assert sorted({r.round for r in result.records}) == [1, 2]
+        records = run_federation(cfg, datasets)
+        assert sorted({r.round for r in records}) == [1, 2]
         for m in range(3):
             for phase in ("pre", "post"):
-                acc = [r for r in result.records
+                acc = [r for r in records
                        if r.metric == "train_acc" and r.client == m
                        and r.phase == phase]
                 assert len(acc) == 2  # one capture per round per phase
@@ -251,23 +253,25 @@ class TestRunFederation:
         for mode in ("none", "successive:0"):
             cfg = small_config(3, local_epochs=1, rounds=2, batch_size=32,
                                eval_cadence=1, personalization=mode, seed=29)
-            runs.append(run_federation(cfg, datasets))
-        assert runs[0].records == runs[1].records
-        assert runs[0].final.shared.tobytes() == runs[1].final.shared.tobytes()
+            runs.append(last_round_vectors(cfg, datasets))
+        (records, pre, _), (records_zero, pre_zero, _) = runs
+        assert records == records_zero
+        counts = [ds.n_train for ds in datasets]
+        assert aggregate(pre, counts).tobytes() == aggregate(pre_zero, counts).tobytes()
 
     def test_personalized_layers_never_leave_the_client(self):
         datasets = small_federation(num_clients=3)
         cfg = small_config(3, local_epochs=1, rounds=3, batch_size=32, eval_cadence=3,
                            personalization="successive:1", seed=31)
-        result = run_federation(cfg, datasets)
+        _, pres, posts = last_round_vectors(cfg, datasets)
         _, layers = personalized_layers(cfg.fed.personalization, 3)
         assert layers == frozenset({1})
-        local = np.zeros(result.final.shared.size, dtype=bool)
+        local = np.zeros(posts[0].size, dtype=bool)
         local[LAYOUT.layer_slice(1)] = True
-        shared_part = result.final.post[0][~local]
+        shared_part = posts[0][~local]
         for m in range(3):
-            post = result.final.post[m]
-            pre = result.final.pre[m]
+            post = posts[m]
+            pre = pres[m]
             # local span: the client's own trained values, bit-exact
             assert np.array_equal(post[local], pre[local])
             # the rest: one shared average for everyone
@@ -280,9 +284,9 @@ class TestRunFederation:
                                     "finetune_epochs": 1},
                            local_epochs=1, rounds=2, batch_size=32, eval_cadence=2,
                            seed=33)
-        result = run_federation(cfg, datasets)
-        assert all(is_registered(r.metric) for r in result.records)
-        phases = {r.phase for r in result.records}
+        records = run_federation(cfg, datasets)
+        assert all(is_registered(r.metric) for r in records)
+        phases = {r.phase for r in records}
         assert phases == {"pre", "post", "tuned", "delta"}
 
     def test_numeric_error_names_round_and_client(self):
@@ -359,7 +363,7 @@ class TestFinetuneClassifier:
         # well-separated clusters must reach perfect local train accuracy
         arch = [LayerSpec("linear", 2, 2), LayerSpec("linear", 2, 2)]
         net = Network(arch)
-        net.params[0][0][...] = np.eye(2)
+        param_views(net)[0][0][...] = np.eye(2)
         rng = np.random.default_rng(50)
         x = np.concatenate([rng.normal(size=(10, 2)) + [6, 6],
                             rng.normal(size=(10, 2)) - [6, 6]])
@@ -367,7 +371,7 @@ class TestFinetuneClassifier:
         tuned = finetune_classifier(net.flatten(), arch, x, labels,
                                     batch_size=4, seed=51)
         assert accuracy(tuned.forward(x)[0], labels) == 1.0
-        assert np.array_equal(tuned.params[0][0], np.eye(2))
+        assert np.array_equal(param_views(tuned)[0][0], np.eye(2))
 
 
 def test_local_epoch_ablation_budget():

@@ -4,7 +4,7 @@ computes the same quantities through streaming sums and its own SVD."""
 
 import numpy as np
 import pytest
-from conftest import is_registered
+from conftest import is_registered, param_views
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -359,7 +359,7 @@ class TestTapSweep:
     def test_identity_deep_linear_preserves_sigma(self):
         dim = 4
         net = Network([LayerSpec("linear", dim, dim) for _ in range(3)])
-        for tensors in net.params:
+        for tensors in param_views(net):
             tensors[0][...] = np.eye(dim)
         _, x, labels = self.make_net_and_data()
         taps = extract_tap_features(net, x, labels)

@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import param_views
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from fedlens.nn import (LayerSpec, Network, load_params, mlp_specs,
 
 def identity_net(num_layers, dim):
     net = Network([LayerSpec("linear", dim, dim) for _ in range(num_layers)])
-    for tensors in net.params:
+    for tensors in param_views(net):
         tensors[0][...] = np.eye(dim)
     return net
 
@@ -61,7 +62,7 @@ class TestForward:
                  LayerSpec("linear", 4, 4),
                  LayerSpec("linear", 4, 3)]
         net = Network(specs).init_random(seed=2)
-        w1, w2, w3 = (net.params[i][0] for i in range(3))
+        w1, w2, w3 = (param_views(net)[i][0] for i in range(3))
         x = np.random.default_rng(3).normal(size=(7, 5))
         logits, taps = net.forward(x)
         assert np.abs(taps[1] - x @ w1.T).max() < 1e-10
@@ -70,7 +71,7 @@ class TestForward:
 
     def test_relu_tap(self):
         net = Network([LayerSpec("linear_relu", 2, 2), LayerSpec("linear", 2, 2)])
-        net.params[0][0][...] = np.eye(2)
+        param_views(net)[0][0][...] = np.eye(2)
         _, taps = net.forward([[-1.0, 2.0]])
         assert np.array_equal(taps[1], [[0.0, 2.0]])
 
@@ -81,7 +82,7 @@ class TestForward:
 
     def test_non_finite_activation_names_layer(self):
         net = identity_net(2, 1)
-        net.params[0][0][...] = 1e200
+        param_views(net)[0][0][...] = 1e200
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="layer 1"):
                 net.forward([[1e200]])
@@ -126,7 +127,7 @@ class TestLossAndGrad:
 
     def test_confident_correct_prediction_loss_near_zero(self):
         net = Network([LayerSpec("linear", 2, 2)])
-        net.params[0][0][...] = [[50.0, 0.0], [0.0, 50.0]]
+        param_views(net)[0][0][...] = [[50.0, 0.0], [0.0, 50.0]]
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         loss, _ = net.loss_and_grad(x, [0, 1])
         assert loss < 1e-6
@@ -257,24 +258,34 @@ class TestFlatBuffer:
     def test_params_are_views_of_values(self, specs, seed):
         net = Network(specs).init_random(seed=seed)
         entries = iter(net.layout)
-        for tensors in net.params:
-            for arr in tensors:
-                e = next(entries)
-                assert np.shares_memory(arr, net.values)
-                assert arr.shape == e.shape
-                arr[...] = np.arange(arr.size).reshape(arr.shape) + e.offset + 0.5
-                flat = net.flatten()
-                assert np.array_equal(flat[e.offset:e.offset + e.size], arr.ravel())
+        for layer, (spec, maps) in enumerate(zip(net.specs, net._maps), start=1):
+            assert [relu for _, _, relu, _ in maps] == [relu for _, _, relu in spec.maps()]
+            for w, b, _, offset in maps:
+                for arr in (w, b):
+                    e = next(entries)
+                    assert (e.layer, e.shape) == (layer, arr.shape)
+                    # the kernels' offset is the weight's, and its bias follows
+                    assert e.offset == offset + (w.size if arr is b else 0)
+                    assert np.shares_memory(arr, net.values)
+                    arr[...] = np.arange(arr.size).reshape(arr.shape) + e.offset + 0.5
+                    flat = net.flatten()
+                    assert np.array_equal(flat[e.offset:e.offset + e.size], arr.ravel())
+        assert next(entries, None) is None
         other = Network.from_vector(specs, net.flatten())
         assert other.flatten().tobytes() == net.values.tobytes()
         assert not np.shares_memory(other.values, net.values)
-        # the layers' spans tile the vector in order
+        # the layers' spans tile the vector in order, each starting at its
+        # interface weight, which is a view too
         stop = 0
         for layer in range(1, net.num_layers + 1):
-            assert np.array_equal(net.interface_weight(layer), net.params[layer - 1][0])
+            weight = net.interface_weight(layer)
+            assert np.shares_memory(weight, net.values)
+            weight[...] = -1.0
+            assert np.array_equal(net._maps[layer - 1][0][0], weight)
             span = net.layout.layer_slice(layer)
-            assert span.start == net.layer_start(layer) == stop
-            assert span.stop - span.start == sum(a.size for a in net.params[layer - 1])
+            assert span.start == net.layer_start(layer) == net._maps[layer - 1][0][3] == stop
+            assert span.stop - span.start == sum(e.size for e in net.layout
+                                                 if e.layer == layer)
             stop = span.stop
         assert stop == net.values.size
 
@@ -358,8 +369,8 @@ class TestFrozenPrefix:
 
     def test_non_finite_frozen_activation_names_layer(self):
         net = Network(mlp_specs(2, [2, 2], 2))
-        net.params[0][0][...] = np.eye(2)
-        net.params[1][0][...] = 1e308
+        param_views(net)[0][0][...] = np.eye(2)
+        param_views(net)[1][0][...] = 1e308
         before = net.values.copy()
         x = np.ones((5, 2))
         with np.errstate(over="ignore"):
@@ -371,9 +382,9 @@ class TestFrozenPrefix:
     def test_non_finite_classifier_activation_names_layer(self):
         # only the classifier trains; layer numbers stay those of the network
         net = Network(mlp_specs(2, [2, 2], 2))
-        net.params[0][0][...] = np.eye(2)
-        net.params[1][0][...] = np.eye(2)
-        net.params[2][0][...] = 1e308
+        param_views(net)[0][0][...] = np.eye(2)
+        param_views(net)[1][0][...] = np.eye(2)
+        param_views(net)[2][0][...] = 1e308
         before = net.values.copy()
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="leaving layer 3"):
@@ -394,7 +405,7 @@ def reference_loss_and_grad(net, h, labels, train_from):
     linear_relu layer and after all but the last map of a residual block.
     """
     layers = []
-    for spec, tensors in zip(net.specs[train_from - 1:], net.params[train_from - 1:]):
+    for spec, tensors in zip(net.specs[train_from - 1:], param_views(net)[train_from - 1:]):
         ws = tensors[0::2]
         relus = ([True] * (len(ws) - 1) + [False] if spec.kind == "residual"
                  else [spec.kind == "linear_relu"])
@@ -476,7 +487,7 @@ class TestInitAndVectors:
     def test_uniform_mean_within_3_sigma(self):
         net = Network([LayerSpec("linear", 100, 100)])
         net.init_random(seed=12)
-        w = net.params[0][0]
+        w = param_views(net)[0][0]
         bound = 1.0 / np.sqrt(100)
         sigma_mean = (bound / np.sqrt(3.0)) / np.sqrt(w.size)
         assert abs(w.mean()) < 3 * sigma_mean
@@ -484,7 +495,7 @@ class TestInitAndVectors:
 
     def test_biases_start_zero(self):
         net = Network(mlp_specs(4, [6], 3)).init_random(seed=13)
-        assert np.array_equal(net.params[0][1], np.zeros(6))
+        assert np.array_equal(param_views(net)[0][1], np.zeros(6))
 
 
 class TestParamFormat:
