@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, NumericError
 
 CSV_HEADER = "round,phase,client,layer,metric,value"
 METRICS_CSV = "metrics.csv"
@@ -54,9 +55,14 @@ def relative_change_records(records):
 
 
 def records_to_csv(records) -> str:
-    """Canonical CSV text: fixed header, rows sorted by the full key tuple."""
+    """Canonical CSV text: fixed header, rows sorted by the full key tuple.
+
+    A non-finite value is a NumericError naming its record's key.
+    """
     lines = [CSV_HEADER]
     for r in sorted(records, key=MetricRecord.sort_key):
+        if not math.isfinite(r.value):
+            raise NumericError(f"record {r.sort_key()} has non-finite value {r.value!r}")
         lines.append(f"{r.round},{r.phase},{r.client},{r.layer},{r.metric},{r.value!r}")
     return "\n".join(lines) + "\n"
 
@@ -66,7 +72,8 @@ def write_csv(records, path) -> None:
 
 
 def read_csv(path):
-    """Parse a metric CSV written by this package back into records."""
+    """Parse a metric CSV written by this package back into records; every value
+    must be finite."""
     data = Path(path).read_bytes()
     try:
         lines = data.decode("utf-8").splitlines()
@@ -87,4 +94,7 @@ def read_csv(path):
                                         metric, float(value)))
         except ValueError as exc:
             raise FormatError(f"{path}: line {i}: {exc}") from None
+        # runs write finite values only, so this is a damaged file
+        if not math.isfinite(records[-1].value):
+            raise FormatError(f"{path}: line {i}: non-finite value {value!r}")
     return records

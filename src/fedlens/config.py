@@ -347,13 +347,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             key = max(DATA_SCALES, key=lambda k: abs(getattr(d, k)))
             raise ConfigError(f"data scales let a draw reach {reach:.3g}, past float64's "
                               f"{sys.float_info.max:.3g}", field=f"data.{key}")
-        # balanced draws give every class at least count // classes rows;
-        # label noise relabels training rows only
-        rows = d.test_per_client // d.classes
-        if d.label_noise == 0.0:
-            rows = min(rows, d.train_per_client // d.classes)
-        if d.balanced and cfg.metrics.eval_per_class > rows:
-            raise ConfigError(f"eval_per_class exceeds the {rows} rows each class has",
+        # captures read train rows only, and balanced draws without label
+        # noise give every class at least train_per_client // classes of them
+        rows = d.train_per_client // d.classes
+        if d.balanced and d.label_noise == 0.0 and cfg.metrics.eval_per_class > rows:
+            raise ConfigError(f"eval_per_class exceeds the {rows} train rows each class has",
                               field="metrics.eval_per_class")
     if cfg.output.dump_features and cfg.fed.rounds > U16_MAX:
         raise ConfigError(f"feature dumps store the round as u16, so at most {U16_MAX} "

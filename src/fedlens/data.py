@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .metrics import class_ids
 from .seeds import derive_seed
 
@@ -120,29 +120,22 @@ def generate_federation_data(specs, n_train: int, n_test: int, seed: int,
     return datasets
 
 
-def _subset_split(x, labels, per_class: int, rng):
+def balanced_eval_subset(ds: ClientDataset, per_class: int, seed: int):
+    """(x, labels) of exactly per_class train rows of every class the client has.
+
+    A class with fewer rows is a ConfigError on metrics.eval_per_class.
+    """
+    rng = np.random.default_rng(seed)
     picks = []
-    deficient = {}
-    for c in class_ids(labels):
-        idx = np.flatnonzero(labels == c)
+    for c in class_ids(ds.train_labels):
+        idx = np.flatnonzero(ds.train_labels == c)
         if len(idx) < per_class:
-            deficient[c] = len(idx)
-        else:
-            picks.append(rng.permutation(idx)[:per_class])
-    if deficient:
-        detail = ", ".join(f"class {c} has {n}" for c, n in sorted(deficient.items()))
-        raise ValueError(f"insufficient samples for {per_class} per class: {detail}")
+            raise ConfigError(f"client {ds.client_id} has {len(idx)} train rows of class "
+                              f"{c}, fewer than {per_class}", field="metrics.eval_per_class")
+        picks.append(rng.permutation(idx)[:per_class])
     idx = np.concatenate(picks)
     idx = idx[rng.permutation(len(idx))]
-    return x[idx], labels[idx]
-
-
-def balanced_eval_subset(ds: ClientDataset, per_class: int, seed: int) -> ClientDataset:
-    """Exactly per_class samples of every class present in each split."""
-    rng = np.random.default_rng(seed)
-    train = _subset_split(ds.train_x, ds.train_labels, per_class, rng)
-    test = _subset_split(ds.test_x, ds.test_labels, per_class, rng)
-    return ClientDataset(ds.client_id, *train, *test)
+    return ds.train_x[idx], ds.train_labels[idx]
 
 
 def _read_idx(path, expect_magic, kind):

@@ -102,7 +102,7 @@ def _located(where: str):
 
 def _accuracy_records(net: Network, ds: ClientDataset, round_index: int, phase: str):
     return [MetricRecord(round_index, phase, ds.client_id, -1, name,
-                         accuracy(net.forward(x)[0], labels))
+                         accuracy(net.forward(x), labels))
             for name, x, labels in (("train_acc", ds.train_x, ds.train_labels),
                                     ("test_acc", ds.test_x, ds.test_labels))]
 
@@ -126,18 +126,25 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
     (multiples of eval_cadence) each client's locally trained model (phase
     "pre") and its spliced post-aggregation model (phase "post") are
     captured on the client's local evaluation data, with the pre/post
-    distances; the two walk that data together one layer at a time
-    (`walk_taps`), so a capture holds one pre/post tap pair. In the
-    finetune scenario each post model's classifier is retrained and
-    captured as phase "tuned": accuracy and the penultimate alignment only.
-    Captures only read the models, so neither capture order nor client
-    order affects results. With `dump_dir` set, each capture's feature
-    matrices are dumped there, and with `output.dump_models` its pre and
-    post models too. A NumericError from pretraining names that stage;
-    one from local training or fine-tuning names its round, client and
-    stage.
+    distances. That data is `eval_per_class` train rows of each class the
+    client has, drawn before any training, so a class with fewer rows is a
+    ConfigError that ends the run before it trains. The two models walk
+    the evaluation rows together one layer at a time (`walk_taps`), so a
+    capture holds one pre/post tap pair. In the finetune scenario each post
+    model's classifier is retrained and captured as phase "tuned": accuracy
+    and the penultimate alignment only. Captures only read the models, so
+    neither capture order nor client order affects results. With `dump_dir`
+    set, each capture's feature matrices are dumped there, and with
+    `output.dump_models` its pre and post models too. A NumericError from
+    pretraining names that stage; one from local training or fine-tuning
+    names its round, client and stage.
     """
     fed, mt = cfg.fed, cfg.metrics
+    # drawn first, so that a class short of eval_per_class rows fails before
+    # any training
+    eval_sets = [balanced_eval_subset(ds, mt.eval_per_class,
+                                      derive_seed(fed.seed, "evalsubset", ds.client_id))
+                 for ds in datasets]
     arch = build_arch(cfg)
     net = Network(arch).init_random(derive_seed(fed.seed, "init"))
     if fed.pretrain_epochs > 0:
@@ -154,11 +161,6 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
     for layer in personalized_layers(fed.personalization, num_layers)[1]:
         local[layout.layer_slice(layer)] = True
     tap_layers = tuple(sorted(set(mt.taps))) or tuple(range(num_layers))
-    # captures read only the train half; the test half is drawn, then dropped
-    eval_sets = [(sub.train_x, sub.train_labels) for sub in (
-        balanced_eval_subset(ds, mt.eval_per_class,
-                             derive_seed(fed.seed, "evalsubset", ds.client_id))
-        for ds in datasets)]
     counts = [ds.n_train for ds in datasets]
     m_clients = len(datasets)
     records = []

@@ -146,7 +146,7 @@ def linear_probe(train_features: FeatureMatrix, test_features: FeatureMatrix,
         sgd_epochs(probe, train_features.values, train_features.labels, epochs=1,
                    lr=lr, momentum=0.0, batch_size=batch_size,
                    seed=derive_seed(seed, "probe-epoch", epoch))
-        logits, _ = probe.forward(test_features.values)
+        logits = probe.forward(test_features.values)
         best = max(best, accuracy(logits, test_features.labels))
     return best
 
@@ -184,26 +184,6 @@ def pairwise_distances(a, b) -> dict:
     # where denom is 0, a = b = 0 and diff already holds the 0 the ratio gets
     l1_norm = float(np.divide(diff, denom, out=diff, where=denom > 0).mean())
     return {"l1_norm": l1_norm, "mse": mse, "l1": l1, "cos": cosine}
-
-
-def _average_ranks(values) -> np.ndarray:
-    """1-based ranks; tied values share the mean of the ranks they span."""
-    x = np.asarray(values, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.append(starts[1:], x.size)
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
-
-
-def spearman(xs, ys) -> float:
-    """Spearman rank correlation; 0.0 when either side is constant."""
-    rx, ry = _average_ranks(xs), _average_ranks(ys)
-    dx, dy = rx - rx.mean(), ry - ry.mean()
-    denom = np.sqrt((dx @ dx) * (dy @ dy))
-    return float(dx @ dy / denom) if denom > 0 else 0.0
 
 
 def walk_taps(nets, phases, x, labels, tap_layers=None, batch_size: int = 256,

@@ -212,22 +212,16 @@ class Network:
         return out, (inputs + [g] if keep_cache else None)
 
     def forward(self, x):
-        """Run the network; returns (logits, taps) with taps[l] = input to layer l+1."""
-        h = self._check_batch(x)
-        taps = [h]
-        for idx in range(self.num_layers):
-            h = _finite(self._layer_forward(idx, h, keep_cache=False)[0], idx)
-            if idx < self.num_layers - 1:
-                taps.append(h)
-        return h, taps
+        """The logits of the rows of x."""
+        return self._frozen_forward(self._check_batch(x), self.num_layers)
 
     def layer_outputs(self, layer: int, h, batch_size: int):
         """Output of a 1-based layer on the rows of h, batch_size rows at a time.
 
         The blocks fill one preallocated array. Each block meets the gemm
-        shapes that `forward` meets on the same batch, so the rows match its
-        taps bit for bit, and a non-finite output raises the NumericError
-        `forward` raises for that layer.
+        shapes that `forward` meets on the same batch, so the rows match that
+        layer's output inside `forward` bit for bit, and a non-finite output
+        raises the NumericError `forward` raises for that layer.
         """
         self.layer_start(layer)  # range check
         h = self._check_batch(h, layer)
@@ -247,7 +241,7 @@ class Network:
         """Mean softmax cross-entropy and its gradient as a flat array.
 
         h is the input of layer train_from (the network input when it is 1,
-        else the tap `forward` returns for that layer). Layers train_from..L
+        else the output of layer train_from - 1). Layers train_from..L
         run on it, and the gradient covers their parameters,
         `values[layer_start(train_from):]`; backward stops there. labels
         holds one class id per row, each below the classifier's class count

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ACCURACY_CSV, METRICS_CSV, write_csv
+from .analysis import ACCURACY_CSV, METRICS_CSV, records_to_csv
 from .config import ExperimentConfig, personalized_layers, render_config
 from .data import ClientDataset, generate_federation_data, load_idx, make_domain_specs
 from .errors import ConfigError, NumericError
@@ -48,7 +48,7 @@ def build_datasets(cfg: ExperimentConfig):
 def execute(cfg: ExperimentConfig, dump_dir=None) -> list:
     """Run one experiment in memory and return its sorted records; file writing
     happens in run_to_dir."""
-    d, per_class = cfg.data, cfg.metrics.eval_per_class
+    d = cfg.data
     datasets = build_datasets(cfg)
     for ds in datasets:
         for x in (ds.train_x, ds.test_x):
@@ -63,14 +63,6 @@ def execute(cfg: ExperimentConfig, dump_dir=None) -> list:
         if top >= d.classes:
             raise ConfigError(f"client {ds.client_id} has label {top}, but classes "
                               f"is {d.classes}", field="data.classes")
-        for split, labels in (("train", ds.train_labels), ("test", ds.test_labels)):
-            rows = np.bincount(labels)
-            short = np.flatnonzero((rows > 0) & (rows < per_class))
-            if short.size:
-                c = short[0]
-                raise ConfigError(f"client {ds.client_id} has {rows[c]} {split} rows of "
-                                  f"class {c}, fewer than {per_class}",
-                                  field="metrics.eval_per_class")
     return run_federation(cfg, datasets, dump_dir)
 
 
@@ -99,11 +91,13 @@ def run_to_dir(cfg: ExperimentConfig) -> Path:
     out_dir = Path(cfg.output.dir)
     dump_dir = out_dir / DUMP_SUBDIR if cfg.output.dump_features else None
     records = execute(cfg, dump_dir=dump_dir)
-    # only now, so a run that fails leaves no empty directory behind
-    out_dir.mkdir(parents=True, exist_ok=True)
     acc = [r for r in records if r.metric in ACCURACY_METRICS]
     rest = [r for r in records if r.metric not in ACCURACY_METRICS]
-    write_csv(rest, out_dir / METRICS_CSV)
-    write_csv(acc, out_dir / ACCURACY_CSV)
+    texts = {METRICS_CSV: records_to_csv(rest), ACCURACY_CSV: records_to_csv(acc)}
+    # only now, so a run that fails, or holds a non-finite record, leaves no
+    # empty directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, newline="\n")
     (out_dir / MANIFEST).write_text(_render_manifest(cfg), newline="\n")
     return out_dir

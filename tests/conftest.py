@@ -1,5 +1,6 @@
 """Shared test plumbing: session timing, suite ordering, record lookups, the
-registry of metric names, and views of a run's or a network's parameters.
+registry of metric names, views of a run's or a network's parameters, and
+Spearman rank correlation.
 
 The acceptance module asserts a wall-clock budget for the whole suite, so
 it must run last; everything else keeps collection order.
@@ -9,6 +10,8 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from fedlens.config import ExperimentConfig, validate_config
 from fedlens.dumps import model_filename
@@ -108,3 +111,23 @@ def last_round_vectors(cfg, datasets):
         pre, post = ([load_params(Path(dump_dir) / model_filename(r, m, phase))[1]
                       for m in range(len(datasets))] for phase in ("pre", "post"))
     return records, pre, post
+
+
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    x = np.asarray(values, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def spearman(xs, ys) -> float:
+    """Spearman rank correlation; 0.0 when either side is constant."""
+    rx, ry = average_ranks(xs), average_ranks(ys)
+    dx, dy = rx - rx.mean(), ry - ry.mean()
+    denom = np.sqrt((dx @ dx) * (dy @ dy))
+    return float(dx @ dy / denom) if denom > 0 else 0.0

@@ -11,14 +11,14 @@ import time
 
 import numpy as np
 from conftest import (last_round_vectors, mean_over, select, session_elapsed, small_config,
-                      value_map)
+                      spearman, value_map)
 
 from fedlens.analysis import read_csv, relative_change_records
 from fedlens.config import parse_config, preset
 from fedlens.data import generate_federation_data, make_domain_specs
 from fedlens.dumps import metrics_from_dumps
 from fedlens.fed import aggregate, client_round_seed
-from fedlens.metrics import FeatureMatrix, class_stats, pabs_alignment, spearman
+from fedlens.metrics import FeatureMatrix, class_stats, pabs_alignment
 from fedlens.nn import LayerSpec, Network, mlp_specs, sgd_epochs
 from fedlens.runner import execute, run_to_dir
 from fedlens.seeds import derive_seed

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from fedlens.metrics import _average_ranks, spearman
+from conftest import average_ranks, spearman
 
 
 class TestSpearman:
     def test_ties_share_the_mean_of_their_ranks(self):
         # sorted: 1 -> rank 1, 2 -> rank 2, the three 3s span ranks 3..5 -> 4
-        assert np.array_equal(_average_ranks([3, 1, 3, 2, 3]), [4, 1, 4, 2, 4])
+        assert np.array_equal(average_ranks([3, 1, 3, 2, 3]), [4, 1, 4, 2, 4])
 
     def test_tied_case_by_hand(self):
         # x ranks (1, 2.5, 2.5, 4), y ranks (1, 2, 3, 4); centred:

@@ -117,9 +117,11 @@ def walk_case(draw, kind, seed):
 
 
 def forward_taps(net, x):
-    """Each tap of `Network.forward` run on x's 256-row batches, joined."""
-    batches = [net.forward(x[lo:lo + 256])[1] for lo in range(0, len(x), 256)]
-    return [np.concatenate(taps) for taps in zip(*batches)]
+    """Each tap as the forward loop computes it on x's 256-row batches, joined:
+    tap t is the output of layers 1..t."""
+    return [np.concatenate([net._frozen_forward(x[lo:lo + 256], t)
+                            for lo in range(0, len(x), 256)])
+            for t in range(net.num_layers)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,9 @@
 """End-to-end CLI tests: run outputs, determinism, presets, dump recomputation,
 export, and exit codes."""
 
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +15,9 @@ import pytest
 from conftest import is_registered, value_map
 
 import fedlens
-from fedlens.analysis import CSV_HEADER, read_csv, relative_change
+from fedlens import fed as fed_module
+from fedlens import runner as runner_module
+from fedlens.analysis import CSV_HEADER, MetricRecord, read_csv, relative_change
 from fedlens.cli import main
 from fedlens.config import RULES, load_config, parse_config
 from fedlens import dumps as dumps_module
@@ -80,12 +84,14 @@ BAD_VALUES = [(key, text, {}) for key, domain in RULES.items()
     ("data.within_class_scale", "8.07e307", {"data.anchor_scale": "0"}),
     ("data.offset_scale", "1e308", {}),
     ("data.anchor_scale", "1e308", {}),
-    ("metrics.eval_per_class", "6", {}),
-    ("metrics.eval_per_class", "6", {"data.label_noise": "0.1"}),
+    # 30 train rows of 3 balanced classes give 10 per class
+    ("metrics.eval_per_class", "11", {}),
     # a note is checked before the IDX files are looked for
     ("data.idx_dir", "data   # where the IDX files are", {"data.kind": "idx"}),
-    # found only in the drawn data: 15 unbalanced test rows leave some class short
-    ("metrics.eval_per_class", "5", {"data.balanced": "false"}),
+    # found only when the eval subset is drawn: relabeled or unbalanced, 15
+    # and 12 train rows of 3 classes leave some class under 6 and 5
+    ("metrics.eval_per_class", "6", {"data.label_noise": "0.1", "data.train_per_client": "15"}),
+    ("metrics.eval_per_class", "5", {"data.balanced": "false", "data.train_per_client": "12"}),
 ]
 
 
@@ -281,11 +287,38 @@ class TestIdxRun:
             "fewer than 7\n")
         assert not (idx_cfg.parent / "out").exists()
 
+    def test_class_with_too_few_rows_exits_2_before_pretraining(self, idx_cfg, capsys,
+                                                                monkeypatch):
+        text = idx_cfg.read_text().replace("eval_per_class = 4", "eval_per_class = 7")
+        idx_cfg.write_text(text.replace("[fed]", "[fed]\npretrain_epochs = 1"))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the eval rows were drawn")
+
+        monkeypatch.setattr(fed_module, "sgd_epochs", no_training)
+        assert main(["run", str(idx_cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: metrics.eval_per_class: client 1 has 6 train rows of class 0, "
+            "fewer than 7\n")
+        assert not (idx_cfg.parent / "out").exists()
+
     def test_missing_idx_file_exits_2(self, idx_cfg, capsys):
         (idx_cfg.parent / "client1_train_images.idx").unlink()
         assert main(["run", str(idx_cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error: data.idx_dir: ")
         assert not (idx_cfg.parent / "out").exists()
+
+
+def test_non_finite_record_exits_3_and_leaves_no_output_dir(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path / "inf.cfg", out_dir)
+    records = [MetricRecord(2, "pre", 1, 0, "tr_w", 0.5),
+               MetricRecord(2, "pre", 1, 1, "tr_w", math.inf)]
+    monkeypatch.setattr(runner_module, "execute", lambda cfg, dump_dir=None: records)
+    assert main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err == ("error: NumericError: record (2, 'pre', 1, 1, 'tr_w') "
+                                       "has non-finite value inf\n")
+    assert not out_dir.exists()
 
 
 def test_overflowing_data_past_validation_is_a_numeric_error(tmp_path):
@@ -560,6 +593,22 @@ class TestExport:
     def test_missing_run_dir_exits_2(self, tmp_path, capsys):
         assert main(["export", str(tmp_path)]) == 2
         assert "metrics.csv" in capsys.readouterr().err
+
+    def test_a_digit_flipped_to_an_exponent_exits_3_naming_the_file(self, baseline_run,
+                                                                     tmp_path, capsys):
+        # e.g. 0.9644584844823787 read as 0.9e44584844823787, which is inf
+        for name in ("metrics.csv", "accuracy.csv"):
+            shutil.copy(baseline_run["out"] / name, tmp_path / name)
+        metrics = tmp_path / "metrics.csv"
+        text = metrics.read_text()
+        found = re.search(r",(0\.[1-9])[0-9]([1-9][0-9]{3,})\n", text)
+        flipped = f"{found[1]}e{found[2]}"
+        metrics.write_text(f"{text[:found.start()]},{flipped}\n{text[found.end():]}")
+        line = text.count("\n", 0, found.start()) + 1
+        assert main(["export", str(tmp_path), "--long"]) == 3
+        assert capsys.readouterr().err == (f"error: FormatError: {metrics}: line {line}: "
+                                           f"non-finite value {flipped!r}\n")
+        assert not (tmp_path / "long.csv").exists()
 
     def test_unparsable_value_exits_3_naming_file_and_line(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.csv"

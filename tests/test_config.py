@@ -5,7 +5,7 @@ states the same rules and defaults."""
 import math
 import re
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,10 @@ from fedlens.config import (RULES, SCENARIOS, U16_MAX, ExperimentConfig, parse_c
                             personalized_layers, render_config, synthetic_reach,
                             validate_config)
 from fedlens.errors import ConfigError
-from fedlens.runner import build_datasets
+from fedlens.runner import build_datasets, execute
 
 import config_oracle
+from conftest import small_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a `#` after whitespace, which text fields reject as a note
@@ -128,11 +129,9 @@ def valid_configs(draw, tiny=False):
     if d.kind == "synthetic":
         d.train_per_client = max(d.train_per_client, d.classes)
         d.test_per_client = max(d.test_per_client, d.classes)
-        if d.balanced:
-            rows = d.test_per_client // d.classes
-            if d.label_noise == 0.0:
-                rows = min(rows, d.train_per_client // d.classes)
-            cfg.metrics.eval_per_class = min(cfg.metrics.eval_per_class, rows)
+        if d.balanced and d.label_noise == 0.0:
+            cfg.metrics.eval_per_class = min(cfg.metrics.eval_per_class,
+                                             d.train_per_client // d.classes)
     if cfg.output.dump_features:
         cfg.fed.rounds = min(cfg.fed.rounds, U16_MAX)
     mode, _ = personalized_layers(cfg.fed.personalization, cfg.num_layers)
@@ -147,27 +146,33 @@ def test_render_then_parse_gives_back_the_config(cfg):
     assert parse_config(render_config(cfg)) == cfg
 
 
-@pytest.mark.parametrize("train, test", [(12, 15), (15, 12)])
-def test_eval_rows_per_class_are_bounded_by_both_splits(train, test):
-    # 3 balanced classes: 12 rows give 4 per class, too few for 5
+def test_eval_rows_per_class_are_bounded_by_the_train_split():
+    # 3 balanced classes: 12 train rows give 4 per class, too few for 5
     cfg = ExperimentConfig()
-    cfg.data.classes, cfg.data.train_per_client, cfg.data.test_per_client = 3, train, test
+    cfg.data.classes, cfg.data.train_per_client, cfg.data.test_per_client = 3, 12, 15
     cfg.metrics.eval_per_class = 4
     validate_config(cfg)
     cfg.metrics.eval_per_class = 5
     with pytest.raises(ConfigError) as info:
         validate_config(cfg)
     assert info.value.field == "metrics.eval_per_class"
-    # label noise relabels training rows only, so the test split still bounds
+    # label noise relabels train rows and unbalanced draws leave the per-class
+    # counts to data generation, so the eval subset draw checks those
     cfg.data.label_noise = 0.1
-    if test < train:
-        with pytest.raises(ConfigError):
-            validate_config(cfg)
-    else:
-        validate_config(cfg)
-    # unbalanced draws leave the per-class counts to data generation
+    validate_config(cfg)
     cfg.data.label_noise, cfg.data.balanced = 0.0, False
     validate_config(cfg)
+
+
+def test_a_short_test_split_does_not_bound_eval_rows():
+    # 3 balanced classes: 12 test rows give 4 per class, too few for 5, but
+    # captures read only the train split's 5 rows per class
+    cfg = small_config(2, rounds=1, eval_cadence=1, local_epochs=1)
+    cfg.data.train_per_client, cfg.data.test_per_client = 15, 12
+    validate_config(cfg)
+    assert parse_config(render_config(cfg)) == cfg
+    records = execute(cfg)
+    assert {r.client for r in records if r.metric == "tr_w"} == {0, 1}
 
 
 @pytest.mark.parametrize("rotation", ["random", "identity"])
@@ -268,24 +273,31 @@ def tap_out_of_range(draw, cfg):
 
 
 def too_many_eval_rows(draw, cfg):
-    cfg.metrics.eval_per_class = cfg.data.test_per_client // cfg.data.classes + 1
+    cfg.metrics.eval_per_class = cfg.data.train_per_client // cfg.data.classes + 1
 
 
-# each edit of a valid config breaks one rule, or with kind = idx or
-# unbalanced data maybe none; set_field may break a field's own rule and the
-# rules that read it
+# each edit of a valid config breaks one rule, or with kind = idx, label
+# noise or unbalanced data maybe none; set_field may break a field's own rule
+# and the rules that read it
 EDITS = (set_field, set_rule_field, drop_idx_dir, invert_scales, starve_split,
          overflow_draws, dump_too_many_rounds, bad_personalization,
          personalization_without_mode, tap_out_of_range, too_many_eval_rows)
 
 
 def oracle(cfg):
-    """The frozen oracle plus the rule added after it: a `#` note in a text
-    field is an error on that field."""
+    """The frozen oracle plus the rules changed after it: a `#` note in a text
+    field is an error on that field, and the test split no longer bounds
+    `metrics.eval_per_class`, since captures read train rows only."""
     for key in ("data.idx_dir", "output.dir"):
         owner, name = owner_of(cfg, key)
         if NOTE.search(getattr(owner, name)):
             raise ConfigError("a # note", field=key)
+    d = cfg.data
+    if d.test_per_client >= d.classes:
+        # a test split of eval_per_class rows per class leaves the oracle only
+        # its train-split bound; a smaller split keeps its own rule
+        need = cfg.metrics.eval_per_class * d.classes
+        cfg = replace(cfg, data=replace(d, test_per_client=max(d.test_per_client, need)))
     config_oracle.validate_config(cfg)
 
 

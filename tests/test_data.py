@@ -8,7 +8,7 @@ import pytest
 from fedlens.config import ExperimentConfig
 from fedlens.data import (ClientDataset, balanced_eval_subset, generate_federation_data,
                           load_idx, make_domain_specs)
-from fedlens.errors import FormatError
+from fedlens.errors import ConfigError, FormatError
 from fedlens.nn import Network, mlp_specs, sgd_epochs
 from fedlens.metrics import accuracy
 from fedlens.runner import build_datasets
@@ -99,8 +99,8 @@ class TestGenerator:
             net = Network(mlp_specs(10, [16], 3)).init_random(seed=seed)
             sgd_epochs(net, ds[0].train_x, ds[0].train_labels, epochs=20,
                        lr=0.05, batch_size=32, seed=seed)
-            own = accuracy(net.forward(ds[0].test_x)[0], ds[0].test_labels)
-            foreign = accuracy(net.forward(ds[1].test_x)[0], ds[1].test_labels)
+            own = accuracy(net.forward(ds[0].test_x), ds[0].test_labels)
+            foreign = accuracy(net.forward(ds[1].test_x), ds[1].test_labels)
             wins += own > foreign
         assert wins > len(seeds) // 2
 
@@ -150,33 +150,31 @@ class TestBalancedSubset:
 
     def test_full_count_is_permutation(self):
         ds = self.make()
-        sub = balanced_eval_subset(ds, 8, seed=1)
-        assert sorted(map(tuple, sub.train_x)) == sorted(map(tuple, ds.train_x))
+        x, _ = balanced_eval_subset(ds, 8, seed=1)
+        assert sorted(map(tuple, x)) == sorted(map(tuple, ds.train_x))
 
     def test_histogram_uniform(self):
-        sub = balanced_eval_subset(self.make(), 5, seed=2)
-        assert np.array_equal(np.bincount(sub.train_labels), [5, 5, 5])
-        assert np.array_equal(np.bincount(sub.test_labels), [5, 5, 5])
+        _, labels = balanced_eval_subset(self.make(), 5, seed=2)
+        assert np.array_equal(np.bincount(labels), [5, 5, 5])
 
     def test_two_seeds_differ_same_histogram(self):
         ds = self.make()
         a = balanced_eval_subset(ds, 4, seed=3)
         b = balanced_eval_subset(ds, 4, seed=4)
-        assert not np.array_equal(a.train_x, b.train_x)
-        assert np.array_equal(np.bincount(a.train_labels),
-                              np.bincount(b.train_labels))
+        assert not np.array_equal(a[0], b[0])
+        assert np.array_equal(np.bincount(a[1]), np.bincount(b[1]))
 
     def test_absent_class_is_left_out(self):
         ds = self.make()
         keep = ds.train_labels != 1
         lacking = ClientDataset(0, ds.train_x[keep], ds.train_labels[keep],
                                 ds.test_x, ds.test_labels)
-        sub = balanced_eval_subset(lacking, 5, seed=2)
-        assert np.array_equal(np.bincount(sub.train_labels), [5, 0, 5])
-        assert np.array_equal(np.bincount(sub.test_labels), [5, 5, 5])
+        _, labels = balanced_eval_subset(lacking, 5, seed=2)
+        assert np.array_equal(np.bincount(labels), [5, 0, 5])
 
     def test_insufficient_samples_lists_classes(self):
-        with pytest.raises(ValueError, match="class 0"):
+        with pytest.raises(ConfigError, match="^metrics.eval_per_class: client 0 has 3 "
+                                              "train rows of class 0, fewer than 4$"):
             balanced_eval_subset(self.make(per_class=3), 4, seed=5)
 
 

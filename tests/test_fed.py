@@ -327,9 +327,9 @@ class TestPretrain:
         tx = np.concatenate([ds.test_x for ds in datasets])
         tl = np.concatenate([ds.test_labels for ds in datasets])
         net = Network(ARCH).init_random(seed=38)
-        base = accuracy(net.forward(tx)[0], tl)
+        base = accuracy(net.forward(tx), tl)
         pretrain(net, x, labels, epochs=20, lr=0.05, batch_size=32, seed=39)
-        assert accuracy(net.forward(tx)[0], tl) > base
+        assert accuracy(net.forward(tx), tl) > base
 
     def test_deterministic(self):
         datasets = small_federation(num_clients=2, seed=41)
@@ -370,7 +370,7 @@ class TestFinetuneClassifier:
         labels = np.repeat([0, 1], 10)
         tuned = finetune_classifier(net.flatten(), arch, x, labels,
                                     batch_size=4, seed=51)
-        assert accuracy(tuned.forward(x)[0], labels) == 1.0
+        assert accuracy(tuned.forward(x), labels) == 1.0
         assert np.array_equal(param_views(tuned)[0][0], np.eye(2))
 
 
