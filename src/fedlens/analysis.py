@@ -15,7 +15,7 @@ ACCURACY_CSV = "accuracy.csv"
 
 @dataclass(frozen=True, slots=True)
 class MetricRecord:
-    """One scalar observation; layer -1 marks whole-model metrics."""
+    """One finite scalar observation; layer -1 marks whole-model metrics."""
 
     round: int
     phase: str
@@ -24,12 +24,20 @@ class MetricRecord:
     metric: str
     value: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise NumericError(f"record {self.sort_key()} has non-finite value {self.value!r}")
+
     def sort_key(self):
         return (self.round, self.phase, self.client, self.layer, self.metric)
 
 
 def relative_change(pre: float, post: float) -> float:
     """Symmetric percentage change |post-pre| / (|pre|+|post|) * 100."""
+    if math.isinf(abs(pre) + abs(post)):
+        # both scaled by the larger, so neither sum overflows (|post-pre| <= |pre|+|post|)
+        big = max(abs(pre), abs(post))
+        pre, post = pre / big, post / big
     denom = abs(pre) + abs(post)
     if denom == 0.0:
         return 0.0
@@ -55,14 +63,9 @@ def relative_change_records(records):
 
 
 def records_to_csv(records) -> str:
-    """Canonical CSV text: fixed header, rows sorted by the full key tuple.
-
-    A non-finite value is a NumericError naming its record's key.
-    """
+    """Canonical CSV text: fixed header, rows sorted by the full key tuple."""
     lines = [CSV_HEADER]
     for r in sorted(records, key=MetricRecord.sort_key):
-        if not math.isfinite(r.value):
-            raise NumericError(f"record {r.sort_key()} has non-finite value {r.value!r}")
         lines.append(f"{r.round},{r.phase},{r.client},{r.layer},{r.metric},{r.value!r}")
     return "\n".join(lines) + "\n"
 
@@ -72,8 +75,7 @@ def write_csv(records, path) -> None:
 
 
 def read_csv(path):
-    """Parse a metric CSV written by this package back into records; every value
-    must be finite."""
+    """Parse a metric CSV written by this package back into records."""
     data = Path(path).read_bytes()
     try:
         lines = data.decode("utf-8").splitlines()
@@ -94,7 +96,4 @@ def read_csv(path):
                                         metric, float(value)))
         except ValueError as exc:
             raise FormatError(f"{path}: line {i}: {exc}") from None
-        # runs write finite values only, so this is a damaged file
-        if not math.isfinite(records[-1].value):
-            raise FormatError(f"{path}: line {i}: non-finite value {value!r}")
     return records

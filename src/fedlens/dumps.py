@@ -1,10 +1,11 @@
 """Binary feature dumps and offline metric recomputation.
 
 A feature dump file holds one captured feature matrix: magic "FPLF",
-version u16, sample count u32, feature dim u32, layer u16, phase u8
-(0 pre, 1 post), round u16, then row-major float32 values and u16 labels,
+version u16 (2), sample count u32, feature dim u32, layer u16, phase u8
+(0 pre, 1 post), round u16, then row-major float64 values and u16 labels,
 all little-endian. The owning client is encoded in the file name. Model
-snapshots reuse the FPNV parameter-vector format.
+snapshots reuse the FPNV parameter-vector format. The values are the run's
+own, so the records rebuilt from its dumps equal its records bit for bit.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import numpy as np
 
 from .analysis import MetricRecord, relative_change_records
 from .config import U16_MAX
-from .errors import FormatError
+from .errors import FormatError, NumericError
 from .metrics import FeatureMatrix, distance_records, feature_records
 from .nn import Network, load_params, save_params
 
 FPLF_MAGIC = b"FPLF"
-FPLF_VERSION = 1
+FPLF_VERSION = 2
 FPLF_HEADER = struct.Struct("<4sHIIHBH")
 U32_MAX = 0xFFFFFFFF
 _PHASE_CODE = {"pre": 0, "post": 1}
@@ -51,7 +52,7 @@ def write_features(path, fm: FeatureMatrix) -> None:
             raise FormatError(f"{name} {value} does not fit the FPLF header range 0..{top}")
     header = FPLF_HEADER.pack(FPLF_MAGIC, FPLF_VERSION, fm.n, fm.dim,
                               fm.layer, _PHASE_CODE[fm.phase], fm.round)
-    payload = fm.values.astype("<f4").tobytes() + fm.labels.astype("<u2").tobytes()
+    payload = fm.values.astype("<f8").tobytes() + fm.labels.astype("<u2").tobytes()
     Path(path).write_bytes(header + payload)
 
 
@@ -66,22 +67,21 @@ def read_features(path, client: int = -1) -> FeatureMatrix:
         raise FormatError(f"{path}: unsupported version {version} at offset 4")
     if phase not in _PHASE_NAME:
         raise FormatError(f"{path}: unknown phase code {phase} at offset 16")
-    need = FPLF_HEADER.size + n * dim * 4 + n * 2
+    need = FPLF_HEADER.size + n * dim * 8 + n * 2
     if len(data) != need:
         raise FormatError(
             f"{path}: expected {need} bytes, found mismatch at offset "
             f"{min(len(data), need)}")
-    values = np.frombuffer(data, dtype="<f4", count=n * dim, offset=FPLF_HEADER.size)
+    values = np.frombuffer(data, dtype="<f8", count=n * dim, offset=FPLF_HEADER.size)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         # dumps are written from finite taps, so this is a damaged payload
         raise FormatError(f"{path}: non-finite feature value at offset "
-                          f"{FPLF_HEADER.size + 4 * int(bad[0])}")
-    values = values.astype(np.float64).reshape(n, dim)
+                          f"{FPLF_HEADER.size + 8 * int(bad[0])}")
     labels = np.frombuffer(data, dtype="<u2", count=n,
-                           offset=FPLF_HEADER.size + n * dim * 4).astype(int)
-    return FeatureMatrix(values, labels, layer=layer, phase=_PHASE_NAME[phase],
-                         round=round_index, client=client)
+                           offset=FPLF_HEADER.size + n * dim * 8).astype(int)
+    return FeatureMatrix(values.reshape(n, dim), labels, layer=layer,
+                         phase=_PHASE_NAME[phase], round=round_index, client=client)
 
 
 def write_round_dumps(dump_dir, taps: dict, round_index: int, client: int,
@@ -95,6 +95,8 @@ def write_round_dumps(dump_dir, taps: dict, round_index: int, client: int,
         save_params(model, root / model_filename(round_index, client, phase))
 
 
+# a record's finite check reports overflow; numpy's warnings would only repeat it
+@np.errstate(all="ignore")
 def metrics_from_dumps(dump_dir):
     """Recompute feature metrics from dump files.
 
@@ -145,19 +147,24 @@ def metrics_from_dumps(dump_dir):
             warnings.append(
                 f"round {rnd} client {client} layer {layer}: missing {missing} dump, skipped")
             continue
-        for fm in pair.values():
-            weight = None
-            if fm.phase in snapshots:
-                snapshot, layout, values = snapshots[fm.phase]
-                weight = (layout.interface_weight(values, layer + 1)
-                          if layer < layout[-1].layer else None)
-                if weight is None or weight.shape[1] != fm.dim:
-                    raise FormatError(f"{snapshot}: no layer {layer + 1} weight taking the "
-                                      f"{fm.dim} features of "
-                                      f"{paths[(rnd, client, layer, fm.phase)]}")
-            records.extend(feature_records(fm, weight))
-        records.extend(distance_records(pair["pre"].values, pair["post"].values, rnd,
-                                        client, layer))
+        try:
+            for fm in pair.values():
+                weight = None
+                if fm.phase in snapshots:
+                    snapshot, layout, values = snapshots[fm.phase]
+                    weight = (layout.interface_weight(values, layer + 1)
+                              if layer < layout[-1].layer else None)
+                    if weight is None or weight.shape[1] != fm.dim:
+                        raise FormatError(f"{snapshot}: no layer {layer + 1} weight taking "
+                                          f"the {fm.dim} features of "
+                                          f"{paths[(rnd, client, layer, fm.phase)]}")
+                records.extend(feature_records(fm, weight))
+            records.extend(distance_records(pair["pre"].values, pair["post"].values, rnd,
+                                            client, layer))
+        except NumericError as exc:
+            # a run dumps only taps whose records are finite: a file is damaged
+            raise FormatError(f"{paths[(rnd, client, layer, 'pre')]} or "
+                              f"{paths[(rnd, client, layer, 'post')]}: {exc}") from None
     for path in models.values():
         load_params(path)  # a snapshot without feature dumps is still checked
     records.extend(relative_change_records(records))

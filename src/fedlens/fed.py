@@ -19,7 +19,6 @@ from .config import personalized_layers
 from .data import ClientDataset, balanced_eval_subset
 from .dumps import write_round_dumps
 from .errors import NumericError, ShapeError
-from .linalg import as_matrix
 from .metrics import (accuracy, distance_records, extract_tap_features, feature_records,
                       linear_probe, walk_taps)
 from .nn import Network, mlp_specs, sgd_epochs
@@ -186,8 +185,7 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
             if mt.distances:
                 records.extend(distance_records(pair[0].values, pair[1].values, r, m, t))
         if mt.distances:
-            # pairwise_distances does not scan its inputs: check each vector once here
-            pre, post = (as_matrix(net.values[None], "parameters") for net in pair_nets)
+            pre, post = (net.values[None] for net in pair_nets)
             for layer in range(1, num_layers + 1):
                 slc = layout.layer_slice(layer)
                 records.extend(distance_records(pre[:, slc], post[:, slc], r, m, layer,

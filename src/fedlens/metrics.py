@@ -158,7 +158,7 @@ def pairwise_distances(a, b) -> dict:
     |a-b| / (|a|+|b|) elementwise (0 where both are 0); mse and l1 are plain
     means; cos averages row-wise cosine similarity (1 when both rows are
     zero, 0 when exactly one is). The inputs are not checked for finiteness:
-    a FeatureMatrix's values already were.
+    a non-finite input makes mse non-finite, which its MetricRecord refuses.
     """
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")

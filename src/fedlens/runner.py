@@ -94,8 +94,7 @@ def run_to_dir(cfg: ExperimentConfig) -> Path:
     acc = [r for r in records if r.metric in ACCURACY_METRICS]
     rest = [r for r in records if r.metric not in ACCURACY_METRICS]
     texts = {METRICS_CSV: records_to_csv(rest), ACCURACY_CSV: records_to_csv(acc)}
-    # only now, so a run that fails, or holds a non-finite record, leaves no
-    # empty directory behind
+    # only now, so a run that fails leaves no empty directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         (out_dir / name).write_text(text, newline="\n")

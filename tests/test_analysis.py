@@ -1,11 +1,23 @@
-"""Rank correlation tests: expected values are worked out by hand."""
+"""Metric records hold finite values; rank correlation values are worked out
+by hand."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import average_ranks, spearman
+
+from fedlens.analysis import MetricRecord
+from fedlens.errors import NumericError
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_record_cannot_hold_a_non_finite_value(value):
+    with pytest.raises(NumericError, match="^" + re.escape(
+            f"record (2, 'pre', 1, 0, 'tr_w') has non-finite value {value!r}") + "$"):
+        MetricRecord(2, "pre", 1, 0, "tr_w", value)
 
 
 class TestSpearman:

@@ -5,6 +5,7 @@ for bit against `Network.forward`, and a tracemalloc guard bounds the memory
 one evaluation round's capture holds.
 """
 
+import ctypes
 import hashlib
 import tracemalloc
 from pathlib import Path
@@ -68,25 +69,40 @@ def output_digests(out_dir: Path):
             "dumps": (len(dumps), hashlib.sha256(listing.encode()).hexdigest())}
 
 
-# The first two were computed before capture became a per-layer walk, when
-# each model's taps came from one `Network.forward` per 256-row batch; the
-# pretrained run before client parameters became plain arrays. Any change to
-# a captured byte, to the set of dump files or to a metric value shows here.
+def blas_core() -> str:
+    """The CPU core that numpy's bundled OpenBLAS picked its kernels for."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    lib = next(libs.glob("libscipy_openblas*.so"), None)
+    if lib is None:
+        return "unknown (no bundled OpenBLAS)"
+    corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+# The CSV digests of the first two runs were computed before capture became a
+# per-layer walk, when each model's taps came from one `Network.forward` per
+# 256-row batch; the pretrained run's before client parameters became plain
+# arrays. The dumps digests date from the float64 FPLF payload, which holds
+# every bit of the run's features, so they may move with the OpenBLAS kernel;
+# they were taken on GOLDEN_CORE. Any change to a captured byte, to the set of
+# dump files or to a metric value shows here.
+GOLDEN_CORE = "SkylakeX"
 GOLDEN_RUNS = {
     "plain-skip": {
         "metrics.csv": "739766548b4be4480152d3a40e02478ec07cb0050ec6382f8d52b6943a45ed45",
         "accuracy.csv": "57e8ef60a93b7d3c7155664264a563a3f6c58989530f5a8685a6fb46e5f022af",
-        "dumps": (24, "ab885dbe7bdaa70f3ed2e2dca628d5f75412999d11221e665aa43fe9634147b7"),
+        "dumps": (24, "8df08fa91e595dc1a26c99554bfff2c6b90f77585c328b7381d4a38af8a7914c"),
     },
     "residual-finetune": {
         "metrics.csv": "fe788e980867afbbe615227676394a3bd8b6b6dce14d55c0e82ffb9ce74040dd",
         "accuracy.csv": "e774362b99cd546ed353b720a71500b41bc0d50507d4d7a522e0fcad6c65563f",
-        "dumps": (40, "39bec9d90bad43801ddc5273cebac926f4fa3da9e81fadc50a11fea46a2f7c48"),
+        "dumps": (40, "09b143f933d670df3685c37278cf9ca914794d2930afde0fb0dfde55e2fc4ca9"),
     },
     "pretrained-successive": {
         "metrics.csv": "71f95827f2f5d8d94c0ebae385a8908bdd99241ffb3ce104e331ac5b3142c42a",
         "accuracy.csv": "2c444e47ba6698953aedeb16623e2785bee5f597862f4e50ebb7e37b34815002",
-        "dumps": (32, "c530e6af56215acf108d12160e6fb053b88addf6ab520e2e9fd9fb6c44f5238b"),
+        "dumps": (32, "8ccebc05e5092a1d91ca593b6b0d3d16699449aa3e1404f4bf46f66059f0080b"),
     },
 }
 
@@ -95,7 +111,8 @@ def test_capture_outputs_match_golden_hashes(tmp_path):
     for name, want in GOLDEN_RUNS.items():
         out_dir = tmp_path / name
         run_to_dir(tiny_config(out_dir, name))
-        assert output_digests(out_dir) == want, name
+        assert output_digests(out_dir) == want, (
+            f"{name}: pinned on OpenBLAS core {GOLDEN_CORE}, run on {blas_core()}")
 
 
 # mlp_specs keywords of each layer kind; the residual net's hidden layers 2

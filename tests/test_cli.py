@@ -1,7 +1,6 @@
 """End-to-end CLI tests: run outputs, determinism, presets, dump recomputation,
 export, and exit codes."""
 
-import math
 import os
 import re
 import shutil
@@ -16,8 +15,7 @@ from conftest import is_registered, value_map
 
 import fedlens
 from fedlens import fed as fed_module
-from fedlens import runner as runner_module
-from fedlens.analysis import CSV_HEADER, MetricRecord, read_csv, relative_change
+from fedlens.analysis import CSV_HEADER, read_csv, relative_change
 from fedlens.cli import main
 from fedlens.config import RULES, load_config, parse_config
 from fedlens import dumps as dumps_module
@@ -99,10 +97,6 @@ def write_config(path, out_dir, output_extra=""):
     path.write_text(CONFIG_TEMPLATE.format(out_dir=out_dir,
                                            output_extra=output_extra))
     return path
-
-
-def close_enough(a, b):
-    return abs(a - b) <= 1e-6 * max(1.0, abs(a), abs(b))
 
 
 @pytest.fixture(scope="module")
@@ -309,15 +303,26 @@ class TestIdxRun:
         assert not (idx_cfg.parent / "out").exists()
 
 
+def huge_anchor_config(path, out_dir, anchor_scale, output_extra=""):
+    """The test config with untrained clients on data of the given anchor scale."""
+    cfg = write_config(path, out_dir, output_extra)
+    text = cfg.read_text().replace("local_epochs = 2", "local_epochs = 0")
+    cfg.write_text(text.replace("anchor_scale = 2.0", f"anchor_scale = {anchor_scale}"))
+    return cfg
+
+
 def test_non_finite_record_exits_3_and_leaves_no_output_dir(tmp_path, capsys, monkeypatch):
+    # tap 0's traces overflow at the first capture, in round 2 of 4
     out_dir = tmp_path / "out"
-    cfg = write_config(tmp_path / "inf.cfg", out_dir)
-    records = [MetricRecord(2, "pre", 1, 0, "tr_w", 0.5),
-               MetricRecord(2, "pre", 1, 1, "tr_w", math.inf)]
-    monkeypatch.setattr(runner_module, "execute", lambda cfg, dump_dir=None: records)
+    cfg = huge_anchor_config(tmp_path / "inf.cfg", out_dir, "1e160")
+    rounds = []
+    real = fed_module.client_round_seed
+    monkeypatch.setattr(fed_module, "client_round_seed",
+                        lambda seed, m, r: rounds.append(r) or real(seed, m, r))
     assert main(["run", str(cfg)]) == 3
-    assert capsys.readouterr().err == ("error: NumericError: record (2, 'pre', 1, 1, 'tr_w') "
-                                       "has non-finite value inf\n")
+    assert capsys.readouterr().err == ("error: NumericError: record (2, 'pre', 0, 0, 'sigma_b') "
+                                       "has non-finite value nan\n")
+    assert max(rounds) == 2
     assert not out_dir.exists()
 
 
@@ -381,8 +386,39 @@ class TestMetricsCommand:
         metrics_seen = {key[4] for key in shared}
         assert {"sigma_w", "sigma_b", "tr_w", "tr_b", "tr_t", "alignment",
                 "dist_l1_norm", "dist_mse", "dist_l1", "dist_cos"} <= metrics_seen
-        for key in shared:
-            assert close_enough(recomputed[key], original[key]), key
+        assert ({key: repr(recomputed[key]) for key in shared}
+                == {key: repr(original[key]) for key in shared})
+
+    def test_features_past_float32_range_are_recomputed_exactly(self, tmp_path, capsys):
+        # tap 0 holds data of scale 1e40, which a float32 payload stored as inf
+        out_dir = tmp_path / "out"
+        cfg = huge_anchor_config(tmp_path / "big.cfg", out_dir, "1e40",
+                                 "dump_features = true\ndump_models = true\n")
+        assert main(["run", str(cfg)]) == 0
+        assert main(["metrics", str(out_dir / "dumps")]) == 0
+        assert capsys.readouterr().err == ""
+        recomputed = value_map(read_csv(out_dir / "dumps" / "metrics_from_dumps.csv"))
+        original = value_map(read_csv(out_dir / "metrics.csv"))
+        assert max(original[key] for key in original if key[4] == "tr_t") > 1e80
+        shared = [key for key in recomputed if not key[4].startswith("rel_")]
+        assert shared
+        assert ({key: repr(recomputed[key]) for key in shared}
+                == {key: repr(original[key]) for key in shared})
+
+    def test_overflowing_feature_value_exits_3_naming_its_file(self, dump_run, tmp_path,
+                                                               capsys):
+        # finite, so the file reads, but the traces of a run's taps cannot overflow
+        dumps = tmp_path / "dumps"
+        shutil.copytree(dump_run["dumps"], dumps)
+        path = dumps / feature_filename(2, 1, 1, "post")
+        fm = read_features(path)
+        values = fm.values.copy()
+        values[0, 0] = 1e300
+        write_features(path, FeatureMatrix(values, fm.labels, layer=1, phase="post", round=2))
+        assert main(["metrics", str(dumps)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: FormatError: "), err
+        assert str(path) in err[0] and "non-finite value" in err[0], err
 
     def test_every_snapshot_is_read_once(self, dump_run, tmp_path, monkeypatch):
         dumps = tmp_path / "dumps"
@@ -605,9 +641,11 @@ class TestExport:
         flipped = f"{found[1]}e{found[2]}"
         metrics.write_text(f"{text[:found.start()]},{flipped}\n{text[found.end():]}")
         line = text.count("\n", 0, found.start()) + 1
+        rnd, phase, client, layer, metric = text.splitlines()[line - 1].split(",")[:5]
+        key = (int(rnd), phase, int(client), int(layer), metric)
         assert main(["export", str(tmp_path), "--long"]) == 3
         assert capsys.readouterr().err == (f"error: FormatError: {metrics}: line {line}: "
-                                           f"non-finite value {flipped!r}\n")
+                                           f"record {key} has non-finite value inf\n")
         assert not (tmp_path / "long.csv").exists()
 
     def test_unparsable_value_exits_3_naming_file_and_line(self, tmp_path, capsys):

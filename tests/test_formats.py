@@ -88,11 +88,24 @@ def test_fpnv_dims_overflowing_int64_are_a_format_error(tmp_path):
 
 def test_non_finite_fplf_payload_names_file_and_offset(tmp_path):
     blob = bytearray(fplf_blob(3, 2, 0))
-    at = FPLF_HEADER.size + 4 * 1           # second float32 of the payload
-    blob[at:at + 4] = np.array([np.inf], dtype="<f4").tobytes()
+    at = FPLF_HEADER.size + 8 * 1           # second float64 of the payload
+    blob[at:at + 8] = np.array([np.inf], dtype="<f8").tobytes()
     path = tmp_path / "features.fplf"
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match=f"non-finite feature value at offset {at}"):
+        read_features(path)
+
+
+def test_fplf_keeps_float64_values_and_refuses_version_1(tmp_path):
+    # a value float32 cannot hold, and one it would round
+    fm = FeatureMatrix([[1e300, 0.1], [-1e-300, 1.0]], [0, 1], layer=1, round=2)
+    path = tmp_path / "features.fplf"
+    write_features(path, fm)
+    assert read_features(path).values.tobytes() == fm.values.tobytes()
+    blob = bytearray(path.read_bytes())
+    blob[4:6] = struct.pack("<H", 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"^{path}: unsupported version 1 at offset 4$"):
         read_features(path)
 
 

@@ -273,6 +273,12 @@ class TestRelativeChange:
             pre, post = rng.normal(size=2) * 10
             assert 0.0 <= relative_change(pre, post) <= 100.0
 
+    # |pre| + |post| overflows float64 here
+    @pytest.mark.parametrize("pre, post, want", [(1e308, 1.5e308, 20.0),
+                                                 (1e308, -1e308, 100.0)])
+    def test_values_whose_sum_overflows(self, pre, post, want):
+        assert relative_change(pre, post) == pytest.approx(want, rel=1e-15)
+
 
 class TestAccuracy:
     def test_one_hot_logits(self):

@@ -3,27 +3,41 @@
 A `fedlens run` of an accepted config ends one of three ways: exit 0;
 exit 2 with one `config error: <section.key>: ...` line and no output
 directory; or exit 3 with one `NumericError` line. Any other exception,
-or any extra stderr line, is a fault. The inputs are tiny drawn configs
-and tiny IDX federations with skewed, missing and out-of-range labels.
+or any extra stderr line, is a fault. After exit 0 with feature dumps,
+`fedlens metrics` rebuilds each capture row of `metrics.csv` as the same
+text. The inputs are tiny drawn configs and tiny IDX federations with
+skewed, missing and out-of-range labels.
 """
 
-import contextlib
-import io
 import re
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fedlens.cli import main
 from fedlens.config import ExperimentConfig, render_config
+from fedlens.metrics import FEATURE_STATS
 from test_config import valid_configs
 from test_data import write_idx_pair
+from test_dump_property import run_cli
 
 CONFIG_ERROR = re.compile(r"config error: (scenario|[a-z]+\.[a-z_]+): ")
+
+
+def capture_rows(path: Path, cfg: ExperimentConfig) -> set:
+    """The lines of a metric CSV that `fedlens metrics` rebuilds from cfg's dumps:
+    pre/post feature statistics, alignment when models are dumped too, and
+    feature distances when the run records them."""
+    stats = set(FEATURE_STATS) | ({"alignment"} if cfg.output.dump_models else set())
+    rows = set()
+    for line in path.read_text().splitlines()[1:]:
+        _, phase, _, _, metric, _ = line.split(",")
+        if (phase in ("pre", "post") and metric in stats
+                or phase == "delta" and metric.startswith("dist_") and cfg.metrics.distances):
+            rows.add(line)
+    return rows
 
 
 def run_cleanly(cfg: ExperimentConfig, work: Path) -> int:
@@ -32,17 +46,18 @@ def run_cleanly(cfg: ExperimentConfig, work: Path) -> int:
     cfg.output.dir = str(out_dir)
     path = work / "run.cfg"
     path.write_text(render_config(cfg))
-    err = io.StringIO()
     # a warning would be a stderr line of its own; as an error it fails the check
-    with (contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()),
-          warnings.catch_warnings()):
-        warnings.simplefilter("error")
-        code = main(["run", str(path)])
+    code, lines = run_cli(["run", str(path)])
     event(f"exit {code}")
-    lines = err.getvalue().splitlines()
     if code == 0:
         assert lines == []
         assert (out_dir / "metrics.csv").is_file()
+        dumps = out_dir / "dumps"
+        if cfg.output.dump_features and dumps.is_dir():
+            event("dumps recomputed")
+            offline = work / "offline.csv"
+            assert run_cli(["metrics", str(dumps), "--out", str(offline)]) == (0, [])
+            assert capture_rows(offline, cfg) == capture_rows(out_dir / "metrics.csv", cfg)
     elif code == 2:
         assert len(lines) == 1 and CONFIG_ERROR.match(lines[0]), lines
         assert not out_dir.exists()
@@ -55,6 +70,15 @@ def run_cleanly(cfg: ExperimentConfig, work: Path) -> int:
 @settings(max_examples=60, deadline=None)
 @given(valid_configs(tiny=True))
 def test_accepted_config_runs_or_fails_cleanly(cfg):
+    with tempfile.TemporaryDirectory() as work:
+        run_cleanly(cfg, Path(work))
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_configs(tiny=True))
+def test_dumps_of_an_accepted_config_give_back_its_capture_rows(cfg):
+    # a drawn config dumps and reaches an eval round too rarely to rely on above
+    cfg.output.dump_features = True
     with tempfile.TemporaryDirectory() as work:
         run_cleanly(cfg, Path(work))
 
