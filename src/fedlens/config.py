@@ -4,7 +4,8 @@ The config format is line-oriented: `[section]` headers, `key = value` pairs,
 `#` comment lines, blank lines. Unknown sections or keys are hard errors with
 line numbers; missing keys take documented defaults. `render_config` emits a
 canonical document that parses back to the same configuration, which is what
-run manifests embed.
+run manifests embed. Presets are documents in the same format, so every
+config, a user's or a preset's, is built by `parse_config`.
 """
 
 from __future__ import annotations
@@ -389,124 +390,67 @@ def render_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
-def _base_config(seed: int = 1) -> ExperimentConfig:
-    # Desk-scale heterogeneous federation: shared class anchors, per-client
-    # Haar rotations, low anchor separation and half-split batches so local
-    # models keep diverging instead of memorizing within the first rounds.
-    cfg = ExperimentConfig()
-    cfg.fed.seed = seed
-    cfg.data.anchor_scale = 1.5
-    cfg.data.scale_min = 1.0
-    cfg.data.scale_max = 1.0
-    cfg.data.offset_scale = 0.0
-    cfg.fed.batch_size = 250
-    cfg.metrics.eval_per_class = 100
-    return cfg
+# Desk-scale heterogeneous federation: shared class anchors, per-client
+# Haar rotations, low anchor separation and half-split batches so local
+# models keep diverging instead of memorizing within the first rounds.
+_DESK = """
+[data]
+anchor_scale = 1.5
+scale_min = 1.0
+scale_max = 1.0
+offset_scale = 0.0
+[fed]
+batch_size = 250
+[metrics]
+eval_per_class = 100
+"""
+# Faster local regime for the mitigation scenarios: stronger class
+# separation plus scale/offset shift, so features mature within a few
+# rounds and classifier-level effects are visible.
+_MATURE = """
+[metrics]
+eval_per_class = 100
+"""
+_PERSONALIZED = "scenario = personalization\n" + _DESK + "[fed]\npersonalization = "
+_LAYERS = len(ModelConfig.hidden) + 1
+
+# preset name -> its (config name, document) pairs. A document is config text
+# that sets only what differs from the defaults; a `scenario` line comes
+# first, since the parser reads top-level keys only before the first section,
+# and a repeated section's later key overrides the earlier one.
+PRESETS = {
+    "baseline": [("baseline", _DESK)],
+    "iid-control": [("iid-control", _DESK + "[data]\nrotation = identity\n")],
+    "personalization-classifier": [
+        ("personalization-classifier", _PERSONALIZED + "classifier\n")],
+    "personalization-successive": [
+        (f"personalization-successive-k{k}", f"{_PERSONALIZED}successive:{k}\n")
+        for k in range(_LAYERS + 1)],
+    "personalization-skip": [
+        (f"personalization-skip-l{layer}", f"{_PERSONALIZED}skip:{layer}\n")
+        for layer in range(1, _LAYERS + 1)],
+    "pretrained": [
+        ("pretrained", "scenario = pretrained\n" + _MATURE + "[fed]\npretrain_epochs = 20\n"),
+        ("pretrained-random-init", "scenario = pretrained\n" + _MATURE)],
+    "finetune": [
+        ("finetune", "scenario = finetune\n" + _DESK
+         + "[fed]\nbatch_size = 128\n[metrics]\nfinetune_batch = 8\n")],
+    "local-epochs-ablation": [
+        (f"local-epochs-e{e}-r{r}", f"scenario = local-epochs-ablation\n{_DESK}[fed]\n"
+         f"local_epochs = {e}\nrounds = {r}\neval_cadence = {max(1, 20 // e)}\n")
+        for e, r in LOCAL_EPOCH_ABLATION],
+    "residual-ablation": [
+        (f"residual-{tag}", f"scenario = residual-ablation\n{_DESK}[model]\nresidual = {flag}\n")
+        for tag, flag in (("off", "false"), ("on", "true"))],
+}
 
 
 def preset(name: str, seed: int = 1):
-    """Named experiment presets; returns a list of (name, config) pairs."""
+    """Named experiment presets; returns a list of (name, config) pairs, each
+    parsed from its document with the seed and `runs/<name>` as output dir."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}, expected one of "
                           f"{', '.join(sorted(PRESETS))}")
-    out = PRESETS[name](seed)
-    for sub_name, cfg in out:
-        cfg.output.dir = f"runs/{sub_name}"
-        validate_config(cfg)
-    return out
-
-
-def _preset_baseline(seed):
-    return [("baseline", _base_config(seed))]
-
-
-def _preset_iid(seed):
-    cfg = _base_config(seed)
-    cfg.data.rotation = "identity"
-    return [("iid-control", cfg)]
-
-
-def _personalized(seed, mode):
-    cfg = _base_config(seed)
-    cfg.scenario = "personalization"
-    cfg.fed.personalization = mode
-    return cfg
-
-
-def _preset_classifier(seed):
-    return [("personalization-classifier", _personalized(seed, "classifier"))]
-
-
-def _preset_successive(seed):
-    return [(f"personalization-successive-k{k}", _personalized(seed, f"successive:{k}"))
-            for k in range(ExperimentConfig().num_layers + 1)]
-
-
-def _preset_skip(seed):
-    return [(f"personalization-skip-l{layer}", _personalized(seed, f"skip:{layer}"))
-            for layer in range(1, ExperimentConfig().num_layers + 1)]
-
-
-def _mature_config(seed: int) -> ExperimentConfig:
-    # Faster local regime for the mitigation scenarios: stronger class
-    # separation plus scale/offset shift, so features mature within a few
-    # rounds and classifier-level effects are visible.
-    cfg = ExperimentConfig()
-    cfg.fed.seed = seed
-    cfg.metrics.eval_per_class = 100
-    return cfg
-
-
-def _preset_pretrained(seed):
-    cfg = _mature_config(seed)
-    cfg.scenario = "pretrained"
-    cfg.fed.pretrain_epochs = 20
-    twin = _mature_config(seed)
-    twin.scenario = "pretrained"
-    twin.fed.pretrain_epochs = 0
-    return [("pretrained", cfg), ("pretrained-random-init", twin)]
-
-
-def _preset_finetune(seed):
-    cfg = _base_config(seed)
-    cfg.scenario = "finetune"
-    cfg.fed.batch_size = 128
-    cfg.metrics.finetune_batch = 8
-    return [("finetune", cfg)]
-
-
-def _preset_local_epochs(seed):
-    out = []
-    for e, r in LOCAL_EPOCH_ABLATION:
-        cfg = _base_config(seed)
-        cfg.scenario = "local-epochs-ablation"
-        cfg.fed.local_epochs = e
-        cfg.fed.rounds = r
-        cfg.fed.eval_cadence = max(1, 20 // e)
-        out.append((f"local-epochs-e{e}-r{r}", cfg))
-    return out
-
-
-def _preset_residual(seed):
-    out = []
-    for flag in (False, True):
-        cfg = _base_config(seed)
-        cfg.scenario = "residual-ablation"
-        cfg.model.residual = flag
-        tag = "on" if flag else "off"
-        out.append((f"residual-{tag}", cfg))
-    return out
-
-
-# preset name -> builder of its (name, config) pairs
-PRESETS = {
-    "baseline": _preset_baseline,
-    "iid-control": _preset_iid,
-    "personalization-classifier": _preset_classifier,
-    "personalization-successive": _preset_successive,
-    "personalization-skip": _preset_skip,
-    "pretrained": _preset_pretrained,
-    "finetune": _preset_finetune,
-    "local-epochs-ablation": _preset_local_epochs,
-    "residual-ablation": _preset_residual,
-}
+    return [(sub_name, parse_config(f"{doc}[fed]\nseed = {seed}\n"
+                                    f"[output]\ndir = runs/{sub_name}\n"))
+            for sub_name, doc in PRESETS[name]]

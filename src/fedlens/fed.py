@@ -135,8 +135,9 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
     neither capture order nor client order affects results. With `dump_dir`
     set, each capture's feature matrices are dumped there, and with
     `output.dump_models` its pre and post models too. A NumericError from
-    pretraining names that stage; one from local training or fine-tuning
-    names its round, client and stage.
+    pretraining names that stage; one from a round names the round, and the
+    client and stage too: local training, capture or fine-tuning. One from
+    the probes names its round.
     """
     fed, mt = cfg.fed, cfg.metrics
     # drawn first, so that a class short of eval_per_class rows fails before
@@ -212,7 +213,8 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
         if r % fed.eval_cadence == 0:
             post_nets = [Network.from_vector(arch, row) for row in client_params]
             for m in range(m_clients):
-                capture(r, m, (nets[m], post_nets[m]))
+                with _located(f"round {r}, client {m}, capture"):
+                    capture(r, m, (nets[m], post_nets[m]))
                 if cfg.scenario == "finetune":
                     with _located(f"round {r}, client {m}, fine-tuning"):
                         tuned = finetune_classifier(
@@ -221,15 +223,16 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
                             lr=mt.finetune_lr, momentum=mt.finetune_momentum,
                             batch_size=mt.finetune_batch,
                             seed=derive_seed(fed.seed, "finetune", m, r))
-                    t = num_layers - 1
-                    records.extend(_accuracy_records(tuned, datasets[m], r, "tuned"))
-                    fm = extract_tap_features(tuned, *eval_sets[m], (t,), phase="tuned",
-                                              round_index=r, client=m)[t]
-                    records.extend(feature_records(fm, tuned.interface_weight(t + 1),
-                                                   stats=()))
+                        t = num_layers - 1
+                        records.extend(_accuracy_records(tuned, datasets[m], r, "tuned"))
+                        fm = extract_tap_features(tuned, *eval_sets[m], (t,), phase="tuned",
+                                                  round_index=r, client=m)[t]
+                        records.extend(feature_records(fm, tuned.interface_weight(t + 1),
+                                                       stats=()))
             if r in mt.probe_rounds:
-                records.extend(_probe_records(cfg, num_layers - 1, nets, post_nets,
-                                              datasets, r))
+                with _located(f"round {r}, probes"):
+                    records.extend(_probe_records(cfg, num_layers - 1, nets, post_nets,
+                                                  datasets, r))
 
     records.sort(key=MetricRecord.sort_key)
     return records

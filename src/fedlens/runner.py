@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +91,16 @@ def run_to_dir(cfg: ExperimentConfig) -> Path:
     """Execute and write metrics.csv, accuracy.csv, manifest.txt, and dumps."""
     out_dir = Path(cfg.output.dir)
     dump_dir = out_dir / DUMP_SUBDIR if cfg.output.dump_features else None
-    records = execute(cfg, dump_dir=dump_dir)
+    # dumps are written as the run goes; a run that fails removes the
+    # outermost directory of their path that it made
+    made = dump_dir and next((p for p in (*reversed(dump_dir.parents), dump_dir)
+                              if not p.exists()), None)
+    try:
+        records = execute(cfg, dump_dir=dump_dir)
+    except BaseException:
+        if made:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     acc = [r for r in records if r.metric in ACCURACY_METRICS]
     rest = [r for r in records if r.metric not in ACCURACY_METRICS]
     texts = {METRICS_CSV: records_to_csv(rest), ACCURACY_CSV: records_to_csv(acc)}

@@ -7,6 +7,10 @@ one evaluation round's capture holds.
 
 import ctypes
 import hashlib
+import math
+import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -16,12 +20,14 @@ from conftest import param_views
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedlens.config import ExperimentConfig, validate_config
+from fedlens.analysis import read_csv
+from fedlens.config import ExperimentConfig, render_config, validate_config
 from fedlens.errors import NumericError
 from fedlens.fed import run_federation
 from fedlens.metrics import walk_taps
 from fedlens.nn import Network, mlp_specs
 from fedlens.runner import build_datasets, run_to_dir
+from test_cli import package_env
 
 
 def tiny_config(out_dir, name):
@@ -69,13 +75,14 @@ def output_digests(out_dir: Path):
             "dumps": (len(dumps), hashlib.sha256(listing.encode()).hexdigest())}
 
 
-def blas_core() -> str:
-    """The CPU core that numpy's bundled OpenBLAS picked its kernels for."""
+def blas_core():
+    """The CPU core that numpy's bundled OpenBLAS picked its kernels for, or
+    None when numpy bundles no OpenBLAS that reports it."""
     libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
     lib = next(libs.glob("libscipy_openblas*.so"), None)
-    if lib is None:
-        return "unknown (no bundled OpenBLAS)"
-    corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    corename = lib and getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+    if not corename:
+        return None
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
 
@@ -112,7 +119,49 @@ def test_capture_outputs_match_golden_hashes(tmp_path):
         out_dir = tmp_path / name
         run_to_dir(tiny_config(out_dir, name))
         assert output_digests(out_dir) == want, (
-            f"{name}: pinned on OpenBLAS core {GOLDEN_CORE}, run on {blas_core()}")
+            f"{name}: pinned on OpenBLAS core {GOLDEN_CORE}, "
+            f"run on {blas_core() or 'an unknown core'}")
+
+
+# Records of two OpenBLAS kernels may differ in their last bits, by at most
+# this relative gap: a 30-round baseline run measured 5.9e-14 between the
+# Haswell and SkylakeX kernels. Bytes are identical per kernel only.
+KERNEL_TOLERANCE = 1e-9
+# prints the core the child's OpenBLAS runs on, then runs a config
+KERNEL_CHILD = ("import sys\n"
+                "sys.path.insert(0, sys.argv[2])\n"
+                "from test_capture import blas_core\n"
+                "from fedlens.cli import main\n"
+                "print(blas_core())\n"
+                "sys.exit(main(['run', sys.argv[1]]))\n")
+
+
+def test_records_agree_across_blas_kernels(tmp_path):
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels only")
+    native = blas_core()
+    if native is None:
+        pytest.skip("numpy's OpenBLAS does not report its core")
+    # OpenBLAS reports its Prescott kernels as Katmai
+    if native in ("Prescott", "Katmai"):
+        pytest.skip("the host core runs the Prescott kernels already")
+    tables, ran_on = [], []
+    for core in (native, "Prescott"):
+        out_dir = tmp_path / core
+        path = tmp_path / f"{core}.cfg"
+        path.write_text(render_config(tiny_config(out_dir, "plain-skip")))
+        proc = subprocess.run(
+            [sys.executable, "-c", KERNEL_CHILD, str(path), str(Path(__file__).parent)],
+            env=package_env(OPENBLAS_CORETYPE=core), check=True, capture_output=True,
+            text=True)
+        ran_on.append(proc.stdout.splitlines()[0])
+        tables.append({r.sort_key(): r.value for name in ("metrics.csv", "accuracy.csv")
+                       for r in read_csv(out_dir / name)})
+    assert ran_on[0] == native and ran_on[1] != native, ran_on
+    native_rows, other_rows = tables
+    assert native_rows.keys() == other_rows.keys()
+    for key, value in native_rows.items():
+        assert math.isclose(other_rows[key], value, rel_tol=KERNEL_TOLERANCE), key
 
 
 # mlp_specs keywords of each layer kind; the residual net's hidden layers 2

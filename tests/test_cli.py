@@ -320,10 +320,23 @@ def test_non_finite_record_exits_3_and_leaves_no_output_dir(tmp_path, capsys, mo
     monkeypatch.setattr(fed_module, "client_round_seed",
                         lambda seed, m, r: rounds.append(r) or real(seed, m, r))
     assert main(["run", str(cfg)]) == 3
-    assert capsys.readouterr().err == ("error: NumericError: record (2, 'pre', 0, 0, 'sigma_b') "
+    assert capsys.readouterr().err == ("error: NumericError: round 2, client 0, capture: "
+                                       "record (2, 'pre', 0, 0, 'sigma_b') "
                                        "has non-finite value nan\n")
     assert max(rounds) == 2
     assert not out_dir.exists()
+
+
+def test_a_failed_run_removes_the_dumps_it_wrote_and_only_them(tmp_path, capsys):
+    # the first capture dumps both models before its walk overflows
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("kept\n")
+    cfg = huge_anchor_config(tmp_path / "inf.cfg", out_dir, "1e160",
+                             "dump_features = true\ndump_models = true\n")
+    assert main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith("error: NumericError: round 2, client 0, capture: ")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt"]
 
 
 def test_overflowing_data_past_validation_is_a_numeric_error(tmp_path):

@@ -2,6 +2,7 @@
 the rule table judges every config as the rules it replaced did, and README
 states the same rules and defaults."""
 
+import hashlib
 import math
 import re
 import sys
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedlens.config import (RULES, SCENARIOS, U16_MAX, ExperimentConfig, parse_config,
-                            personalized_layers, render_config, synthetic_reach,
-                            validate_config)
+from fedlens.config import (PRESETS, RULES, SCENARIOS, U16_MAX, ExperimentConfig,
+                            parse_config, personalized_layers, preset, render_config,
+                            synthetic_reach, validate_config)
 from fedlens.errors import ConfigError
 from fedlens.runner import build_datasets, execute
 
@@ -367,3 +368,90 @@ def test_readme_lists_every_rule_under_its_bound():
         if lead in {capitalized(d.bound) for d in RULES.values()}:
             for key in re.findall(r"`([a-z_.]+)`", body):
                 assert capitalized(RULES[key].bound) == lead, (lead, key)
+
+
+# preset -> config name -> sha256 of its render_config document at seed 1
+GOLDEN_PRESETS = {
+    "baseline": {
+        "baseline":
+            "70f72a4dd4fd04e7d6f4d30610dcca0073f8a51f29c75d37f49b10f4d19af992",
+    },
+    "iid-control": {
+        "iid-control":
+            "b93e5db657845052f73d65ca4e133ddd53baa4edfefdcdea902f2d13248bd3d8",
+    },
+    "personalization-classifier": {
+        "personalization-classifier":
+            "0ec8dec79f5b41e7e28b6abe123876f582b38ad9d8d9ace79562ffeccfebfd58",
+    },
+    "personalization-successive": {
+        "personalization-successive-k0":
+            "85a2b80aeaeb2f3001bd87a2903173bf88680a48bd35864346d3cc976236b49f",
+        "personalization-successive-k1":
+            "a4b2744a366e2e96ace574b96c14ad65c8572c9072a3ff95cce2bc7ed242628c",
+        "personalization-successive-k2":
+            "67a906c680042b6872241ddd4ef4b3bef0e7b6727fe3148f97ee6bb151433c67",
+        "personalization-successive-k3":
+            "0d2fd2f364ddd53b813bae1adccc9b7355aa81975179e82755e260b44e6d41ea",
+        "personalization-successive-k4":
+            "fcd8d08c0e65b2d7514ee7f808f685064f0eb0319621f0b26318217e429c6bf7",
+        "personalization-successive-k5":
+            "1115ca2a289dcdef98268dc6ff3d457e6f46599a8205a731aef7bf59d98ae2da",
+        "personalization-successive-k6":
+            "5dcae068d531e0bb51e5f8d09aedda23943f13ae7c5869de70e16c375c09f07d",
+    },
+    "personalization-skip": {
+        "personalization-skip-l1":
+            "12271cd64bdccb430a41a294b70fb07cf09a62138fc8917fccb00e21a3f206be",
+        "personalization-skip-l2":
+            "1ab06c2ce3e18f01f88992d5499e38648682462b4bba3190526bbe2ba40a6139",
+        "personalization-skip-l3":
+            "f399d26216b112842563b8b587788d0135fe43ddeef6ee6aaf6d2f414eb259ef",
+        "personalization-skip-l4":
+            "133fa4ed736bdcad854c2ae72404486753d7a0ab2809175aea21e8e8d36ce77d",
+        "personalization-skip-l5":
+            "f162abf273bda7e64edf3b6220c7e0a9ee271a7dac746551e438f0cb8cc35710",
+        "personalization-skip-l6":
+            "5a51b067834459b9954aaf1755ab50dd4c4cc3a7dce4208bc9685f65b73586d0",
+    },
+    "pretrained": {
+        "pretrained":
+            "e15427ff4fb7f6eb5075eb5b90f0c911f3205178cc67f59191f5826fd6b2b89e",
+        "pretrained-random-init":
+            "efe82c33f727ca27692756d4d3327fea4729a3eedcfb9a6c16e44be5ce4b7f81",
+    },
+    "finetune": {
+        "finetune":
+            "627eaa22b2c27d1f4e88726f84a7bfd1fe7085c2bdad3b25e0b4de00ccfb5f3c",
+    },
+    "local-epochs-ablation": {
+        "local-epochs-e5-r20":
+            "eca8849f47763c259aaac26b6720ca4879de2bc9c90f4fb23a7d506f566d9b7c",
+        "local-epochs-e10-r10":
+            "2d5469c28600296182c223a02e3eda23fafc2d64b0fa1fb63598d1ff243c3eb2",
+        "local-epochs-e20-r5":
+            "b26408a58461e44780adb1c8f37784bfc3b0ab6444c0fb9187facf9a0fd9f57b",
+    },
+    "residual-ablation": {
+        "residual-off":
+            "6e2d6722facd97894a1f364bf8d14e9df6664315c5f57f64cf700275dd52c8ee",
+        "residual-on":
+            "4774eff47111f58009901b5ea5d09b58cb9b2d907ab1f2b4cd15fcf6c042c321",
+    },
+}
+
+
+def test_presets_render_their_golden_documents():
+    assert list(GOLDEN_PRESETS) == list(PRESETS)
+    for name, want in GOLDEN_PRESETS.items():
+        reseeded = dict(preset(name, seed=7))
+        got = {}
+        for sub_name, cfg in preset(name, seed=1):
+            text = render_config(cfg)
+            got[sub_name] = hashlib.sha256(text.encode()).hexdigest()
+            assert cfg.output.dir == f"runs/{sub_name}"
+            changed = [(a, b) for a, b in zip(text.splitlines(),
+                                              render_config(reseeded[sub_name]).splitlines())
+                       if a != b]
+            assert changed == [("seed = 1", "seed = 7")], sub_name
+        assert got == want, name
