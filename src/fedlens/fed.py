@@ -84,10 +84,29 @@ def finetune_classifier(model: np.ndarray, arch, x, labels, epochs: int = 10,
                         lr: float = 0.01, momentum: float = 0.1,
                         batch_size: int = 64, seed: int = 0) -> Network:
     """A network of the vector `model` with only the final layer retrained; the
-    rest stays bit-exact."""
+    rest stays bit-exact.
+
+    The penultimate features of the rows of x are computed once, one frozen
+    layer at a time in batch_size-row blocks, so a row's features are the
+    same in every epoch. A one-layer network holding the classifier trains on
+    them with `sgd_epochs`, and its trained parameters are written back. A
+    NumericError names the layer of `arch` where it arose.
+    """
     net = Network.from_vector(arch, model)
-    return sgd_epochs(net, x, labels, epochs, lr=lr, momentum=momentum,
-                      batch_size=batch_size, seed=seed, train_from=net.num_layers)
+    last = net.num_layers
+    h = x
+    for layer in range(1, last):
+        h = net.layer_outputs(layer, h, batch_size)
+    tail = net.values[net.layer_start(last):]
+    head = Network.from_vector(net.specs[-1:], tail)
+    try:
+        sgd_epochs(head, h, labels, epochs, lr=lr, momentum=momentum,
+                   batch_size=batch_size, seed=seed)
+    except NumericError as exc:
+        # the head numbers the classifier 1
+        raise NumericError(str(exc).replace("layer 1", f"layer {last}")) from exc
+    tail[...] = head.values
+    return net
 
 
 @contextmanager

@@ -232,31 +232,27 @@ class Network:
         return _finite(out, layer - 1)
 
     def _frozen_forward(self, h, stop):
-        """Outputs of layers 1..stop; h may stack minibatches as (batches, rows, d)."""
+        """Outputs of layers 1..stop on the rows of h."""
         for idx in range(stop):
             h = _finite(self._layer_forward(idx, h, keep_cache=False)[0], idx)
         return h
 
-    def loss_and_grad(self, h, labels, train_from: int = 1):
+    def loss_and_grad(self, x, labels):
         """Mean softmax cross-entropy and its gradient as a flat array.
 
-        h is the input of layer train_from (the network input when it is 1,
-        else the output of layer train_from - 1). Layers train_from..L
-        run on it, and the gradient covers their parameters,
-        `values[layer_start(train_from):]`; backward stops there. labels
-        holds one class id per row, each below the classifier's class count
-        (sgd_epochs checks the range once per call).
+        The gradient is laid out like `values`. labels holds one class id per
+        row of x, each below the classifier's class count (sgd_epochs checks
+        the range once per call).
         """
-        start = self.layer_start(train_from)
-        first = train_from - 1
-        h = self._check_batch(h, train_from)
+        h = self._check_batch(x)
         labels = np.asarray(labels, dtype=int)
         n = h.shape[0]
         if labels.shape != (n,):
             raise ShapeError(f"labels must be ({n},) class ids, got {labels.shape}")
-        caches = [None] * self.num_layers
-        for idx in range(first, self.num_layers):
-            h, caches[idx] = self._layer_forward(idx, h, keep_cache=True)
+        caches = []
+        for idx in range(self.num_layers):
+            h, cache = self._layer_forward(idx, h, keep_cache=True)
+            caches.append(cache)
             _finite(h, idx)
         logits = h
         z = logits - logits.max(axis=1, keepdims=True)
@@ -270,13 +266,13 @@ class Network:
         expz[rows, labels] -= 1.0
         expz /= n
         g = expz
-        grad = np.empty(self.values.size - start)
-        for idx in range(self.num_layers - 1, first - 1, -1):
-            g = self._layer_backward(idx, g, caches[idx], grad, start, input_grad=idx > first)
+        grad = np.empty(self.values.size)
+        for idx in range(self.num_layers - 1, -1, -1):
+            g = self._layer_backward(idx, g, caches[idx], grad, input_grad=idx > 0)
         return loss, grad
 
-    def _layer_backward(self, idx, g_out, cache, grad, start, input_grad):
-        """Write one layer's parameter gradients into grad, which begins at `start`.
+    def _layer_backward(self, idx, g_out, cache, grad, input_grad):
+        """Write one layer's parameter gradients into grad.
 
         Returns the gradient of the layer's input if asked, else None.
         """
@@ -286,7 +282,7 @@ class Network:
             w, b, relu, lo = maps[i]
             if relu:
                 g = g * (cache[i + 1] > 0)
-            lo, mid = lo - start, lo - start + w.size
+            mid = lo + w.size
             np.matmul(g.T, cache[i], out=grad[lo:mid].reshape(w.shape))
             g.sum(axis=0, out=grad[mid:mid + b.size])
             if i > 0 or input_grad:
@@ -303,27 +299,15 @@ def _finite(h, idx):
 
 
 def sgd_epochs(net: Network, x, labels, epochs: int, lr: float = 0.01,
-               momentum: float = 0.5, batch_size: int = 64, seed: int = 0,
-               train_from: int = 1) -> Network:
+               momentum: float = 0.5, batch_size: int = 64, seed: int = 0) -> Network:
     """Train in place with mini-batch SGD and classical momentum.
 
     Velocity starts at zero on every call: v <- momentum*v + g, then
     theta <- theta - lr*v. Each epoch reshuffles with the generator seeded
     once per call, so the whole batch schedule is a pure function of `seed`.
-    labels holds one class id per row of x, each below the classifier's
-    class count. epochs == 0 returns the network untouched. Only layers
-    train_from..L (1-based) are updated; the layers below keep their exact
-    bit patterns.
-
-    The frozen layers 1..train_from-1 run once per stack of minibatches:
-    consecutive full minibatches of an epoch, as many as fit in _STACK_ROWS
-    rows (at least one), gathered as (batches, batch_size, d), and the
-    remainder batch on its own. A stacked matmul is one gemm per minibatch
-    with the same shapes as a per-minibatch forward, so every bit matches;
-    a single forward over all rows would not, since BLAS results depend on
-    the row count. Each minibatch's tap then gets one loss_and_grad call.
-    With no frozen layer a stack is one minibatch, so nothing larger than a
-    batch is gathered.
+    Each minibatch is one loss_and_grad call. labels holds one class id per
+    row of x, each below the classifier's class count. epochs == 0 returns
+    the network untouched.
     """
     x = net._check_batch(x)
     labels = np.asarray(labels, dtype=int)
@@ -335,44 +319,19 @@ def sgd_epochs(net: Network, x, labels, epochs: int, lr: float = 0.01,
         raise ShapeError(f"labels out of range 0..{net.num_classes - 1}")
     if epochs < 0:
         raise ShapeError("epochs must be non-negative")
-    tail = net.values[net.layer_start(train_from):]
-    if epochs == 0:
-        return net
-    first = train_from - 1
-    per_stack = max(1, _STACK_ROWS // batch_size) if first else 1
     rng = np.random.default_rng(seed)
-    velocity = np.zeros(tail.size)
-    step = np.empty(tail.size)
+    velocity = np.zeros(net.values.size)
+    step = np.empty(net.values.size)
     for _ in range(epochs):
         perm = rng.permutation(len(x))
-        for idx in _stacked_batches(perm, batch_size, per_stack):
-            taps = net._frozen_forward(x[idx], first)
-            for hb, lb in zip(taps, labels[idx]):
-                _, grad = net.loss_and_grad(hb, lb, train_from)
-                velocity *= momentum
-                velocity += grad
-                np.multiply(velocity, -lr, out=step)
-                tail += step
+        for lo in range(0, len(x), batch_size):
+            idx = perm[lo:lo + batch_size]
+            _, grad = net.loss_and_grad(x[idx], labels[idx])
+            velocity *= momentum
+            velocity += grad
+            np.multiply(velocity, -lr, out=step)
+            net.values += step
     return net
-
-
-# rows of input gathered at once for the frozen forward of sgd_epochs; a few
-# minibatches already amortize the per-layer calls, while stacks of a few
-# hundred rows raised peak RSS by 0.1-0.2 MB and ran no faster
-_STACK_ROWS = 64
-
-
-def _stacked_batches(perm, batch_size, per_stack):
-    """perm cut into minibatches, as (batches, rows) index arrays.
-
-    Full minibatches come up to per_stack at a time; a shorter last
-    minibatch comes alone.
-    """
-    full = len(perm) - len(perm) % batch_size
-    for lo in range(0, full, per_stack * batch_size):
-        yield perm[lo:min(lo + per_stack * batch_size, full)].reshape(-1, batch_size)
-    if full < len(perm):
-        yield perm[full:].reshape(1, -1)
 
 
 def save_params(net: Network, path) -> None:

@@ -90,7 +90,12 @@ def _render_manifest(cfg: ExperimentConfig) -> str:
 def run_to_dir(cfg: ExperimentConfig) -> Path:
     """Execute and write metrics.csv, accuracy.csv, manifest.txt, and dumps."""
     out_dir = Path(cfg.output.dir)
-    dump_dir = out_dir / DUMP_SUBDIR if cfg.output.dump_features else None
+    # fedlens owns out_dir/dumps: it holds this run's dumps or none, never an
+    # earlier run's
+    dumps = out_dir / DUMP_SUBDIR
+    if dumps.is_dir():
+        shutil.rmtree(dumps)
+    dump_dir = dumps if cfg.output.dump_features else None
     # dumps are written as the run goes; a run that fails removes the
     # outermost directory of their path that it made
     made = dump_dir and next((p for p in (*reversed(dump_dir.parents), dump_dir)

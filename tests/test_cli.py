@@ -339,6 +339,30 @@ def test_a_failed_run_removes_the_dumps_it_wrote_and_only_them(tmp_path, capsys)
     assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt"]
 
 
+def test_a_rerun_replaces_the_dumps_of_the_earlier_run(tmp_path, capsys):
+    # a 4-round run, then a 2-round one into the same directory: the dumps
+    # and their offline records are those of the 2-round run alone
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path / "long.cfg", out_dir,
+                       "dump_features = true\ndump_models = true\n")
+    short = tmp_path / "short.cfg"
+    short.write_text(cfg.read_text().replace("\nrounds = 4\n", "\nrounds = 2\n"))
+    fresh = tmp_path / "fresh.cfg"
+    fresh.write_text(short.read_text().replace(f"dir = {out_dir}", f"dir = {tmp_path / 'fresh'}"))
+    for path in (cfg, short, fresh):
+        assert main(["run", str(path)]) == 0
+    assert (sorted(p.name for p in (out_dir / "dumps").iterdir())
+            == sorted(p.name for p in (tmp_path / "fresh" / "dumps").iterdir()))
+    assert main(["metrics", str(out_dir / "dumps")]) == 0
+    assert capsys.readouterr().err == ""
+    offline = read_csv(out_dir / "dumps" / "metrics_from_dumps.csv")
+    assert {r.round for r in offline} == {r.round for r in read_csv(out_dir / "metrics.csv")} == {2}
+    # a run without dumps leaves none behind either
+    short.write_text(short.read_text().replace("dump_features = true", "dump_features = false"))
+    assert main(["run", str(short)]) == 0
+    assert not (out_dir / "dumps").exists()
+
+
 def test_overflowing_data_past_validation_is_a_numeric_error(tmp_path):
     # validate_config rejects such scales; the data check stays as a backstop
     cfg = load_config(write_config(tmp_path / "huge.cfg", tmp_path / "out"))

@@ -1,6 +1,7 @@
 """Federation protocol tests: personalized layers, weighted aggregation, round
 scheduling, pretraining, classifier fine-tuning, and bit-exact reproducibility."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -372,6 +373,37 @@ class TestFinetuneClassifier:
                                     batch_size=4, seed=51)
         assert accuracy(tuned.forward(x), labels) == 1.0
         assert np.array_equal(param_views(tuned)[0][0], np.eye(2))
+
+    def test_one_loss_and_grad_call_per_minibatch(self, monkeypatch):
+        # each a step of the classifier alone, on 23 rows in minibatches of 5
+        calls = []
+        real = Network.loss_and_grad
+
+        def counting(self, x, *args, **kwargs):
+            calls.append((self.num_layers, len(x)))
+            return real(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "loss_and_grad", counting)
+        rng = np.random.default_rng(52)
+        x = rng.normal(size=(23, 6))
+        finetune_classifier(Network(ARCH).init_random(seed=53).flatten(), ARCH, x,
+                            rng.integers(0, 3, size=23), epochs=3, batch_size=5, seed=54)
+        assert len(calls) == 3 * math.ceil(23 / 5)
+        assert calls == [(1, 5), (1, 5), (1, 5), (1, 5), (1, 3)] * 3
+
+    @pytest.mark.parametrize("layer", [1, 2, 3])
+    def test_non_finite_activation_names_the_layer_of_the_model(self, layer):
+        # layers 1 and 2 are frozen, layer 3 is the classifier
+        net = Network(mlp_specs(2, [2, 2], 2))
+        for k in range(3):
+            param_views(net)[k][0][...] = 1e308 if k == layer - 1 else np.eye(2)
+        model = net.flatten()
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match=f"^non-finite activation leaving "
+                                                   f"layer {layer}$"):
+                finetune_classifier(model, net.specs, np.ones((5, 2)), [0, 1, 0, 1, 0],
+                                    epochs=1, batch_size=2)
+        assert model.tobytes() == net.values.tobytes()
 
 
 def test_local_epoch_ablation_budget():

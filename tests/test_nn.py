@@ -1,11 +1,9 @@
 """Network tests: forward taps, backprop vs finite differences, SGD
-semantics, the flat parameter buffer, the once-per-epoch frozen prefix, init
-determinism, the binary parameter format, and golden values that pin the
-layer kernels across versions."""
+semantics, the flat parameter buffer, init determinism, the binary parameter
+format, and golden values that pin the layer kernels across versions."""
 
 import hashlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +11,8 @@ from conftest import param_views
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedlens import nn
 from fedlens.errors import FormatError, NumericError, ShapeError
+from fedlens.fed import finetune_classifier
 from fedlens.metrics import extract_tap_features
 from fedlens.nn import (LayerSpec, Network, load_params, mlp_specs,
                         save_params, sgd_epochs)
@@ -143,6 +141,11 @@ class TestLossAndGrad:
         with pytest.raises(ShapeError):
             net.loss_and_grad(np.ones((3, 2)), np.ones((3, 5)))
 
+    def test_batch_width_rejected(self):
+        net = Network(mlp_specs(3, [4], 2)).init_random(seed=29)
+        with pytest.raises(ShapeError, match=r"batch must be \(n, 3\)"):
+            net.loss_and_grad(np.ones((2, 4)), [0, 1])
+
 
 class TestSgd:
     def make_problem(self, seed=0):
@@ -191,16 +194,22 @@ class TestSgd:
         with pytest.raises(ShapeError):
             sgd_epochs(net, np.zeros((0, 2)), np.zeros((0, 2)), epochs=1)
 
-    def test_trainable_layers_freeze_rest(self):
-        net, x, labels = self.make_problem(seed=7)
-        before = net.flatten()
-        sgd_epochs(net, x, labels, epochs=2, batch_size=2, seed=8,
-                   train_from=2)
-        after = net.flatten()
-        s1 = net.layout.layer_slice(1)
-        s2 = net.layout.layer_slice(2)
-        assert np.array_equal(after[s1], before[s1])
-        assert not np.array_equal(after[s2], before[s2])
+    @pytest.mark.parametrize("first", [1, 2, 3])
+    def test_partial_gradient_is_tail_of_full_gradient(self, first):
+        # a network of layers first..L holding the tail of the vector, run on
+        # tap first-1, has the full network's loss and gradient tail; the
+        # residual block sits at layer 2 and also as layer 1 (input width
+        # equals the hidden width), so both cuts cross a block
+        net = Network(mlp_specs(4, [4, 4], 3, residual=True)).init_random(seed=23)
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(7, 4))
+        labels = rng.integers(0, 3, size=7)
+        loss, full = net.loss_and_grad(x, labels)
+        start = net.layer_start(first)
+        part_net = Network.from_vector(net.specs[first - 1:], net.values[start:])
+        part_loss, part = part_net.loss_and_grad(taps_of(net, x)[first - 1], labels)
+        assert part_loss == loss
+        assert np.array_equal(part, full[start:])
 
     def test_backward_stop_step_matches_full_gradient_tail(self):
         # one momentum-0 step training only the classifier moves exactly its
@@ -213,38 +222,28 @@ class TestSgd:
         perm = np.random.default_rng(22).permutation(len(x))
         _, grad = net.loss_and_grad(x[perm], labels[perm])
         head = net.layout.layer_slice(net.num_layers)
-        sgd_epochs(net, x, labels, epochs=1, lr=0.05, momentum=0.0,
-                   batch_size=len(x), seed=22, train_from=net.num_layers)
-        after = net.flatten()
+        after = finetune_classifier(theta, net.specs, x, labels, epochs=1, lr=0.05,
+                                    momentum=0.0, batch_size=len(x), seed=22).flatten()
         want = theta[head] - 0.05 * grad[head]
         assert np.array_equal(after[head], want)
         assert np.array_equal(after[:head.start], theta[:head.start])
 
-    @pytest.mark.parametrize("train_from", [1, 2, 3])
-    def test_partial_gradient_is_tail_of_full_gradient(self, train_from):
-        # the residual block sits at layer 2 and also as layer 1 (input width
-        # equals the hidden width), so both stop positions cross a block
-        net = Network(mlp_specs(4, [4, 4], 3, residual=True)).init_random(seed=23)
-        rng = np.random.default_rng(24)
-        x = rng.normal(size=(7, 4))
-        labels = rng.integers(0, 3, size=7)
-        loss, full = net.loss_and_grad(x, labels)
-        taps = taps_of(net, x)
-        part_loss, part = net.loss_and_grad(taps[train_from - 1], labels, train_from)
-        assert part_loss == loss
-        assert np.array_equal(part, full[net.layer_start(train_from):])
+    def test_one_loss_and_grad_call_per_minibatch(self, monkeypatch):
+        rows = []
+        real = Network.loss_and_grad
 
-    @pytest.mark.parametrize("train_from", [0, 4, 7])
-    def test_train_from_out_of_range_rejected(self, train_from):
-        _, x, labels = self.make_problem()
-        net = Network(mlp_specs(2, [4, 4], 2)).init_random(seed=25)
-        before = net.flatten()
-        for epochs in (0, 2):
-            with pytest.raises(ShapeError, match="out of range"):
-                sgd_epochs(net, x, labels, epochs=epochs, train_from=train_from)
-        with pytest.raises(ShapeError, match="out of range"):
-            net.loss_and_grad(x, labels, train_from)
-        assert np.array_equal(net.flatten(), before)
+        def counting(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return real(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "loss_and_grad", counting)
+        net = Network(mlp_specs(3, [4, 4], 2)).init_random(seed=26)
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(23, 3))
+        labels = rng.integers(0, 2, size=23)
+        sgd_epochs(net, x, labels, epochs=3, batch_size=5, seed=28)
+        assert len(rows) == 3 * math.ceil(23 / 5)
+        assert rows == [5, 5, 5, 5, 3] * 3
 
 
 small_specs = st.builds(
@@ -296,122 +295,61 @@ class TestFlatBuffer:
         assert stop == net.values.size
 
 
-def reference_sgd(net, x, labels, epochs, lr, momentum, batch_size, seed, train_from):
-    """sgd_epochs as a plain loop: a full forward and backward per minibatch."""
-    start = net.layer_start(train_from)
+def reference_finetune(model, arch, x, labels, epochs, lr, momentum, batch_size, seed):
+    """finetune_classifier as plain loops: the penultimate features of
+    batch_size-row blocks in row order, then one SGD step per minibatch of
+    a one-layer network holding the classifier. Returns the model's vector
+    with the trained classifier."""
+    net = Network.from_vector(arch, model)
+    last = net.num_layers
+    features = np.concatenate([net._frozen_forward(x[lo:lo + batch_size], last - 1)
+                               for lo in range(0, len(x), batch_size)])
+    start = net.layer_start(last)
+    head = Network.from_vector(arch[-1:], model[start:])
     rng = np.random.default_rng(seed)
-    velocity = np.zeros(net.values.size - start)
+    velocity = np.zeros(head.values.size)
     for _ in range(epochs):
         perm = rng.permutation(len(x))
         for lo in range(0, len(x), batch_size):
             idx = perm[lo:lo + batch_size]
-            _, grad = net.loss_and_grad(x[idx], labels[idx])
-            velocity = momentum * velocity + grad[start:]
-            net.values[start:] += -lr * velocity
+            _, grad = head.loss_and_grad(features[idx], labels[idx])
+            velocity = momentum * velocity + grad
+            head.values[...] += -lr * velocity
+    return np.concatenate([model[:start], head.values])
 
 
 class TestFrozenPrefix:
-    """Frozen layers run once per stack of an epoch's minibatches."""
+    """finetune_classifier runs the frozen layers once per call, not per step."""
 
     @settings(max_examples=60, deadline=None)
     @given(specs=small_specs, data=st.data())
     def test_matches_per_minibatch_reference_bitwise(self, specs, data):
-        train_from = data.draw(st.integers(1, len(specs)), label="train_from")
         batch_size = data.draw(st.integers(1, 6), label="batch_size")
         n = (data.draw(st.integers(0, 5), label="full_batches") * batch_size
              + data.draw(st.integers(0, batch_size - 1), label="remainder"))
         assume(n > 0)
-        # small stacks split an epoch into several frozen forwards
-        stack_rows = data.draw(st.sampled_from([1, 4, 12, nn._STACK_ROWS]), label="stack_rows")
         seed = data.draw(st.integers(0, 2**16), label="seed")
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, specs[0].in_dim))
         labels = rng.integers(0, specs[-1].out_dim, size=n)
-        net = Network(specs).init_random(seed=seed)
-        ref = Network.from_vector(specs, net.flatten())
-        with mock.patch.object(nn, "_STACK_ROWS", stack_rows):
-            sgd_epochs(net, x, labels, epochs=2, lr=0.1, momentum=0.5,
-                       batch_size=batch_size, seed=seed, train_from=train_from)
-        reference_sgd(ref, x, labels, epochs=2, lr=0.1, momentum=0.5,
-                      batch_size=batch_size, seed=seed, train_from=train_from)
-        assert net.values.tobytes() == ref.values.tobytes()
-
-    @pytest.mark.parametrize("train_from", [1, 2, 3])
-    def test_one_loss_and_grad_call_per_minibatch(self, monkeypatch, train_from):
-        rows = []
-        real = Network.loss_and_grad
-
-        def counting(self, x, *args, **kwargs):
-            rows.append(len(x))
-            return real(self, x, *args, **kwargs)
-
-        monkeypatch.setattr(Network, "loss_and_grad", counting)
-        net = Network(mlp_specs(3, [4, 4], 2)).init_random(seed=26)
-        rng = np.random.default_rng(27)
-        x = rng.normal(size=(23, 3))
-        labels = rng.integers(0, 2, size=23)
-        sgd_epochs(net, x, labels, epochs=3, batch_size=5, seed=28, train_from=train_from)
-        assert len(rows) == 3 * math.ceil(23 / 5)
-        assert rows == [5, 5, 5, 5, 3] * 3
-
-    @pytest.mark.parametrize("train_from, stacks", [(1, [1, 1, 1]), (2, [2, 1])])
-    def test_stacks_gathered_per_epoch(self, monkeypatch, train_from, stacks):
-        # without frozen layers only one minibatch is gathered at a time
-        shapes = []
-        real = Network._frozen_forward
-
-        def recording(self, h, stop):
-            shapes.append(h.shape)
-            return real(self, h, stop)
-
-        monkeypatch.setattr(Network, "_frozen_forward", recording)
-        monkeypatch.setattr(nn, "_STACK_ROWS", 8)
-        net = Network(mlp_specs(3, [4], 2)).init_random(seed=30)
-        x = np.random.default_rng(31).normal(size=(11, 3))
-        sgd_epochs(net, x, np.arange(11) % 2, epochs=1, batch_size=4,
-                   train_from=train_from)
-        assert [s[0] for s in shapes] == stacks
-        assert [s[1] for s in shapes] == [4] * (len(stacks) - 1) + [3]
-
-    def test_non_finite_frozen_activation_names_layer(self):
-        net = Network(mlp_specs(2, [2, 2], 2))
-        param_views(net)[0][0][...] = np.eye(2)
-        param_views(net)[1][0][...] = 1e308
-        before = net.values.copy()
-        x = np.ones((5, 2))
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericError, match="leaving layer 2"):
-                sgd_epochs(net, x, [0, 1, 0, 1, 0], epochs=1,
-                           batch_size=2, train_from=3)
-        assert net.values.tobytes() == before.tobytes()
-
-    def test_non_finite_classifier_activation_names_layer(self):
-        # only the classifier trains; layer numbers stay those of the network
-        net = Network(mlp_specs(2, [2, 2], 2))
-        param_views(net)[0][0][...] = np.eye(2)
-        param_views(net)[1][0][...] = np.eye(2)
-        param_views(net)[2][0][...] = 1e308
-        before = net.values.copy()
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericError, match="leaving layer 3"):
-                sgd_epochs(net, np.ones((5, 2)), [0, 1, 0, 1, 0], epochs=1,
-                           batch_size=2, train_from=3)
-        assert net.values.tobytes() == before.tobytes()
-
-    def test_loss_and_grad_checks_the_width_of_its_layer(self):
-        net = Network(mlp_specs(3, [4], 2)).init_random(seed=29)
-        with pytest.raises(ShapeError, match=r"batch must be \(n, 4\)"):
-            net.loss_and_grad(np.ones((2, 3)), [0, 1], 2)
+        model = Network(specs).init_random(seed=seed).flatten()
+        out = finetune_classifier(model, specs, x, labels, epochs=2, lr=0.1,
+                                  momentum=0.5, batch_size=batch_size, seed=seed)
+        ref = reference_finetune(model, specs, x, labels, epochs=2, lr=0.1,
+                                 momentum=0.5, batch_size=batch_size, seed=seed)
+        assert out.values.tobytes() == ref.tobytes()
+        start = out.layer_start(len(specs))
+        assert out.values[:start].tobytes() == model[:start].tobytes()
 
 
-def reference_loss_and_grad(net, h, labels, train_from):
-    """loss_and_grad of layers train_from..L with every step out of place.
+def reference_loss_and_grad(net, h, labels):
+    """loss_and_grad with every step out of place.
 
     The labels enter as a one-hot matrix. Each layer is a chain of (W, b) maps with relu after every map of a
     linear_relu layer and after all but the last map of a residual block.
     """
     layers = []
-    for spec, tensors in zip(net.specs[train_from - 1:], param_views(net)[train_from - 1:]):
+    for spec, tensors in zip(net.specs, param_views(net)):
         ws = tensors[0::2]
         relus = ([True] * (len(ws) - 1) + [False] if spec.kind == "residual"
                  else [spec.kind == "linear_relu"])
@@ -450,7 +388,6 @@ class TestInPlaceKernels:
     @settings(max_examples=100, deadline=None)
     @given(specs=small_specs, data=st.data())
     def test_match_out_of_place_reference_and_leave_inputs_alone(self, specs, data):
-        train_from = data.draw(st.integers(1, len(specs)), label="train_from")
         n = data.draw(st.integers(1, 9), label="rows")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
         net = Network(specs)
@@ -458,15 +395,11 @@ class TestInPlaceKernels:
         x = rng.normal(size=(n, specs[0].in_dim))
         labels = rng.integers(0, specs[-1].out_dim, size=n)
         batch = x.copy()
-        taps = taps_of(net, x)
-        saved = [t.copy() for t in taps]
-        h = taps[train_from - 1]
-        loss, grad = net.loss_and_grad(h, labels, train_from)
-        ref_loss, ref_grad = reference_loss_and_grad(net, h, labels, train_from)
+        loss, grad = net.loss_and_grad(x, labels)
+        ref_loss, ref_grad = reference_loss_and_grad(net, batch, labels)
         assert loss == ref_loss
         assert grad.tobytes() == ref_grad.tobytes()
         assert x.tobytes() == batch.tobytes()
-        assert all(t.tobytes() == s.tobytes() for t, s in zip(taps, saved))
 
 
 class TestInitAndVectors:
