@@ -86,21 +86,20 @@ def finetune_classifier(model: np.ndarray, arch, x, labels, epochs: int = 10,
     """A network of the vector `model` with only the final layer retrained; the
     rest stays bit-exact.
 
-    The penultimate features of the rows of x are computed once, one frozen
-    layer at a time in batch_size-row blocks, so a row's features are the
-    same in every epoch. A one-layer network holding the classifier trains on
-    them with `sgd_epochs`, and its trained parameters are written back. A
-    NumericError names the layer of `arch` where it arose.
+    The penultimate features of the rows of x are computed once, as the
+    capture computes a tap (`extract_tap_features` in batch_size-row
+    blocks), so a row's features are the same in every epoch. A one-layer
+    network holding the classifier trains on them with `sgd_epochs`, and its
+    trained parameters are written back. A NumericError names the layer of
+    `arch` where it arose.
     """
     net = Network.from_vector(arch, model)
     last = net.num_layers
-    h = x
-    for layer in range(1, last):
-        h = net.layer_outputs(layer, h, batch_size)
-    tail = net.values[net.layer_start(last):]
+    fm = extract_tap_features(net, x, labels, (last - 1,), batch_size)[last - 1]
+    tail = net.values[net.layout.layer_slice(last)]
     head = Network.from_vector(net.specs[-1:], tail)
     try:
-        sgd_epochs(head, h, labels, epochs, lr=lr, momentum=momentum,
+        sgd_epochs(head, fm.values, fm.labels, epochs, lr=lr, momentum=momentum,
                    batch_size=batch_size, seed=seed)
     except NumericError as exc:
         # the head numbers the classifier 1
@@ -152,8 +151,9 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
     model's classifier is retrained and captured as phase "tuned": accuracy
     and the penultimate alignment only. Captures only read the models, so
     neither capture order nor client order affects results. With `dump_dir`
-    set, each capture's feature matrices are dumped there, and with
-    `output.dump_models` its pre and post models too. A NumericError from
+    set, each capture dumps there its feature matrices if
+    `output.dump_features` is on and its pre and post models if
+    `output.dump_models` is. A NumericError from
     pretraining names that stage; one from a round names the round, and the
     client and stage too: local training, capture or fine-tuning. One from
     the probes names its round.
@@ -181,6 +181,8 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
         local[layout.layer_slice(layer)] = True
     tap_layers = tuple(sorted(set(mt.taps))) or tuple(range(num_layers))
     counts = [ds.n_train for ds in datasets]
+    dump_features = dump_dir is not None and cfg.output.dump_features
+    dump_models = dump_dir is not None and cfg.output.dump_models
     m_clients = len(datasets)
     records = []
 
@@ -193,14 +195,14 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
         """
         for net, phase in zip(pair_nets, ("pre", "post")):
             records.extend(_accuracy_records(net, datasets[m], r, phase))
-            if dump_dir is not None and cfg.output.dump_models:
+            if dump_models:
                 write_round_dumps(dump_dir, {}, r, m, phase, net)
         for pair in walk_taps(pair_nets, ("pre", "post"), *eval_sets[m], tap_layers,
                               round_index=r, client=m):
             t = pair[0].layer
             for net, fm in zip(pair_nets, pair):
-                records.extend(feature_records(fm, net.interface_weight(t + 1)))
-                if dump_dir is not None:
+                records.extend(feature_records(fm, layout.interface_weight(net.values, t + 1)))
+                if dump_features:
                     write_round_dumps(dump_dir, {t: fm}, r, m, fm.phase)
             if mt.distances:
                 records.extend(distance_records(pair[0].values, pair[1].values, r, m, t))
@@ -246,8 +248,8 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
                         records.extend(_accuracy_records(tuned, datasets[m], r, "tuned"))
                         fm = extract_tap_features(tuned, *eval_sets[m], (t,), phase="tuned",
                                                   round_index=r, client=m)[t]
-                        records.extend(feature_records(fm, tuned.interface_weight(t + 1),
-                                                       stats=()))
+                        records.extend(feature_records(
+                            fm, layout.interface_weight(tuned.values, t + 1), stats=()))
             if r in mt.probe_rounds:
                 with _located(f"round {r}, probes"):
                     records.extend(_probe_records(cfg, num_layers - 1, nets, post_nets,

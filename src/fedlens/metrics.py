@@ -198,7 +198,6 @@ def walk_taps(nets, phases, x, labels, tap_layers=None, batch_size: int = 256,
     its row blocks are the next layer's input, so the walk holds only the
     current tap of each network. It stops at the deepest requested tap.
     """
-    x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=int)
     num_layers = nets[0].num_layers
     if tap_layers is None:
@@ -207,9 +206,7 @@ def walk_taps(nets, phases, x, labels, tap_layers=None, batch_size: int = 256,
     for t in tap_layers:
         if not 0 <= t < num_layers:
             raise ShapeError(f"tap {t} out of range 0..{num_layers - 1}")
-    if x.ndim != 2 or x.shape[1] != nets[0].in_dim:
-        raise ShapeError(f"batch must be (n, {nets[0].in_dim}), got {x.shape}")
-    hs, depth = [x] * len(nets), 0
+    hs, depth = [nets[0]._check_batch(x)] * len(nets), 0
     for t in tap_layers:
         for layer in range(depth + 1, t + 1):
             hs = [net.layer_outputs(layer, h, batch_size) for net, h in zip(nets, hs)]

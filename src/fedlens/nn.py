@@ -148,18 +148,8 @@ class Network:
         return len(self.specs)
 
     @property
-    def in_dim(self) -> int:
-        return self.specs[0].in_dim
-
-    @property
     def num_classes(self) -> int:
         return self.specs[-1].out_dim
-
-    def layer_start(self, layer: int) -> int:
-        """Offset in `values` where the parameters of a 1-based layer begin."""
-        if not 1 <= layer <= self.num_layers:
-            raise ShapeError(f"layer index {layer} out of range 1..{self.num_layers}")
-        return self._maps[layer - 1][0][3]
 
     def init_random(self, seed: int = 0) -> "Network":
         """Uniform weights in +-1/sqrt(fan_in); biases zero. Deterministic."""
@@ -185,10 +175,6 @@ class Network:
         net.values[...] = values
         return net
 
-    def interface_weight(self, layer: int) -> np.ndarray:
-        """Weight matrix multiplying the features entering a 1-based layer."""
-        return self.layout.interface_weight(self.values, layer)
-
     def _check_batch(self, x, layer: int = 1):
         """x as float64 rows of the input width of a 1-based layer."""
         x = np.asarray(x, dtype=np.float64)
@@ -213,7 +199,10 @@ class Network:
 
     def forward(self, x):
         """The logits of the rows of x."""
-        return self._frozen_forward(self._check_batch(x), self.num_layers)
+        h = self._check_batch(x)
+        for idx in range(self.num_layers):
+            h = _finite(self._layer_forward(idx, h, keep_cache=False)[0], idx)
+        return h
 
     def layer_outputs(self, layer: int, h, batch_size: int):
         """Output of a 1-based layer on the rows of h, batch_size rows at a time.
@@ -223,19 +212,14 @@ class Network:
         layer's output inside `forward` bit for bit, and a non-finite output
         raises the NumericError `forward` raises for that layer.
         """
-        self.layer_start(layer)  # range check
+        if not 1 <= layer <= self.num_layers:
+            raise ShapeError(f"layer index {layer} out of range 1..{self.num_layers}")
         h = self._check_batch(h, layer)
         out = np.empty((len(h), self.specs[layer - 1].out_dim))
         for lo in range(0, len(h), batch_size):
             out[lo:lo + batch_size] = self._layer_forward(
                 layer - 1, h[lo:lo + batch_size], keep_cache=False)[0]
         return _finite(out, layer - 1)
-
-    def _frozen_forward(self, h, stop):
-        """Outputs of layers 1..stop on the rows of h."""
-        for idx in range(stop):
-            h = _finite(self._layer_forward(idx, h, keep_cache=False)[0], idx)
-        return h
 
     def loss_and_grad(self, x, labels):
         """Mean softmax cross-entropy and its gradient as a flat array.

@@ -95,7 +95,7 @@ def run_to_dir(cfg: ExperimentConfig) -> Path:
     dumps = out_dir / DUMP_SUBDIR
     if dumps.is_dir():
         shutil.rmtree(dumps)
-    dump_dir = dumps if cfg.output.dump_features else None
+    dump_dir = dumps if cfg.output.dump_features or cfg.output.dump_models else None
     # dumps are written as the run goes; a run that fails removes the
     # outermost directory of their path that it made
     made = dump_dir and next((p for p in (*reversed(dump_dir.parents), dump_dir)

@@ -1,6 +1,6 @@
 """Shared test plumbing: session timing, suite ordering, record lookups, the
-registry of metric names, views of a run's or a network's parameters, and
-Spearman rank correlation.
+registry of metric names, views of a run's or a network's parameters, a
+network's frozen forward stopped at any layer, and Spearman rank correlation.
 
 The acceptance module asserts a wall-clock budget for the whole suite, so
 it must run last; everything else keeps collection order.
@@ -16,7 +16,7 @@ import numpy as np
 from fedlens.config import ExperimentConfig, validate_config
 from fedlens.dumps import model_filename
 from fedlens.fed import run_federation
-from fedlens.nn import load_params
+from fedlens.nn import _finite, load_params
 
 _SESSION_START = time.monotonic()
 
@@ -94,6 +94,14 @@ def param_views(net):
     for e in net.layout:
         out[e.layer - 1].append(net.values[e.offset:e.offset + e.size].reshape(e.shape))
     return out
+
+
+def frozen_forward(net, h, stop):
+    """Outputs of layers 1..stop on the rows of h: `Network.forward`'s loop
+    stopped early, with its per-layer finite check."""
+    for idx in range(stop):
+        h = _finite(net._layer_forward(idx, h, keep_cache=False)[0], idx)
+    return h
 
 
 def last_round_vectors(cfg, datasets):

@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import param_views
+from conftest import frozen_forward, param_views
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedlens.analysis import read_csv
 from fedlens.config import ExperimentConfig, render_config, validate_config
-from fedlens.errors import NumericError
+from fedlens.errors import NumericError, ShapeError
 from fedlens.fed import run_federation
 from fedlens.metrics import walk_taps
 from fedlens.nn import Network, mlp_specs
@@ -185,7 +185,7 @@ def walk_case(draw, kind, seed):
 def forward_taps(net, x):
     """Each tap as the forward loop computes it on x's 256-row batches, joined:
     tap t is the output of layers 1..t."""
-    return [np.concatenate([net._frozen_forward(x[lo:lo + 256], t)
+    return [np.concatenate([frozen_forward(net, x[lo:lo + 256], t)
                             for lo in range(0, len(x), 256)])
             for t in range(net.num_layers)]
 
@@ -218,6 +218,13 @@ def test_walk_raises_the_forward_error_of_a_non_finite_layer(data, kind, seed):
     with pytest.raises(NumericError) as got:
         list(walk_taps(nets, ("pre", "post"), x, labels, taps))
     assert str(got.value) == str(want.value) == f"non-finite activation leaving layer {k}"
+
+
+def test_walk_rejects_a_batch_of_the_wrong_width():
+    # the walk checks its batch as the network's own kernels do
+    nets = [Network(mlp_specs(6, [5], 3)).init_random(seed=s) for s in (1, 2)]
+    with pytest.raises(ShapeError, match=r"^batch must be \(n, 6\), got \(4, 5\)$"):
+        list(walk_taps(nets, ("pre", "post"), np.ones((4, 5)), [0, 1, 2, 0]))
 
 
 def test_one_eval_round_holds_about_one_tap_pair(tmp_path):

@@ -358,9 +358,55 @@ def test_a_rerun_replaces_the_dumps_of_the_earlier_run(tmp_path, capsys):
     offline = read_csv(out_dir / "dumps" / "metrics_from_dumps.csv")
     assert {r.round for r in offline} == {r.round for r in read_csv(out_dir / "metrics.csv")} == {2}
     # a run without dumps leaves none behind either
-    short.write_text(short.read_text().replace("dump_features = true", "dump_features = false"))
+    short.write_text(short.read_text().replace("dump_features = true\ndump_models = true",
+                                               "dump_features = false\ndump_models = false"))
     assert main(["run", str(short)]) == 0
     assert not (out_dir / "dumps").exists()
+
+
+def test_a_models_only_run_writes_the_model_snapshots(tmp_path, dump_run, capsys):
+    # dump_models works without dump_features: the pre and post snapshot of
+    # each client and eval round, the same bytes a run dumping both writes
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path / "models.cfg", out_dir, "dump_models = true\n")
+    assert main(["run", str(cfg)]) == 0
+    dumps = out_dir / "dumps"
+    names = sorted(p.name for p in dumps.iterdir())
+    assert names == sorted(model_filename(r, m, phase) for r in (2, 4) for m in range(4)
+                           for phase in ("pre", "post"))
+    for name in names:
+        assert (dumps / name).read_bytes() == (dump_run["dumps"] / name).read_bytes()
+    capsys.readouterr()
+    assert main(["metrics", str(dumps)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_csv(dumps / "metrics_from_dumps.csv") == []
+
+
+def test_manifest_seeds_are_the_seeds_the_run_derives(tmp_path, monkeypatch):
+    # the manifest derives its seeds from its own copies of fed's seed labels;
+    # it must list exactly the init, pretrain, eval-subset and train seeds
+    # that run_federation derives
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path / "pre.cfg", out_dir)
+    cfg.write_text(cfg.read_text().replace("\nseed = 7\n", "\nseed = 7\npretrain_epochs = 1\n"))
+    assert main(["run", str(cfg)]) == 0
+    derived = {}
+    real = fed_module.derive_seed
+
+    def recording(*parts):
+        derived[parts] = real(*parts)
+        return derived[parts]
+
+    monkeypatch.setattr(fed_module, "derive_seed", recording)
+    execute(load_config(cfg))
+    labels = {"init": "init seed", "pretrain": "pretrain seed",
+              "evalsubset": "eval subset seed client {}",
+              "train": "train seed client {} round {}"}
+    want = {f"# {labels[parts[1]].format(*parts[2:])} = {seed}"
+            for parts, seed in derived.items() if parts[1] in labels}
+    assert len(want) == 1 + 1 + 4 + 4 * 4  # init, pretrain, 4 clients, 4 x 4 rounds
+    lines = (out_dir / "manifest.txt").read_text().splitlines()
+    assert {line for line in lines if line.startswith("# ") and " seed " in line} == want
 
 
 def test_overflowing_data_past_validation_is_a_numeric_error(tmp_path):

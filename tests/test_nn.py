@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import param_views
+from conftest import frozen_forward, param_views
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +91,12 @@ class TestForward:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="layer 1"):
                 net.forward([[1e200]])
+
+    @pytest.mark.parametrize("layer", [0, 3])
+    def test_layer_outputs_rejects_a_layer_out_of_range(self, layer):
+        net = Network(mlp_specs(3, [4], 2)).init_random(seed=30)
+        with pytest.raises(ShapeError, match=rf"^layer index {layer} out of range 1\.\.2$"):
+            net.layer_outputs(layer, np.ones((2, 3)), batch_size=8)
 
     def test_residual_zero_inner_is_identity(self):
         net = Network([LayerSpec("residual", 3, 3, inner_width=5),
@@ -205,7 +211,7 @@ class TestSgd:
         x = rng.normal(size=(7, 4))
         labels = rng.integers(0, 3, size=7)
         loss, full = net.loss_and_grad(x, labels)
-        start = net.layer_start(first)
+        start = net.layout.layer_slice(first).start
         part_net = Network.from_vector(net.specs[first - 1:], net.values[start:])
         part_loss, part = part_net.loss_and_grad(taps_of(net, x)[first - 1], labels)
         assert part_loss == loss
@@ -283,12 +289,12 @@ class TestFlatBuffer:
         # interface weight, which is a view too
         stop = 0
         for layer in range(1, net.num_layers + 1):
-            weight = net.interface_weight(layer)
+            weight = net.layout.interface_weight(net.values, layer)
             assert np.shares_memory(weight, net.values)
             weight[...] = -1.0
             assert np.array_equal(net._maps[layer - 1][0][0], weight)
             span = net.layout.layer_slice(layer)
-            assert span.start == net.layer_start(layer) == net._maps[layer - 1][0][3] == stop
+            assert span.start == net._maps[layer - 1][0][3] == stop
             assert span.stop - span.start == sum(e.size for e in net.layout
                                                  if e.layer == layer)
             stop = span.stop
@@ -302,9 +308,9 @@ def reference_finetune(model, arch, x, labels, epochs, lr, momentum, batch_size,
     with the trained classifier."""
     net = Network.from_vector(arch, model)
     last = net.num_layers
-    features = np.concatenate([net._frozen_forward(x[lo:lo + batch_size], last - 1)
+    features = np.concatenate([frozen_forward(net, x[lo:lo + batch_size], last - 1)
                                for lo in range(0, len(x), batch_size)])
-    start = net.layer_start(last)
+    start = net.layout.layer_slice(last).start
     head = Network.from_vector(arch[-1:], model[start:])
     rng = np.random.default_rng(seed)
     velocity = np.zeros(head.values.size)
@@ -338,7 +344,7 @@ class TestFrozenPrefix:
         ref = reference_finetune(model, specs, x, labels, epochs=2, lr=0.1,
                                  momentum=0.5, batch_size=batch_size, seed=seed)
         assert out.values.tobytes() == ref.tobytes()
-        start = out.layer_start(len(specs))
+        start = out.layout.layer_slice(len(specs)).start
         assert out.values[:start].tobytes() == model[:start].tobytes()
 
 
@@ -452,7 +458,7 @@ class TestParamFormat:
             for layer in range(1, net.num_layers + 1):
                 assert layout.layer_slice(layer) == net.layout.layer_slice(layer)
                 assert np.array_equal(layout.interface_weight(values, layer),
-                                      net.interface_weight(layer))
+                                      net.layout.interface_weight(net.values, layer))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fpnv"

@@ -1,10 +1,13 @@
-"""Every module-level function and class of the package is used by the
-package itself. One that only tests call belongs in tests/, so the package
-holds only what a run or a command reaches."""
+"""Every module-level function and class of the package, and every method
+and property of its classes, is used by the package itself. One that only
+tests call belongs in tests/, so the package holds only what a run or a
+command reaches."""
 
 import ast
 
 from test_benchmark_targets import SRC, used_names
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def test_every_module_level_definition_is_used_in_the_package():
@@ -13,6 +16,16 @@ def test_every_module_level_definition_is_used_in_the_package():
     used = used_names()
     unused = [f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
               for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              if isinstance(node, DEFS) and node.name not in used]
+    assert unused == [], f"used only outside src/fedlens: {unused}"
+
+
+def test_every_method_and_property_is_used_in_the_package():
+    # dunder methods are called by the language, not by name
+    used = used_names()
+    unused = [f"{path.stem}.{cls.name}.{node.name}" for path in sorted(SRC.glob("*.py"))
+              for cls in ast.parse(path.read_text()).body if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, DEFS) and not node.name.startswith("__")
               and node.name not in used]
     assert unused == [], f"used only outside src/fedlens: {unused}"
