@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedlens.analysis import read_csv
-from fedlens.config import ExperimentConfig, render_config, validate_config
+from fedlens.config import (PRESETS, ExperimentConfig, preset, render_config,
+                            validate_config)
 from fedlens.errors import NumericError, ShapeError
 from fedlens.fed import run_federation
 from fedlens.metrics import walk_taps
@@ -121,6 +122,91 @@ def test_capture_outputs_match_golden_hashes(tmp_path):
         assert output_digests(out_dir) == want, (
             f"{name}: pinned on OpenBLAS core {GOLDEN_CORE}, "
             f"run on {blas_core() or 'an unknown core'}")
+
+
+# config name -> sha256 of (accuracy.csv, metrics.csv) of every shipped preset
+# at seed 1, cut to two eval rounds, taken on GOLDEN_CORE. The presets share
+# one code path with the full-length runs, so any change to a byte of their
+# outputs shows here within seconds.
+GOLDEN_PRESET_RUNS = {
+    "baseline": ("74e413f64035083896569fe78a019a045355f6af5fe7de19c4bd3ab4a995cfe7",
+                 "f65e184605e5cfc2849b9ccb2b139deffb97fdda617e85620157ecf1b6dc90f4"),
+    "iid-control": ("99d5c942a1a40488a36532a344c44ac3ccbf1b9870638f6c0a91a32b72bd7d19",
+                    "b7a5a54713d66067d04492ce6560356e1804b0e922ba6d55dbb763f8c2dff831"),
+    "personalization-classifier": (
+        "4f4247b3a19d029de980a1b90f68cb1095b04ec3066b2baa730183a48061ddec",
+        "07f19a26cbc19721bf01b16d7d11bb69dde89588d150032ce739340597a224f2"),
+    "personalization-successive-k0": (
+        "74e413f64035083896569fe78a019a045355f6af5fe7de19c4bd3ab4a995cfe7",
+        "f65e184605e5cfc2849b9ccb2b139deffb97fdda617e85620157ecf1b6dc90f4"),
+    "personalization-successive-k1": (
+        "cb2b1b9029132db380e802bef7832e6803c8aa7470f61d83bf7683cb864056c5",
+        "c763460c58fb40538742c914e5cc73ead6290209c55a04c5679eb773ad5d4418"),
+    "personalization-successive-k2": (
+        "4d03f8246a6538fa0b6736466c7b0d21be62f675d274bc9eac690ea3aceb9a69",
+        "3e74d82dbb6981ad65ab70b12734d69310ef75967928c51cf63b84f148bc3ff5"),
+    "personalization-successive-k3": (
+        "ff2a0f66094cc6c2c986e7514cddba7134fe60e74678b76c5ad7ec6ee35e1c6a",
+        "175120c46571c71794fc732eb13ec65d6eba35e73f07fc5e43ce70da8059999e"),
+    "personalization-successive-k4": (
+        "e1aa51c223b524038da0d9ebe17c4548d247b4cacfdfda2030019bbe84c61b61",
+        "65dfefc1d7ed31ca9a3f24fabf548dca9dca53fa8fae39abb638bf147f4e0bf1"),
+    "personalization-successive-k5": (
+        "b2983ef6f7cdd1241b0f44ea3248e97f11c2ac52846b152b01aafe588e527aaf",
+        "de10f556ffa34be62c7248a1b35353a239972e72efc314e38c8114a4301fb371"),
+    "personalization-successive-k6": (
+        "da7113996c0dd79380065ad5d00ebdd0e15d9f58ecb8e10171f08cfff666e67a",
+        "9fce29a74905f58890baa5e516896c4d40ba1762d768cdf46ef535d116c1e1b5"),
+    "personalization-skip-l1": (
+        "cb2b1b9029132db380e802bef7832e6803c8aa7470f61d83bf7683cb864056c5",
+        "c763460c58fb40538742c914e5cc73ead6290209c55a04c5679eb773ad5d4418"),
+    "personalization-skip-l2": (
+        "f7e96c7c2909e1d1b814915d38ac81da173496901cef7f7737e066a4a451ac16",
+        "9bacf47f3a3e6ac73f468685755c4e28a617e2e70ba4029794f6cae2396b15ca"),
+    "personalization-skip-l3": (
+        "754ca1442bf3e55ae323beaf31322ad165d2f342c4ad17b29a1214819bac73e7",
+        "69afb55609a198f81004a66cfe780aee4550882ec26610b2fc4589b035545863"),
+    "personalization-skip-l4": (
+        "33102135d6302b64cd3f357a516017a1ebee76a101d97d54e5306746d6ad4969",
+        "7f4ec33dad904eeba666c3d901ef1cf56b84f28c409599e2cee25808c6623038"),
+    "personalization-skip-l5": (
+        "c4b5d90e0cd50bc60e2bd457e0429d9b4cce47e0491e06c8e1e57531a0dffabf",
+        "4278f44913ee2fdaf7848f80a7fe3a53831f3d3f24644f899c534ad81a1a21fd"),
+    "personalization-skip-l6": (
+        "4f4247b3a19d029de980a1b90f68cb1095b04ec3066b2baa730183a48061ddec",
+        "07f19a26cbc19721bf01b16d7d11bb69dde89588d150032ce739340597a224f2"),
+    "pretrained": ("34a08715bc232db164a1b27a50c5b87cd0bdb3f2cc98613057694718e6def478",
+                   "5c7099656d7998f2866fe84289c16eacda4b17a2b62c68bf95ab1fef446be8e2"),
+    "pretrained-random-init": (
+        "f9aa7be2921ed209d8e195e37f288d05b4d8a08b30af42190d548cb65d7c01fd",
+        "44d573a917b8ffd9980dfbee3dd3ff8024b973ba70c861cc2a27ebea573827fd"),
+    "finetune": ("7a47fa63dea5df5e76cf9e5be4b0e41b37f316cd0c9d8e9b25a60780e862b995",
+                 "3f821851f427f7ddd82ea18ca2809a1bebfd96bb38a4b44c2e9e667209bfc788"),
+    "local-epochs-e5-r20": ("1ab20355f4f9c875816450fc3053b29fa882449192e90fe866c92fddce7413ac",
+                            "086b52da989bf8f49f125c5b64f611e1761a2a5a758793ac304d17cb7e0386d1"),
+    "local-epochs-e10-r10": (
+        "74e413f64035083896569fe78a019a045355f6af5fe7de19c4bd3ab4a995cfe7",
+        "f65e184605e5cfc2849b9ccb2b139deffb97fdda617e85620157ecf1b6dc90f4"),
+    "local-epochs-e20-r5": ("74d421aa45deac9a241cb999e7a11b0159e715fbfcbcc11b3f670db820ef81b2",
+                            "f0d85566e138dd4c800c3936bd7cc7264c2f54cc916643a7978a1bc224dbc372"),
+    "residual-off": ("74e413f64035083896569fe78a019a045355f6af5fe7de19c4bd3ab4a995cfe7",
+                     "f65e184605e5cfc2849b9ccb2b139deffb97fdda617e85620157ecf1b6dc90f4"),
+    "residual-on": ("547ce36fa913be2e4c39edf3a3fae1b01916b9b42c958557270343a42384ecb3",
+                    "63483561ede7197ad0630e51dbb164114c8805cb828c1850bd94e9e3a248f399"),
+}
+
+
+def test_presets_cut_to_two_eval_rounds_match_golden_hashes(tmp_path):
+    got = {}
+    for name in PRESETS:
+        for sub_name, cfg in preset(name):
+            cfg.fed.rounds = 2 * cfg.fed.eval_cadence
+            cfg.output.dir = str(tmp_path / sub_name)
+            validate_config(cfg)
+            out_dir = run_to_dir(cfg)
+            got[sub_name] = (sha256(out_dir / "accuracy.csv"), sha256(out_dir / "metrics.csv"))
+    assert got == GOLDEN_PRESET_RUNS, (f"pinned on OpenBLAS core {GOLDEN_CORE}, "
+                                       f"run on {blas_core() or 'an unknown core'}")
 
 
 # Records of two OpenBLAS kernels may differ in their last bits, by at most
