@@ -2,10 +2,13 @@
 
 A feature dump file holds one captured feature matrix: magic "FPLF",
 version u16 (2), sample count u32, feature dim u32, layer u16, phase u8
-(0 pre, 1 post), round u16, then row-major float64 values and u16 labels,
-all little-endian. The owning client is encoded in the file name. Model
-snapshots reuse the FPNV parameter-vector format. The values are the run's
-own, so the records rebuilt from its dumps equal its records bit for bit.
+(0 pre, 1 post), round u16, then row-major float64 values and u16 labels.
+A model snapshot holds magic "FPNV", version u16 (2), layer count u32, per
+layer a kind u8 (its index in `nn.LAYER_KINDS`) and in_dim, out_dim,
+inner_width and inner_layers u32, then the float64 parameter vector. Both
+are little-endian, and only version 2 of each is read. The owning client
+is encoded in the file name. The values are the run's own, so the records
+rebuilt from its dumps equal its records bit for bit.
 """
 
 from __future__ import annotations
@@ -128,10 +131,10 @@ def metrics_from_dumps(dump_dir):
             for phase in ("pre", "post"):
                 path = models.pop(group + (phase,), None)
                 if path is not None:
-                    snapshots[phase] = (path, *load_params(path))
+                    snapshots[phase] = (path, load_params(path))
             pre, post = snapshots.get("pre"), snapshots.get("post")
-            if pre and post and pre[1] != post[1]:
-                raise FormatError(f"{post[0]}: layout differs from {pre[0]}")
+            if pre and post and pre[1].specs != post[1].specs:
+                raise FormatError(f"{post[0]}: layer specs differ from {pre[0]}")
         # one pair in memory at a time; an unpaired file is still read and checked
         pair = {}
         for phase in ("pre", "post"):
@@ -151,9 +154,8 @@ def metrics_from_dumps(dump_dir):
             for fm in pair.values():
                 weight = None
                 if fm.phase in snapshots:
-                    snapshot, layout, values = snapshots[fm.phase]
-                    weight = (layout.interface_weight(values, layer + 1)
-                              if layer < layout[-1].layer else None)
+                    snapshot, net = snapshots[fm.phase]
+                    weight = net.interface_weight(layer + 1) if layer < net.num_layers else None
                     if weight is None or weight.shape[1] != fm.dim:
                         raise FormatError(f"{snapshot}: no layer {layer + 1} weight taking "
                                           f"the {fm.dim} features of "

@@ -96,7 +96,7 @@ def finetune_classifier(model: np.ndarray, arch, x, labels, epochs: int = 10,
     net = Network.from_vector(arch, model)
     last = net.num_layers
     fm = extract_tap_features(net, x, labels, (last - 1,), batch_size)[last - 1]
-    tail = net.values[net.layout.layer_slice(last)]
+    tail = net.values[net.layer_slice(last)]
     head = Network.from_vector(net.specs[-1:], tail)
     try:
         sgd_epochs(head, fm.values, fm.labels, epochs, lr=lr, momentum=momentum,
@@ -175,10 +175,10 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
                 batch_size=fed.batch_size, seed=derive_seed(fed.seed, "pretrain"))
     else:
         init_vec = net.flatten()
-    num_layers, layout = net.num_layers, net.layout
+    num_layers = net.num_layers
     local = np.zeros(init_vec.size, dtype=bool)
     for layer in personalized_layers(fed.personalization, num_layers)[1]:
-        local[layout.layer_slice(layer)] = True
+        local[net.layer_slice(layer)] = True
     tap_layers = tuple(sorted(set(mt.taps))) or tuple(range(num_layers))
     counts = [ds.n_train for ds in datasets]
     dump_features = dump_dir is not None and cfg.output.dump_features
@@ -201,7 +201,7 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
                               round_index=r, client=m):
             t = pair[0].layer
             for net, fm in zip(pair_nets, pair):
-                records.extend(feature_records(fm, layout.interface_weight(net.values, t + 1)))
+                records.extend(feature_records(fm, net.interface_weight(t + 1)))
                 if dump_features:
                     write_round_dumps(dump_dir, {t: fm}, r, m, fm.phase)
             if mt.distances:
@@ -209,7 +209,7 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
         if mt.distances:
             pre, post = (net.values[None] for net in pair_nets)
             for layer in range(1, num_layers + 1):
-                slc = layout.layer_slice(layer)
+                slc = pair_nets[0].layer_slice(layer)
                 records.extend(distance_records(pre[:, slc], post[:, slc], r, m, layer,
                                                 prefix="param_"))
 
@@ -249,7 +249,7 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
                         fm = extract_tap_features(tuned, *eval_sets[m], (t,), phase="tuned",
                                                   round_index=r, client=m)[t]
                         records.extend(feature_records(
-                            fm, layout.interface_weight(tuned.values, t + 1), stats=()))
+                            fm, tuned.interface_weight(t + 1), stats=()))
             if r in mt.probe_rounds:
                 with _located(f"round {r}, probes"):
                     records.extend(_probe_records(cfg, num_layers - 1, nets, post_nets,

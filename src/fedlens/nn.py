@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain, pairwise, repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from .errors import FormatError, NumericError, ShapeError
 LAYER_KINDS = ("linear", "linear_relu", "residual")
 
 FPNV_MAGIC = b"FPNV"
-FPNV_VERSION = 1
+FPNV_VERSION = 2
+FPNV_LAYER = struct.Struct("<B4I")  # kind code, in, out, inner width, inner layers
 
 
 @dataclass(frozen=True)
@@ -54,64 +56,24 @@ class LayerSpec:
                 raise ShapeError("residual block needs at least one inner layer")
 
     def maps(self):
-        """(in width, out width, relu after) of each affine map, input first."""
+        """(in width, out width, relu after) of each affine map, input first, lazily."""
         if self.kind != "residual":
-            return [(self.in_dim, self.out_dim, self.kind == "linear_relu")]
-        dims = [self.in_dim] + [self.inner_width] * (self.inner_layers - 1) + [self.out_dim]
-        return [(a, b, i < self.inner_layers - 1)
-                for i, (a, b) in enumerate(zip(dims, dims[1:]))]
+            return iter([(self.in_dim, self.out_dim, self.kind == "linear_relu")])
+        dims = chain([self.in_dim], repeat(self.inner_width, self.inner_layers - 1),
+                     [self.out_dim])
+        return ((a, b, i < self.inner_layers - 1) for i, (a, b) in enumerate(pairwise(dims)))
 
 
-@dataclass(frozen=True, slots=True)
-class LayoutEntry:
-    """Position of one parameter tensor inside a flat vector."""
-
-    layer: int  # 1-based layer index
-    shape: tuple
-    offset: int
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-
-class Layout(tuple):
-    """Where each parameter tensor of one architecture sits in a flat vector.
-
-    A tuple of LayoutEntry in vector order. Each layer's span and its
-    interface weight's entry are found once, when the layout is built.
-    """
-
-    def __new__(cls, entries):
-        self = super().__new__(cls, entries)
-        self._spans, self._weights = {}, {}
-        for e in self:
-            start = self._spans[e.layer].start if e.layer in self._spans else e.offset
-            self._spans[e.layer] = slice(start, e.offset + e.size)
-            if len(e.shape) == 2:
-                self._weights.setdefault(e.layer, e)
-        return self
-
-    def layer_slice(self, layer: int) -> slice:
-        """Contiguous span of all tensors belonging to a 1-based layer index."""
-        if layer not in self._spans:
-            raise ShapeError(f"no parameters for layer {layer}")
-        return self._spans[layer]
-
-    def interface_weight(self, values, layer: int) -> np.ndarray:
-        """First 2-D tensor of a 1-based layer in `values`, the matrix consuming
-        its inputs; for a residual block, its first inner weight."""
-        e = self._weights.get(layer)
-        if e is None:
-            raise ShapeError(f"no weight matrix for layer {layer}")
-        return values[e.offset:e.offset + e.size].reshape(e.shape)
+def _check_chain(a: LayerSpec, b: LayerSpec):
+    if a.out_dim != b.in_dim:
+        raise ShapeError(f"layer dims do not chain: {a.out_dim} then {b.in_dim}")
 
 
 class Network:
     """A chain of LayerSpec layers ending in a linear classifier.
 
-    All parameters live in one contiguous float64 vector, `values`, laid out
-    as `layout` says: per layer, each affine map's weight, then its bias.
+    All parameters live in one contiguous float64 vector, `values`: per
+    layer, each affine map's weight (out width, in width), then its bias.
     The kernels read the maps through reshaped views of `values`, so a write
     through a view shows up in the vector. The final layer's out_dim is the
     class count; training minimizes mean softmax cross-entropy of the logits.
@@ -122,26 +84,22 @@ class Network:
         if not specs:
             raise ShapeError("network needs at least one layer")
         for a, b in zip(specs, specs[1:]):
-            if a.out_dim != b.in_dim:
-                raise ShapeError(
-                    f"layer dims do not chain: {a.out_dim} then {b.in_dim}")
+            _check_chain(a, b)
         self.specs = specs
         self.values = np.zeros(sum(b * (a + 1) for spec in specs
                                    for a, b, _ in spec.maps()))
         # per layer, each map's (weight, bias, relu after, offset of the weight
         # in `values`); its bias follows the weight
         self._maps = []
-        entries, offset = [], 0
-        for layer, spec in enumerate(specs, start=1):
+        offset = 0
+        for spec in specs:
             maps = []
             for a, b, relu in spec.maps():
                 mid = offset + a * b
                 maps.append((self.values[offset:mid].reshape(b, a),
                              self.values[mid:mid + b], relu, offset))
-                entries += [LayoutEntry(layer, (b, a), offset), LayoutEntry(layer, (b,), mid)]
                 offset = mid + b
             self._maps.append(maps)
-        self.layout = Layout(entries)
 
     @property
     def num_layers(self) -> int:
@@ -150,6 +108,22 @@ class Network:
     @property
     def num_classes(self) -> int:
         return self.specs[-1].out_dim
+
+    def _layer_maps(self, layer: int):
+        if not 1 <= layer <= self.num_layers:
+            raise ShapeError(f"layer index {layer} out of range 1..{self.num_layers}")
+        return self._maps[layer - 1]
+
+    def layer_slice(self, layer: int) -> slice:
+        """The span of a 1-based layer's parameters in `values`."""
+        maps = self._layer_maps(layer)
+        w, b, _, lo = maps[-1]
+        return slice(maps[0][3], lo + w.size + b.size)
+
+    def interface_weight(self, layer: int) -> np.ndarray:
+        """The weight matrix consuming a 1-based layer's inputs, a view of
+        `values`; for a residual block, its first inner weight."""
+        return self._layer_maps(layer)[0][0]
 
     def init_random(self, seed: int = 0) -> "Network":
         """Uniform weights in +-1/sqrt(fan_in); biases zero. Deterministic."""
@@ -212,8 +186,7 @@ class Network:
         layer's output inside `forward` bit for bit, and a non-finite output
         raises the NumericError `forward` raises for that layer.
         """
-        if not 1 <= layer <= self.num_layers:
-            raise ShapeError(f"layer index {layer} out of range 1..{self.num_layers}")
+        self._layer_maps(layer)  # the range check
         h = self._check_batch(h, layer)
         out = np.empty((len(h), self.specs[layer - 1].out_dim))
         for lo in range(0, len(h), batch_size):
@@ -319,100 +292,56 @@ def sgd_epochs(net: Network, x, labels, epochs: int, lr: float = 0.01,
 
 
 def save_params(net: Network, path) -> None:
-    """Write a network's layout and parameter vector in the FPNV binary format."""
-    blob = bytearray()
-    blob += FPNV_MAGIC
-    blob += struct.pack("<H", FPNV_VERSION)
-    blob += struct.pack("<I", len(net.layout))
-    for entry in net.layout:
-        blob += struct.pack("<IB", entry.layer, len(entry.shape))
-        for d in entry.shape:
-            blob += struct.pack("<I", d)
-        chunk = net.values[entry.offset:entry.offset + entry.size]
-        blob += chunk.astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    """Write a network's specs and parameters as an FPNV file (see `fedlens.dumps`)."""
+    blob = FPNV_MAGIC + struct.pack("<HI", FPNV_VERSION, net.num_layers)
+    for spec in net.specs:
+        blob += FPNV_LAYER.pack(LAYER_KINDS.index(spec.kind), spec.in_dim, spec.out_dim,
+                                spec.inner_width, spec.inner_layers)
+    # joined from the vector's own buffer on a little-endian host: one copy
+    Path(path).write_bytes(b"".join([blob, net.values.astype("<f8", copy=False)]))
 
 
-def load_params(path):
-    """Read (layout, parameter vector) from the FPNV binary format.
-
-    The tensors must lay out a network: layers 1..L in order, each a chain
-    of (2-D weight, 1-D bias) maps whose widths link up across the file,
-    and a layer of several maps ends at its input width. Anything else is a
-    FormatError at the offending tensor's header.
-    """
+def load_params(path) -> Network:
+    """Read a network from an FPNV file. A layer header that makes no LayerSpec
+    or breaks the chain is a FormatError at its offset; the file's length is
+    checked against the specs before anything is allocated."""
     data = Path(path).read_bytes()
     if len(data) < 10:
         raise FormatError(f"{path}: truncated header at offset 0")
     if data[:4] != FPNV_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r} at offset 0")
-    version, = struct.unpack_from("<H", data, 4)
+    version, count = struct.unpack_from("<HI", data, 4)
     if version != FPNV_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at offset 4")
-    count, = struct.unpack_from("<I", data, 6)
-    if count == 0:
-        raise FormatError(f"{path}: no parameter tensors at offset 6")
+    if not 0 < count <= (len(data) - 10) // FPNV_LAYER.size:
+        raise FormatError(f"{path}: layer count {count} does not fit the file at offset 6")
     pos = 10
-    entries = []
-    chunks = []
-    offset = 0
-    # the layer being read, its input width, its maps so far, the running
-    # width, and where the header of the last weight read starts
-    current, layer_in, maps, width, weight_at = 0, 0, 0, None, 0
-
-    def end_layer():
-        if maps > 1 and width != layer_in:
-            raise FormatError(f"{path}: layer {current} ends at width {width}, not its "
-                              f"input width {layer_in}, at offset {weight_at}")
-
-    for index in range(count):
-        head = pos
-        if pos + 5 > len(data):
-            raise FormatError(f"{path}: truncated tensor header at offset {pos}")
-        layer, ndims = struct.unpack_from("<IB", data, pos)
-        pos += 5
-        if pos + 4 * ndims > len(data):
-            raise FormatError(f"{path}: truncated dims at offset {pos}")
-        shape = tuple(int(d) for d in struct.unpack_from(f"<{ndims}I", data, pos))
-        pos += 4 * ndims
-        size = math.prod(shape)
-        nbytes = size * 8
-        if pos + nbytes > len(data):
-            raise FormatError(f"{path}: truncated tensor data at offset {pos}")
-        if index % 2:
-            want = f"layer {current}'s bias of shape ({width},)"
-            fits = layer == current and shape == (width,)
-        else:
-            want = (f"a layer {current} or {current + 1} weight taking {width} inputs"
-                    if current else "a layer 1 weight")
-            if layer == current + 1:
-                end_layer()
-                current, maps = layer, 0
-            fits = (layer == current and ndims == 2 and 0 not in shape
-                    and (width is None or shape[1] == width))
-            if fits:
-                layer_in = shape[1] if maps == 0 else layer_in
-                maps, width, weight_at = maps + 1, shape[0], head
-        if not fits:
-            raise FormatError(f"{path}: expected {want}, got layer {layer} shape "
-                              f"{shape} at offset {head}")
-        chunk = np.frombuffer(data, dtype="<f8", count=size, offset=pos)
-        bad = np.flatnonzero(~np.isfinite(chunk))
-        if bad.size:
-            # snapshots are written from finite runs, so this is a damaged payload
-            raise FormatError(f"{path}: non-finite parameter value at offset "
-                              f"{pos + 8 * int(bad[0])}")
-        chunks.append(chunk)
-        entries.append(LayoutEntry(layer=layer, shape=shape, offset=offset))
-        offset += size
-        pos += nbytes
-    if count % 2:
-        raise FormatError(f"{path}: weight without a bias at offset {weight_at}")
-    end_layer()
-    if pos != len(data):
-        raise FormatError(f"{path}: {len(data) - pos} trailing bytes at offset {pos}")
-    values = np.concatenate(chunks, dtype=np.float64)
-    return Layout(entries), values
+    specs = []
+    for _ in range(count):
+        code, *dims = FPNV_LAYER.unpack_from(data, pos)
+        try:
+            spec = LayerSpec(LAYER_KINDS[code] if code < len(LAYER_KINDS) else code, *dims)
+            if specs:
+                _check_chain(specs[-1], spec)
+        except ShapeError as exc:
+            raise FormatError(f"{path}: {exc} at offset {pos}") from None
+        specs.append(spec)
+        pos += FPNV_LAYER.size
+    # a map holds two values or more, so this stops within the file's length
+    end = pos
+    for spec in specs:
+        for a, b, _ in spec.maps():
+            end += 8 * b * (a + 1)
+            if end > len(data):
+                raise FormatError(f"{path}: truncated parameter vector at offset {len(data)}")
+    if end < len(data):
+        raise FormatError(f"{path}: {len(data) - end} trailing bytes at offset {end}")
+    values = np.frombuffer(data, dtype="<f8", offset=pos)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        # snapshots are written from finite runs, so this is a damaged payload
+        raise FormatError(f"{path}: non-finite parameter value at offset {pos + 8 * int(bad[0])}")
+    return Network.from_vector(specs, values)
 
 
 def mlp_specs(input_dim: int, hidden, num_classes: int, activation: str = "relu",

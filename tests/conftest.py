@@ -88,12 +88,9 @@ def mean_over(records, metric, layers=None, rounds=None, phase=None, clients=Non
 
 
 def param_views(net):
-    """Each layer's parameter tensors as views of `net.values`, placed by
-    `net.layout`: per map, its weight, then its bias."""
-    out = [[] for _ in net.specs]
-    for e in net.layout:
-        out[e.layer - 1].append(net.values[e.offset:e.offset + e.size].reshape(e.shape))
-    return out
+    """Each layer's parameter tensors as views of `net.values`: per map, its
+    weight, then its bias."""
+    return [[t for w, b, _, _ in maps for t in (w, b)] for maps in net._maps]
 
 
 def frozen_forward(net, h, stop):
@@ -116,7 +113,7 @@ def last_round_vectors(cfg, datasets):
     cfg = replace(cfg, output=replace(cfg.output, dump_models=True))
     with tempfile.TemporaryDirectory() as dump_dir:
         records = run_federation(cfg, datasets, dump_dir)
-        pre, post = ([load_params(Path(dump_dir) / model_filename(r, m, phase))[1]
+        pre, post = ([load_params(Path(dump_dir) / model_filename(r, m, phase)).values
                       for m in range(len(datasets))] for phase in ("pre", "post"))
     return records, pre, post
 

@@ -101,7 +101,7 @@ def test_file_hook_reads_the_path_parameter(path):
 def test_flop_count_covers_every_weight(kwargs):
     # a forward pass does one multiply-add per weight entry and batch row
     net = Network(mlp_specs(5, num_classes=3, **kwargs))
-    weights = sum(e.size for e in net.layout if len(e.shape) == 2)
+    weights = sum(w.size for maps in net._maps for w, _, _, _ in maps)
     assert LAYERS._matmul_macs(net.specs) == weights
 
 

@@ -92,8 +92,9 @@ def blas_core():
 # per-layer walk, when each model's taps came from one `Network.forward` per
 # 256-row batch; the pretrained run's before client parameters became plain
 # arrays. The dumps digests date from the float64 FPLF payload, which holds
-# every bit of the run's features, so they may move with the OpenBLAS kernel;
-# they were taken on GOLDEN_CORE. Any change to a captured byte, to the set of
+# every bit of the run's features, so they may move with the OpenBLAS kernel,
+# and from the FPNV snapshots that store their layer specs (version 2); they
+# were taken on GOLDEN_CORE. Any change to a captured byte, to the set of
 # dump files or to a metric value shows here.
 GOLDEN_CORE = "SkylakeX"
 GOLDEN_RUNS = {
@@ -105,12 +106,12 @@ GOLDEN_RUNS = {
     "residual-finetune": {
         "metrics.csv": "fe788e980867afbbe615227676394a3bd8b6b6dce14d55c0e82ffb9ce74040dd",
         "accuracy.csv": "e774362b99cd546ed353b720a71500b41bc0d50507d4d7a522e0fcad6c65563f",
-        "dumps": (40, "09b143f933d670df3685c37278cf9ca914794d2930afde0fb0dfde55e2fc4ca9"),
+        "dumps": (40, "9ee2c27f542f8c3fa3d803c3ca3c0c1916268f6f28296f8754a04c4868f4fd3a"),
     },
     "pretrained-successive": {
         "metrics.csv": "71f95827f2f5d8d94c0ebae385a8908bdd99241ffb3ce104e331ac5b3142c42a",
         "accuracy.csv": "2c444e47ba6698953aedeb16623e2785bee5f597862f4e50ebb7e37b34815002",
-        "dumps": (32, "8ccebc05e5092a1d91ca593b6b0d3d16699449aa3e1404f4bf46f66059f0080b"),
+        "dumps": (32, "f5422dbfce153160280f9b048735a9c57037270d15e814d1b19e7cc3f39667af"),
     },
 }
 

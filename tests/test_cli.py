@@ -22,9 +22,10 @@ from fedlens import dumps as dumps_module
 from fedlens.dumps import feature_filename, model_filename, read_features, write_features
 from fedlens.errors import ConfigError, FormatError, NumericError
 from fedlens.metrics import FeatureMatrix
-from fedlens.nn import Network, mlp_specs, save_params
+from fedlens.nn import Network, load_params, mlp_specs, save_params
 from fedlens.runner import execute
 from test_data import write_idx_pair
+from test_formats import fpnv_v1
 
 CONFIG_TEMPLATE = """\
 scenario = baseline
@@ -523,16 +524,26 @@ class TestMetricsCommand:
         assert main(["run", str(cfg)]) == 0
         snapshot = out_dir / "dumps" / model_filename(2, 0, "pre")
         blob = bytearray(snapshot.read_bytes())
-        blob[10:14] = bytes([7] * 4)        # the first tensor's layer field
+        blob[10:14] = bytes([7] * 4)        # the first layer's kind code and in_dim
         snapshot.write_bytes(bytes(blob))
         capsys.readouterr()
         assert main(["metrics", str(out_dir / "dumps")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: FormatError: {snapshot}: "), err
 
+    def test_version_1_snapshot_exits_3_naming_it(self, dump_run, tmp_path, capsys):
+        # only version 2 snapshots, which store their layer specs, are read
+        dumps = tmp_path / "dumps"
+        shutil.copytree(dump_run["dumps"], dumps)
+        path = dumps / model_filename(2, 1, "post")
+        path.write_bytes(fpnv_v1(load_params(path)))
+        assert main(["metrics", str(dumps)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: FormatError: {path}: unsupported version 1 at offset 4\n")
+
     # the run's network is 6 -> 8 -> 8 -> 3
     @pytest.mark.parametrize("phases, input_dim, hidden, problem", [
-        (("post",), 6, (8,), "layout differs"),
+        (("post",), 6, (8,), "layer specs differ"),
         (("pre", "post"), 5, (8, 8), "taking the 6 features"),
     ], ids=["pair_layouts_differ", "interface_width"])
     def test_snapshot_unlike_the_run_exits_3_naming_it(self, dump_run, tmp_path, capsys,

@@ -22,7 +22,7 @@ from fedlens.nn import LayerSpec, Network, mlp_specs, sgd_epochs
 from fedlens.seeds import derive_seed
 
 ARCH = mlp_specs(6, [8, 8], 3)
-LAYOUT = Network(ARCH).layout
+NET = Network(ARCH)
 
 
 def small_federation(num_clients=3, seed=9, train=60, test=30):
@@ -47,10 +47,10 @@ def kept_layers(mode, hidden=(8, 8)):
     datasets = small_federation(num_clients=3)
     _, pres, posts = last_round_vectors(cfg, datasets)
     shared = aggregate(pres, [ds.n_train for ds in datasets])
-    layout = Network(build_arch(cfg)).layout
+    net = Network(build_arch(cfg))
     kept = set()
     for layer in range(1, len(hidden) + 2):
-        slc = layout.layer_slice(layer)
+        slc = net.layer_slice(layer)
         sides = {(np.array_equal(post[slc], pre[slc]),
                   np.array_equal(post[slc], shared[slc]))
                  for pre, post in zip(pres, posts)}
@@ -193,7 +193,7 @@ class TestAggregate:
         rng = np.random.default_rng(61)
         shared, trained = random_vectors(rng, 2, size=Network(ARCH).values.size)
         local = np.zeros(shared.size, dtype=bool)
-        local[LAYOUT.layer_slice(1)] = True
+        local[NET.layer_slice(1)] = True
         out = splice(shared, trained, local)
         assert np.array_equal(out[local], trained[local])
         assert np.array_equal(out[~local], shared[~local])
@@ -268,7 +268,7 @@ class TestRunFederation:
         _, layers = personalized_layers(cfg.fed.personalization, 3)
         assert layers == frozenset({1})
         local = np.zeros(posts[0].size, dtype=bool)
-        local[LAYOUT.layer_slice(1)] = True
+        local[NET.layer_slice(1)] = True
         shared_part = posts[0][~local]
         for m in range(3):
             post = posts[m]
@@ -354,7 +354,7 @@ class TestFinetuneClassifier:
         init = Network(ARCH).init_random(seed=48).flatten()
         out = finetune_classifier(init, ARCH, datasets[0].train_x,
                                   datasets[0].train_labels, batch_size=16, seed=49)
-        head = LAYOUT.layer_slice(3)
+        head = NET.layer_slice(3)
         body = slice(0, head.start)
         assert np.array_equal(out.values[body], init[body])
         assert not np.array_equal(out.values[head], init[head])

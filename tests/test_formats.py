@@ -5,6 +5,7 @@ FormatError naming the file, never another exception."""
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedlens.dumps import FPLF_HEADER, read_features, write_features
+from fedlens.dumps import FPLF_HEADER, U32_MAX, read_features, write_features
 from fedlens.errors import FormatError
 from fedlens.metrics import FeatureMatrix
-from fedlens.nn import (FPNV_MAGIC, FPNV_VERSION, Network, load_params, mlp_specs,
-                        save_params)
+from fedlens.nn import (FPNV_LAYER, FPNV_MAGIC, FPNV_VERSION, Network, load_params,
+                        mlp_specs, save_params)
 
 
 def damaged(blob: bytes):
@@ -75,15 +76,22 @@ def test_damaged_fplf_loads_or_raises_format_error(n, dim, seed):
 
 
 def test_fpnv_dims_overflowing_int64_are_a_format_error(tmp_path):
-    # byte 100 is the ndims of the classifier weight; bit 2 turns 2 into 6,
-    # so float payload bytes are read as dims whose product overflows int64
-    blob = bytearray(fpnv_blob(mlp_specs(3, (2,), 2), 0))
-    assert blob[100] == 2
-    blob[100] ^= 1 << 2
+    # a one-layer 3 -> 2 network whose header turns into 2**32-1 -> 2**32-1:
+    # its parameter count overflows int64, and the length check refuses it
+    # before anything is allocated
+    blob = bytearray(fpnv_blob(mlp_specs(3, (), 2), 0))
+    assert FPNV_LAYER.unpack_from(blob, 10) == (0, 3, 2, 0, 2)
+    FPNV_LAYER.pack_into(blob, 10, 0, U32_MAX, U32_MAX, 0, 2)
     path = tmp_path / "model.fpnv"
     path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="truncated"):
-        load_params(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"^{path}: truncated parameter vector "
+                                              f"at offset {len(blob)}$"):
+            load_params(path)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20   # the error's own bytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_non_finite_fplf_payload_names_file_and_offset(tmp_path):
@@ -113,9 +121,9 @@ def test_fplf_keeps_float64_values_and_refuses_version_1(tmp_path):
                                          (np.inf, "first weight")])
 def test_non_finite_fpnv_payload_names_file_and_offset(tmp_path, value, where):
     blob = bytearray(fpnv_blob(mlp_specs(3, (2,), 2), 0))
-    # the header is 10 bytes and the first tensor's header 13; the
-    # classifier bias is the file's last tensor
-    at = len(blob) - 8 if where == "classifier bias" else 10 + 13
+    # the header is 10 bytes and each of the two layers' 17; the classifier
+    # bias ends the file
+    at = len(blob) - 8 if where == "classifier bias" else 10 + 2 * 17
     blob[at:at + 8] = np.array([value], dtype="<f8").tobytes()
     path = tmp_path / "model.fpnv"
     path.write_bytes(bytes(blob))
@@ -124,44 +132,88 @@ def test_non_finite_fpnv_payload_names_file_and_offset(tmp_path, value, where):
         load_params(path)
 
 
-def fpnv_of(tensors):
-    """An FPNV file of zero-valued tensors, each given as (layer, shape)."""
-    blob = FPNV_MAGIC + struct.pack("<HI", FPNV_VERSION, len(tensors))
-    for layer, shape in tensors:
-        blob += struct.pack(f"<IB{len(shape)}I", layer, len(shape), *shape)
-        blob += bytes(8 * math.prod(shape))
+def fpnv_of(layers, values=0):
+    """An FPNV file of the given layer headers, each (kind code, in_dim,
+    out_dim, inner_width, inner_layers), then `values` float64 zeros."""
+    blob = FPNV_MAGIC + struct.pack("<HI", FPNV_VERSION, len(layers))
+    for header in layers:
+        blob += FPNV_LAYER.pack(*header)
+    return blob + bytes(8 * values)
+
+
+# a 3 -> 2 linear layer; layer headers sit at offsets 10, 27 and 44
+FIRST = (0, 3, 2, 0, 2)
+
+
+@pytest.mark.parametrize("layers, at, problem", [
+    ([(7, 3, 2, 0, 2)], 10, "unknown layer kind 7"),
+    ([FIRST, (1, 2, 0, 0, 2)], 27, "layer dimensions must be positive"),
+    ([FIRST, (0, 4, 2, 0, 2)], 27, "layer dims do not chain: 2 then 4"),
+    ([FIRST, (2, 2, 3, 5, 2)], 27, "residual block needs in_dim == out_dim"),
+    ([FIRST, (2, 2, 2, 5, 0), (0, 2, 2, 0, 2)], 27,
+     "residual block needs at least one inner layer"),
+    ([FIRST, (2, 2, 2, 0, 3)], 27, "residual block needs a positive inner width"),
+], ids=["kind_7", "empty", "chain_width", "no_return", "no_weight", "no_inner_width"])
+def test_bad_fpnv_layout_names_file_and_header_offset(tmp_path, layers, at, problem):
+    path = tmp_path / "model.fpnv"
+    path.write_bytes(fpnv_of(layers))
+    with pytest.raises(FormatError, match=f"^{path}: {problem} at offset {at}$"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("count, values, problem", [
+    (0, 0, "layer count 0 does not fit the file at offset 6"),
+    (2, 0, "layer count 2 does not fit the file at offset 6"),
+    (1, 7, "truncated parameter vector at offset 83"),
+    (1, 9, "8 trailing bytes at offset 91"),
+], ids=["no_layers", "headers_cut", "values_cut", "trailing"])
+def test_fpnv_length_must_match_its_layer_specs(tmp_path, count, values, problem):
+    # a 3 -> 2 layer holds 8 values; its file is 10 + 17 + 64 = 91 bytes
+    blob = fpnv_of([FIRST], values)
+    blob = blob[:6] + struct.pack("<I", count) + blob[10:]
+    path = tmp_path / "model.fpnv"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=f"^{path}: {problem}$"):
+        load_params(path)
+
+
+def test_fpnv_block_of_more_maps_than_the_file_holds_stops_at_the_file_end(tmp_path):
+    # 2**32 - 1 inner maps of two values each: listing them would not end in
+    # reasonable time, and the length check stops at the first past the file
+    path = tmp_path / "model.fpnv"
+    path.write_bytes(fpnv_of([(2, 1, 1, 1, U32_MAX)], values=100))
+    with pytest.raises(FormatError, match=f"^{path}: truncated parameter vector "
+                                          f"at offset {10 + 17 + 800}$"):
+        load_params(path)
+
+
+def fpnv_v1(net):
+    """The network as a version 1 FPNV file: a (layer, ndims, dims) header
+    before each weight and each bias."""
+    blob = FPNV_MAGIC + struct.pack("<HI", 1, 2 * sum(len(maps) for maps in net._maps))
+    for layer, maps in enumerate(net._maps, start=1):
+        for w, b, _, _ in maps:
+            for t in (w, b):
+                blob += struct.pack(f"<IB{t.ndim}I", layer, t.ndim, *t.shape)
+                blob += t.astype("<f8").tobytes()
     return blob
 
 
-# a 3 -> 2 first layer; its weight's header is at offset 10, its bias's at 71
-# and the next tensor's at 96
-FIRST = [(1, (2, 3)), (1, (2,))]
-
-
-@pytest.mark.parametrize("tensors, at", [
-    ([(7, (2, 3)), (7, (2,))], 10),                        # no layer 1
-    (FIRST + [(3, (2, 2)), (3, (2,))], 96),                # layer 2 skipped
-    (FIRST + [(2, (2, 4)), (2, (2,))], 96),                # widths do not link
-    ([(1, (2, 3)), (1, (3,))], 71),                        # bias of the wrong width
-    ([(1, (2,)), (1, (2,))], 10),                          # 1-D first tensor
-    ([(1, (2, 3)), (1, (2,)), (1, (4, 2)), (1, (4,))], 96),  # two maps, 3 -> 4
-    ([(1, (2, 3))], 10),                                   # weight without a bias
-    ([(1, (0, 3)), (1, (0,))], 10),                        # empty map
-], ids=["layer_7", "gap", "chain_width", "bias_width", "no_weight", "no_return",
-        "no_bias", "empty"])
-def test_bad_fpnv_layout_names_file_and_header_offset(tmp_path, tensors, at):
+def test_fpnv_refuses_version_1(tmp_path):
     path = tmp_path / "model.fpnv"
-    path.write_bytes(fpnv_of(tensors))
-    with pytest.raises(FormatError, match=f"^{path}: .* at offset {at}$"):
+    path.write_bytes(fpnv_v1(Network(mlp_specs(3, (2,), 2)).init_random(seed=1)))
+    with pytest.raises(FormatError, match=f"^{path}: unsupported version 1 at offset 4$"):
         load_params(path)
 
 
 def test_every_network_layout_loads(tmp_path):
-    # the chain rules accept what save_params writes, residual blocks included
+    # the header checks accept what save_params writes, residual blocks included
     path = tmp_path / "model.fpnv"
     for specs in (mlp_specs(3, (4, 4), 2, residual=True, residual_width=5,
                             residual_inner=3), mlp_specs(3, (), 2)):
         net = Network(specs).init_random(seed=1)
         save_params(net, path)
-        layout, values = load_params(path)
-        assert layout == net.layout and np.array_equal(values, net.values)
+        loaded = load_params(path)
+        assert loaded.specs == net.specs
+        assert loaded.values.tobytes() == net.values.tobytes()
+        assert path.stat().st_size == 10 + 17 * len(specs) + 8 * net.values.size

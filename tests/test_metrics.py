@@ -337,7 +337,7 @@ class TestCaptureRecords:
 def tap_records(net, taps):
     """feature_records of every tap, each against its interface weight."""
     return [r for t, fm in taps.items()
-            for r in feature_records(fm, net.layout.interface_weight(net.values, t + 1))]
+            for r in feature_records(fm, net.interface_weight(t + 1))]
 
 
 class TestTapSweep:

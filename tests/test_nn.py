@@ -4,6 +4,8 @@ format, and golden values that pin the layer kernels across versions."""
 
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +213,7 @@ class TestSgd:
         x = rng.normal(size=(7, 4))
         labels = rng.integers(0, 3, size=7)
         loss, full = net.loss_and_grad(x, labels)
-        start = net.layout.layer_slice(first).start
+        start = net.layer_slice(first).start
         part_net = Network.from_vector(net.specs[first - 1:], net.values[start:])
         part_loss, part = part_net.loss_and_grad(taps_of(net, x)[first - 1], labels)
         assert part_loss == loss
@@ -227,7 +229,7 @@ class TestSgd:
         theta = net.flatten()
         perm = np.random.default_rng(22).permutation(len(x))
         _, grad = net.loss_and_grad(x[perm], labels[perm])
-        head = net.layout.layer_slice(net.num_layers)
+        head = net.layer_slice(net.num_layers)
         after = finetune_classifier(theta, net.specs, x, labels, epochs=1, lr=0.05,
                                     momentum=0.0, batch_size=len(x), seed=22).flatten()
         want = theta[head] - 0.05 * grad[head]
@@ -268,20 +270,19 @@ class TestFlatBuffer:
     @given(specs=small_specs, seed=st.integers(0, 2**16))
     def test_params_are_views_of_values(self, specs, seed):
         net = Network(specs).init_random(seed=seed)
-        entries = iter(net.layout)
-        for layer, (spec, maps) in enumerate(zip(net.specs, net._maps), start=1):
-            assert [relu for _, _, relu, _ in maps] == [relu for _, _, relu in spec.maps()]
+        # the maps tile the vector in order: each weight (out, in), then its bias
+        at = 0
+        for spec, maps in zip(net.specs, net._maps):
+            assert ([(w.shape[1], w.shape[0], relu) for w, _, relu, _ in maps]
+                    == list(spec.maps()))
             for w, b, _, offset in maps:
+                assert offset == at and b.shape == (w.shape[0],)
                 for arr in (w, b):
-                    e = next(entries)
-                    assert (e.layer, e.shape) == (layer, arr.shape)
-                    # the kernels' offset is the weight's, and its bias follows
-                    assert e.offset == offset + (w.size if arr is b else 0)
                     assert np.shares_memory(arr, net.values)
-                    arr[...] = np.arange(arr.size).reshape(arr.shape) + e.offset + 0.5
-                    flat = net.flatten()
-                    assert np.array_equal(flat[e.offset:e.offset + e.size], arr.ravel())
-        assert next(entries, None) is None
+                    arr[...] = np.arange(arr.size).reshape(arr.shape) + at + 0.5
+                    assert np.array_equal(net.flatten()[at:at + arr.size], arr.ravel())
+                    at += arr.size
+        assert at == net.values.size
         other = Network.from_vector(specs, net.flatten())
         assert other.flatten().tobytes() == net.values.tobytes()
         assert not np.shares_memory(other.values, net.values)
@@ -289,14 +290,13 @@ class TestFlatBuffer:
         # interface weight, which is a view too
         stop = 0
         for layer in range(1, net.num_layers + 1):
-            weight = net.layout.interface_weight(net.values, layer)
+            weight = net.interface_weight(layer)
             assert np.shares_memory(weight, net.values)
             weight[...] = -1.0
             assert np.array_equal(net._maps[layer - 1][0][0], weight)
-            span = net.layout.layer_slice(layer)
+            span = net.layer_slice(layer)
             assert span.start == net._maps[layer - 1][0][3] == stop
-            assert span.stop - span.start == sum(e.size for e in net.layout
-                                                 if e.layer == layer)
+            assert span.stop - span.start == sum(t.size for t in param_views(net)[layer - 1])
             stop = span.stop
         assert stop == net.values.size
 
@@ -310,7 +310,7 @@ def reference_finetune(model, arch, x, labels, epochs, lr, momentum, batch_size,
     last = net.num_layers
     features = np.concatenate([frozen_forward(net, x[lo:lo + batch_size], last - 1)
                                for lo in range(0, len(x), batch_size)])
-    start = net.layout.layer_slice(last).start
+    start = net.layer_slice(last).start
     head = Network.from_vector(arch[-1:], model[start:])
     rng = np.random.default_rng(seed)
     velocity = np.zeros(head.values.size)
@@ -344,7 +344,7 @@ class TestFrozenPrefix:
         ref = reference_finetune(model, specs, x, labels, epochs=2, lr=0.1,
                                  momentum=0.5, batch_size=batch_size, seed=seed)
         assert out.values.tobytes() == ref.tobytes()
-        start = out.layout.layer_slice(len(specs)).start
+        start = out.layer_slice(len(specs)).start
         assert out.values[:start].tobytes() == model[:start].tobytes()
 
 
@@ -419,7 +419,7 @@ class TestInitAndVectors:
         theta = net.flatten()
         other = Network.from_vector(mlp_specs(4, [6], 3), theta)
         assert np.array_equal(other.flatten(), theta)
-        assert other.layout == net.layout
+        assert other.specs == net.specs
         theta[0] += 1.0  # both sides are copies
         assert other.values[0] == net.values[0] != theta[0]
 
@@ -444,21 +444,20 @@ class TestInitAndVectors:
 
 
 class TestParamFormat:
-    def test_save_load_roundtrip(self, tmp_path):
-        # a plain net, and one whose residual blocks hold three maps each
-        for kwargs in (dict(hidden=[4, 3]),
-                       dict(hidden=[4, 4, 3], residual=True, residual_width=6,
-                            residual_inner=3)):
-            net = Network(mlp_specs(5, num_classes=2, **kwargs)).init_random(seed=14)
-            path = tmp_path / "model.fpnv"
+    @settings(max_examples=60, deadline=None)
+    @given(specs=small_specs, seed=st.integers(0, 2**16))
+    def test_save_load_roundtrip(self, specs, seed):
+        # plain nets, and residual blocks of one to three inner maps
+        net = Network(specs).init_random(seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.fpnv"
             save_params(net, path)
-            layout, values = load_params(path)
-            assert layout == net.layout
-            assert values.tobytes() == net.values.tobytes()
-            for layer in range(1, net.num_layers + 1):
-                assert layout.layer_slice(layer) == net.layout.layer_slice(layer)
-                assert np.array_equal(layout.interface_weight(values, layer),
-                                      net.layout.interface_weight(net.values, layer))
+            loaded = load_params(path)
+        assert loaded.specs == net.specs
+        assert loaded.values.tobytes() == net.values.tobytes()
+        for layer in range(1, net.num_layers + 1):
+            assert loaded.layer_slice(layer) == net.layer_slice(layer)
+            assert np.array_equal(loaded.interface_weight(layer), net.interface_weight(layer))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fpnv"
@@ -485,21 +484,22 @@ def test_sgd_epochs_rejects_out_of_range_labels():
 
 
 # Golden values of three seeded networks, computed before the layer kernels
-# became one chain-of-maps loop: the sha256 of the FPNV bytes of the init
-# (uniform draws and zeros, no BLAS, so exact), then the loss and the sum of
-# each tensor's gradient after one loss_and_grad on nudged parameters.
-# Any change to tensor order, init or the kernels' arithmetic shows here.
+# became one chain-of-maps loop: the sha256 of the init's little-endian
+# parameter vector (uniform draws and zeros, no BLAS, so exact), then the loss
+# and the sum of each tensor's gradient after one loss_and_grad on nudged
+# parameters. Any change to tensor order, init or the kernels' arithmetic
+# shows here.
 GOLDEN_NETS = {
     "plain": (
         dict(input_dim=5, hidden=[6, 4], num_classes=3),
-        "10e03bb8bace98998d635f1e9bb04eb25178a63495130cd312eb33e244806e68",
+        "f1af90ad76cdd8823284e5576f89a518e4e0bc5e194e1dfeca5dd87e73dc444b",
         1.111483731894542,
         [-0.09888042165347177, -0.019355048830747006, -0.018351022274634296,
          0.00364198182906022, -1.734723475976807e-18, -5.551115123125783e-17]),
     "residual_inner_1": (
         dict(input_dim=4, hidden=[4, 4, 3], num_classes=3, residual=True,
              residual_width=5, residual_inner=1),
-        "f2ca6b33ab8c3ec50c65dd19047cc20ab6ed87535150ff99cd17513a6254e54c",
+        "af93d8d27ae2e6ac05e9251a570c94535f8aac7fdb8b42c8ce26783828219669",
         1.053612648907007,
         [0.08910873405507166, -0.038616116495533634, 0.14321308544875988,
          -0.0322782804566278, 0.35007684050555515, -0.07478887203543759,
@@ -507,7 +507,7 @@ GOLDEN_NETS = {
     "residual_inner_3": (
         dict(input_dim=4, hidden=[4, 4, 3], num_classes=3, residual=True,
              residual_width=5, residual_inner=3),
-        "8a540fed9e03ac2d9d59c90f305bcc2cff56903be750db77bf1134f612502729",
+        "457e506920220d11203f98066b7ee4cf011c1dbe10e93c9fe70fae62ef99164c",
         1.108997862650408,
         [-0.014479836198006696, -0.0052148692733613704, 0.0028195610790808503,
          0.007231601107352093, 0.017521713009440377, 0.07611048550419908,
@@ -519,11 +519,10 @@ GOLDEN_NETS = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_NETS))
-def test_layer_engine_matches_golden_values(tmp_path, name):
+def test_layer_engine_matches_golden_values(name):
     kwargs, digest, want_loss, want_sums = GOLDEN_NETS[name]
     net = Network(mlp_specs(**kwargs)).init_random(seed=41)
-    save_params(net, tmp_path / "init.fpnv")
-    assert hashlib.sha256((tmp_path / "init.fpnv").read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(net.values.astype("<f8").tobytes()).hexdigest() == digest
     rng = np.random.default_rng(42)
     net.values[...] += rng.normal(scale=0.1, size=net.values.size)
     x = rng.normal(size=(9, kwargs["input_dim"]))
@@ -531,5 +530,6 @@ def test_layer_engine_matches_golden_values(tmp_path, name):
     loss, grad = net.loss_and_grad(x, labels)
     # the classifier's sums are zero up to rounding, hence the absolute floor
     assert loss == pytest.approx(want_loss, rel=1e-10)
-    sums = [grad[e.offset:e.offset + e.size].sum() for e in net.layout]
+    sums = [t.sum() for views in param_views(Network.from_vector(net.specs, grad))
+            for t in views]
     assert sums == pytest.approx(want_sums, rel=1e-10, abs=1e-15)
