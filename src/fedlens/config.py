@@ -40,8 +40,6 @@ class DataConfig:
     scale_max: float = 2.0
     offset_scale: float = 1.0
     rotation: str = "random"
-    label_noise: float = 0.0
-    balanced: bool = True
     idx_dir: str = ""
 
 
@@ -163,7 +161,6 @@ RULES = {
     "data.scale_max": Domain("finite"),
     "data.offset_scale": Domain("finite"),
     "data.rotation": Domain("one_of", ("random", "identity")),
-    "data.label_noise": Domain("unit"),
     "data.idx_dir": Domain("noteless"),
     "model.hidden": Domain("widths", 1),
     "model.activation": Domain("one_of", ("relu", "linear")),
@@ -348,10 +345,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             key = max(DATA_SCALES, key=lambda k: abs(getattr(d, k)))
             raise ConfigError(f"data scales let a draw reach {reach:.3g}, past float64's "
                               f"{sys.float_info.max:.3g}", field=f"data.{key}")
-        # captures read train rows only, and balanced draws without label
-        # noise give every class at least train_per_client // classes of them
+        # captures read train rows only, and a balanced split gives every
+        # class at least train_per_client // classes of them
         rows = d.train_per_client // d.classes
-        if d.balanced and d.label_noise == 0.0 and cfg.metrics.eval_per_class > rows:
+        if cfg.metrics.eval_per_class > rows:
             raise ConfigError(f"eval_per_class exceeds the {rows} train rows each class has",
                               field="metrics.eval_per_class")
     if cfg.output.dump_features and cfg.fed.rounds > U16_MAX:

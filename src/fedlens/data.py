@@ -27,8 +27,7 @@ class DomainSpec:
     """Per-client generative recipe for class-conditional gaussian data.
 
     A sample of class c is scaling * (rotation @ (mean_c + sigma * g)) + offset
-    with g standard normal. label_noise is the probability that a training
-    label is flipped to a uniformly random other class.
+    with g standard normal.
     """
 
     class_means: np.ndarray  # (classes, input_dim)
@@ -36,7 +35,6 @@ class DomainSpec:
     rotation: np.ndarray     # (input_dim, input_dim), orthogonal
     scaling: np.ndarray      # (input_dim,)
     offset: np.ndarray       # (input_dim,)
-    label_noise: float = 0.0
 
     def transform(self, v: np.ndarray) -> np.ndarray:
         """Apply the domain distortion to rows of v."""
@@ -68,7 +66,7 @@ def haar_rotation(n: int, rng) -> np.ndarray:
 def make_domain_specs(num_clients: int, num_classes: int, input_dim: int, seed: int,
                       anchor_scale: float = 3.0, within_class_scale: float = 1.0,
                       scale_range=(1.0, 1.0), offset_scale: float = 0.0,
-                      rotation: str = "random", label_noise: float = 0.0):
+                      rotation: str = "random"):
     """Shared anchors plus per-client distortions.
 
     rotation "identity" with scale_range (1, 1) and offset_scale 0 makes all
@@ -77,6 +75,7 @@ def make_domain_specs(num_clients: int, num_classes: int, input_dim: int, seed: 
     anchors = np.random.default_rng(derive_seed(seed, "anchors")).normal(
         size=(num_classes, input_dim)) * anchor_scale
     lo, hi = scale_range
+    hi = max(lo, hi)  # lo when equal: numpy refuses 0.0 to -0.0, a signed width
     specs = []
     for m in range(num_clients):
         rng = np.random.default_rng(derive_seed(seed, "domain", m))
@@ -85,37 +84,28 @@ def make_domain_specs(num_clients: int, num_classes: int, input_dim: int, seed: 
         offset = rng.normal(size=input_dim) * offset_scale
         specs.append(DomainSpec(
             class_means=anchors, within_class_scale=within_class_scale, rotation=rot,
-            scaling=scaling, offset=offset, label_noise=label_noise))
+            scaling=scaling, offset=offset))
     return specs
 
 
-def _draw_split(spec: DomainSpec, count: int, balanced: bool, rng, with_noise: bool):
+def _draw_split(spec: DomainSpec, count: int, rng):
+    """count shuffled rows with balanced, noise-free labels: every class gets
+    count // classes rows, and the first count % classes classes one more."""
     c, dim = spec.class_means.shape
-    if balanced:
-        per = count // c
-        rem = count - per * c
-        counts = [per + (1 if i < rem else 0) for i in range(c)]
-        labels = np.repeat(np.arange(c), counts)
-    else:
-        labels = rng.integers(0, c, size=count)
+    labels = np.sort(np.arange(count) % c)
     g = rng.normal(size=(count, dim))
     x = spec.transform(spec.class_means[labels] + spec.within_class_scale * g)
-    if with_noise and spec.label_noise > 0:
-        flip = rng.random(count) < spec.label_noise
-        shift = rng.integers(1, c, size=count)
-        labels = np.where(flip, (labels + shift) % c, labels)
     perm = rng.permutation(count)
     return x[perm], labels[perm]
 
 
-def generate_federation_data(specs, n_train: int, n_test: int, seed: int,
-                             balanced: bool = True):
+def generate_federation_data(specs, n_train: int, n_test: int, seed: int):
     """Draw deterministic train/test splits for every client."""
     datasets = []
     for m, sp in enumerate(specs):
         rng = np.random.default_rng(derive_seed(seed, "samples", m))
-        train = _draw_split(sp, n_train, balanced, rng, with_noise=True)
-        test = _draw_split(sp, n_test, balanced, rng, with_noise=False)
+        train = _draw_split(sp, n_train, rng)
+        test = _draw_split(sp, n_test, rng)
         datasets.append(ClientDataset(m, *train, *test))
     return datasets
 
@@ -123,7 +113,8 @@ def generate_federation_data(specs, n_train: int, n_test: int, seed: int,
 def balanced_eval_subset(ds: ClientDataset, per_class: int, seed: int):
     """(x, labels) of exactly per_class train rows of every class the client has.
 
-    A class with fewer rows is a ConfigError on metrics.eval_per_class.
+    A class with fewer rows is a ConfigError on metrics.eval_per_class; only
+    IDX data can have one, since validate_config bounds synthetic configs.
     """
     rng = np.random.default_rng(seed)
     picks = []

@@ -33,7 +33,8 @@ class LayerSpec:
     residual block computes x + f(x) where f is a chain of `inner_layers`
     maps (relu between them, none after the last) through width
     `inner_width`; it requires in_dim == out_dim so the skip connection is
-    well formed.
+    well formed. A plain layer keeps the defaults of those two unused fields,
+    so a network has one spec list and one FPNV form.
     """
 
     kind: str
@@ -54,6 +55,9 @@ class LayerSpec:
                 raise ShapeError("residual block needs a positive inner width")
             if self.inner_layers < 1:
                 raise ShapeError("residual block needs at least one inner layer")
+        elif (self.inner_width, self.inner_layers) != (0, 2):
+            raise ShapeError(f"{self.kind} layer needs the default inner_width 0 and "
+                             "inner_layers 2")
 
     def maps(self):
         """(in width, out width, relu after) of each affine map, input first, lazily."""

@@ -26,9 +26,9 @@ def build_datasets(cfg: ExperimentConfig):
             d.clients, d.classes, d.input_dim, seed=cfg.fed.seed,
             anchor_scale=d.anchor_scale, within_class_scale=d.within_class_scale,
             scale_range=(d.scale_min, d.scale_max), offset_scale=d.offset_scale,
-            rotation=d.rotation, label_noise=d.label_noise)
+            rotation=d.rotation)
         return generate_federation_data(specs, d.train_per_client, d.test_per_client,
-                                        seed=cfg.fed.seed, balanced=d.balanced)
+                                        seed=cfg.fed.seed)
     root = Path(d.idx_dir)
     datasets = []
     for m in range(d.clients):

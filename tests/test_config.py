@@ -8,6 +8,7 @@ import re
 import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,9 +131,8 @@ def valid_configs(draw, tiny=False):
     if d.kind == "synthetic":
         d.train_per_client = max(d.train_per_client, d.classes)
         d.test_per_client = max(d.test_per_client, d.classes)
-        if d.balanced and d.label_noise == 0.0:
-            cfg.metrics.eval_per_class = min(cfg.metrics.eval_per_class,
-                                             d.train_per_client // d.classes)
+        cfg.metrics.eval_per_class = min(cfg.metrics.eval_per_class,
+                                         d.train_per_client // d.classes)
     if cfg.output.dump_features:
         cfg.fed.rounds = min(cfg.fed.rounds, U16_MAX)
     mode, _ = personalized_layers(cfg.fed.personalization, cfg.num_layers)
@@ -157,12 +157,6 @@ def test_eval_rows_per_class_are_bounded_by_the_train_split():
     with pytest.raises(ConfigError) as info:
         validate_config(cfg)
     assert info.value.field == "metrics.eval_per_class"
-    # label noise relabels train rows and unbalanced draws leave the per-class
-    # counts to data generation, so the eval subset draw checks those
-    cfg.data.label_noise = 0.1
-    validate_config(cfg)
-    cfg.data.label_noise, cfg.data.balanced = 0.0, False
-    validate_config(cfg)
 
 
 def test_a_short_test_split_does_not_bound_eval_rows():
@@ -274,12 +268,12 @@ def tap_out_of_range(draw, cfg):
 
 
 def too_many_eval_rows(draw, cfg):
-    cfg.metrics.eval_per_class = cfg.data.train_per_client // cfg.data.classes + 1
+    # an earlier set_field may have left classes below 1, which its rule refuses
+    cfg.metrics.eval_per_class = cfg.data.train_per_client // max(cfg.data.classes, 1) + 1
 
 
-# each edit of a valid config breaks one rule, or with kind = idx, label
-# noise or unbalanced data maybe none; set_field may break a field's own rule
-# and the rules that read it
+# each edit of a valid config breaks one rule, or with kind = idx maybe none;
+# set_field may break a field's own rule and the rules that read it
 EDITS = (set_field, set_rule_field, drop_idx_dir, invert_scales, starve_split,
          overflow_draws, dump_too_many_rounds, bad_personalization,
          personalization_without_mode, tap_out_of_range, too_many_eval_rows)
@@ -287,19 +281,22 @@ EDITS = (set_field, set_rule_field, drop_idx_dir, invert_scales, starve_split,
 
 def oracle(cfg):
     """The frozen oracle plus the rules changed after it: a `#` note in a text
-    field is an error on that field, and the test split no longer bounds
-    `metrics.eval_per_class`, since captures read train rows only."""
+    field is an error on that field, the test split no longer bounds
+    `metrics.eval_per_class`, since captures read train rows only, and
+    synthetic data is always balanced and noise-free, so the oracle reads
+    `label_noise = 0.0` and `balanced = True`, the removed keys' only values."""
     for key in ("data.idx_dir", "output.dir"):
         owner, name = owner_of(cfg, key)
         if NOTE.search(getattr(owner, name)):
             raise ConfigError("a # note", field=key)
     d = cfg.data
+    data = SimpleNamespace(**vars(d), label_noise=0.0, balanced=True)
     if d.test_per_client >= d.classes:
         # a test split of eval_per_class rows per class leaves the oracle only
         # its train-split bound; a smaller split keeps its own rule
         need = cfg.metrics.eval_per_class * d.classes
-        cfg = replace(cfg, data=replace(d, test_per_client=max(d.test_per_client, need)))
-    config_oracle.validate_config(cfg)
+        data.test_per_client = max(d.test_per_client, need)
+    config_oracle.validate_config(replace(cfg, data=data))
 
 
 def verdict(validate, cfg):
@@ -374,69 +371,69 @@ def test_readme_lists_every_rule_under_its_bound():
 GOLDEN_PRESETS = {
     "baseline": {
         "baseline":
-            "70f72a4dd4fd04e7d6f4d30610dcca0073f8a51f29c75d37f49b10f4d19af992",
+            "5f50d7a04c60368ca4731da9081d33c72e0a2c39d7e2a4e95720e835a18c3f65",
     },
     "iid-control": {
         "iid-control":
-            "b93e5db657845052f73d65ca4e133ddd53baa4edfefdcdea902f2d13248bd3d8",
+            "1d4670501dbbe143a77f62f3cf144fa5a881f6e2f15edd266a221dcee9ee6bd4",
     },
     "personalization-classifier": {
         "personalization-classifier":
-            "0ec8dec79f5b41e7e28b6abe123876f582b38ad9d8d9ace79562ffeccfebfd58",
+            "fcb27f982d097b8ce018855b281ead83c70025c7ad5d31116e45b7749a645658",
     },
     "personalization-successive": {
         "personalization-successive-k0":
-            "85a2b80aeaeb2f3001bd87a2903173bf88680a48bd35864346d3cc976236b49f",
+            "0705ba08bd0bb62c566c7a6326f6323c8bc415ffc243493d831ae4003a7aedb5",
         "personalization-successive-k1":
-            "a4b2744a366e2e96ace574b96c14ad65c8572c9072a3ff95cce2bc7ed242628c",
+            "b871a5b8a8b5e538f8d09fecb68d3cb8b28dfb4cbb267c498271bf059f6542e7",
         "personalization-successive-k2":
-            "67a906c680042b6872241ddd4ef4b3bef0e7b6727fe3148f97ee6bb151433c67",
+            "438bee3bd3fd61954ae70c27172525313712fde829528b11a58b4c6164a80478",
         "personalization-successive-k3":
-            "0d2fd2f364ddd53b813bae1adccc9b7355aa81975179e82755e260b44e6d41ea",
+            "de7d495a89c9858858b1e7d9e0b109e6f760300fda8b04f3fb894416db8e8061",
         "personalization-successive-k4":
-            "fcd8d08c0e65b2d7514ee7f808f685064f0eb0319621f0b26318217e429c6bf7",
+            "1aa5305e1bbb11d4474111efd8bf648720e9109ac3b003e38cb19f333c7bd554",
         "personalization-successive-k5":
-            "1115ca2a289dcdef98268dc6ff3d457e6f46599a8205a731aef7bf59d98ae2da",
+            "dd24033b967be43b59a166a251afbab44cc236a8dbc1d7e149b7b80c53e037ff",
         "personalization-successive-k6":
-            "5dcae068d531e0bb51e5f8d09aedda23943f13ae7c5869de70e16c375c09f07d",
+            "c29397af1a244d42a4a74e0ab4dd5f843246c5ea8ee086d7cd5a28140806207e",
     },
     "personalization-skip": {
         "personalization-skip-l1":
-            "12271cd64bdccb430a41a294b70fb07cf09a62138fc8917fccb00e21a3f206be",
+            "4d511d4d2ac2e4525f8a8432517fad410f22db0da336692f4b211122dff302b8",
         "personalization-skip-l2":
-            "1ab06c2ce3e18f01f88992d5499e38648682462b4bba3190526bbe2ba40a6139",
+            "21ee3a368bd10a3a78a562604794ed37515fbb05d49c94eaf9bde2969e401aa7",
         "personalization-skip-l3":
-            "f399d26216b112842563b8b587788d0135fe43ddeef6ee6aaf6d2f414eb259ef",
+            "e48dc1804bf98b360b54a47b66ece960d3191526efa806c2cd081b021b555e52",
         "personalization-skip-l4":
-            "133fa4ed736bdcad854c2ae72404486753d7a0ab2809175aea21e8e8d36ce77d",
+            "088deffeb512b81668b6110aef8f81e5829e07bd762a0acbd812b0008aad8e78",
         "personalization-skip-l5":
-            "f162abf273bda7e64edf3b6220c7e0a9ee271a7dac746551e438f0cb8cc35710",
+            "0a5ba5d0aeae3e69aabc6bd2e6d6d6f902e1e8ee3b617e6d0ea0888adf159f9e",
         "personalization-skip-l6":
-            "5a51b067834459b9954aaf1755ab50dd4c4cc3a7dce4208bc9685f65b73586d0",
+            "bb1f2735e9cd311162c6db6b0d71d1711e7b5816551aa54fbbf06c329319a29e",
     },
     "pretrained": {
         "pretrained":
-            "e15427ff4fb7f6eb5075eb5b90f0c911f3205178cc67f59191f5826fd6b2b89e",
+            "cf858687d593d0f96ba22c0936e6c5e526d83cf51260019daa33e191978be399",
         "pretrained-random-init":
-            "efe82c33f727ca27692756d4d3327fea4729a3eedcfb9a6c16e44be5ce4b7f81",
+            "d045249658ad8ec85edc72aa0486599b863697108d5054e5492d3086405666f7",
     },
     "finetune": {
         "finetune":
-            "627eaa22b2c27d1f4e88726f84a7bfd1fe7085c2bdad3b25e0b4de00ccfb5f3c",
+            "95ffb754e022f80105786186cb198e67bb446e328697ffeda7372496220e2e23",
     },
     "local-epochs-ablation": {
         "local-epochs-e5-r20":
-            "eca8849f47763c259aaac26b6720ca4879de2bc9c90f4fb23a7d506f566d9b7c",
+            "b5c0c58b6c315b1a3a6ca46ce9e72a22a017fbfe58d44b691f1f985bde3f5832",
         "local-epochs-e10-r10":
-            "2d5469c28600296182c223a02e3eda23fafc2d64b0fa1fb63598d1ff243c3eb2",
+            "7b6b14a7b2e5cf58edee458bf23c1d5e83a24258414d8ab829185b4cfed1b577",
         "local-epochs-e20-r5":
-            "b26408a58461e44780adb1c8f37784bfc3b0ab6444c0fb9187facf9a0fd9f57b",
+            "5a991250993564da0563cb3add1617c398260fc25a97730100fe8ed01a9f8051",
     },
     "residual-ablation": {
         "residual-off":
-            "6e2d6722facd97894a1f364bf8d14e9df6664315c5f57f64cf700275dd52c8ee",
+            "5627e8b8d1c3c9eba83c41dc8ac17b0b2fc6a88a02ad0d1251c4a9472181b133",
         "residual-on":
-            "4774eff47111f58009901b5ea5d09b58cb9b2d907ab1f2b4cd15fcf6c042c321",
+            "1e9d46b04096036d0de6a292576646cf9fa52c00586f8d0ec8b2e0f78b3ab637",
     },
 }
 

@@ -84,8 +84,15 @@ class TestGenerator:
 
     def test_balanced_split_has_uniform_classes(self):
         specs = make_domain_specs(1, 5, 6, seed=6)
-        ds = generate_federation_data(specs, 50, 50, seed=6)[0]
+        ds = generate_federation_data(specs, 50, 52, seed=6)[0]
         assert np.array_equal(np.bincount(ds.train_labels), [10] * 5)
+        # the first count % classes classes get one row more
+        assert np.array_equal(np.bincount(ds.test_labels), [11, 11, 10, 10, 10])
+
+    def test_signed_zero_scale_range_draws_zero_scaling(self):
+        # scale_min = 0.0 and scale_max = -0.0 pass the config's rule
+        specs = make_domain_specs(2, 2, 3, seed=5, scale_range=(0.0, -0.0))
+        assert all(not sp.scaling.any() for sp in specs)
 
     def test_rotation_heterogeneity_hurts_transfer(self):
         # sanity gate, not a hard invariant: a model trained on client 0

@@ -153,7 +153,13 @@ FIRST = (0, 3, 2, 0, 2)
     ([FIRST, (2, 2, 2, 5, 0), (0, 2, 2, 0, 2)], 27,
      "residual block needs at least one inner layer"),
     ([FIRST, (2, 2, 2, 0, 3)], 27, "residual block needs a positive inner width"),
-], ids=["kind_7", "empty", "chain_width", "no_return", "no_weight", "no_inner_width"])
+    # layer 1 of mlp_specs(3, [4], 2) with damaged inner fields
+    ([(1, 3, 4, 9, 77), (0, 4, 2, 0, 2)], 10,
+     "linear_relu layer needs the default inner_width 0 and inner_layers 2"),
+    ([FIRST, (0, 2, 2, 0, 0)], 27,
+     "linear layer needs the default inner_width 0 and inner_layers 2"),
+], ids=["kind_7", "empty", "chain_width", "no_return", "no_weight", "no_inner_width",
+        "plain_inner_fields", "plain_inner_layers"])
 def test_bad_fpnv_layout_names_file_and_header_offset(tmp_path, layers, at, problem):
     path = tmp_path / "model.fpnv"
     path.write_bytes(fpnv_of(layers))
