@@ -46,7 +46,6 @@ class DataConfig:
 @dataclass
 class ModelConfig:
     hidden: tuple = (32, 32, 32, 32, 16)
-    activation: str = "relu"
     residual: bool = False
     residual_width: int = 32
     residual_inner: int = 2
@@ -69,14 +68,10 @@ class FedSection:
 class MetricsConfig:
     taps: tuple = ()                   # empty = every layer input
     eval_per_class: int = 40
-    distances: bool = True
     probe_rounds: tuple = ()
     probe_epochs: int = 100
-    probe_lr: float = 0.01
     probe_batch: int = 64
     finetune_epochs: int = 10
-    finetune_lr: float = 0.01
-    finetune_momentum: float = 0.1
     finetune_batch: int = 64
 
 
@@ -163,7 +158,6 @@ RULES = {
     "data.rotation": Domain("one_of", ("random", "identity")),
     "data.idx_dir": Domain("noteless"),
     "model.hidden": Domain("widths", 1),
-    "model.activation": Domain("one_of", ("relu", "linear")),
     "model.residual_width": Domain("at_least", 0),
     "model.residual_inner": Domain("at_least", 1),
     "fed.rounds": Domain("at_least", 1),
@@ -176,11 +170,8 @@ RULES = {
     "metrics.eval_per_class": Domain("at_least", 1),
     "metrics.probe_rounds": Domain("entries", 1),
     "metrics.probe_epochs": Domain("at_least", 1),
-    "metrics.probe_lr": Domain("positive"),
     "metrics.probe_batch": Domain("at_least", 1),
     "metrics.finetune_epochs": Domain("at_least", 1),
-    "metrics.finetune_lr": Domain("positive"),
-    "metrics.finetune_momentum": Domain("unit"),
     "metrics.finetune_batch": Domain("at_least", 1),
     "output.dir": Domain("text"),
 }
@@ -345,6 +336,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             key = max(DATA_SCALES, key=lambda k: abs(getattr(d, k)))
             raise ConfigError(f"data scales let a draw reach {reach:.3g}, past float64's "
                               f"{sys.float_info.max:.3g}", field=f"data.{key}")
+        if not math.isfinite(d.scale_max - d.scale_min):
+            raise ConfigError("scale_max - scale_min overflows float64", field="data.scale_max")
         # captures read train rows only, and a balanced split gives every
         # class at least train_per_client // classes of them
         rows = d.train_per_client // d.classes

@@ -127,8 +127,7 @@ def _accuracy_records(net: Network, ds: ClientDataset, round_index: int, phase: 
 def build_arch(cfg):
     """Layer specs of an ExperimentConfig's network."""
     return mlp_specs(cfg.data.input_dim, cfg.model.hidden, cfg.data.classes,
-                     activation=cfg.model.activation, residual=cfg.model.residual,
-                     residual_width=cfg.model.residual_width,
+                     residual=cfg.model.residual, residual_width=cfg.model.residual_width,
                      residual_inner=cfg.model.residual_inner)
 
 
@@ -204,14 +203,12 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
                 records.extend(feature_records(fm, net.interface_weight(t + 1)))
                 if dump_features:
                     write_round_dumps(dump_dir, {t: fm}, r, m, fm.phase)
-            if mt.distances:
-                records.extend(distance_records(pair[0].values, pair[1].values, r, m, t))
-        if mt.distances:
-            pre, post = (net.values[None] for net in pair_nets)
-            for layer in range(1, num_layers + 1):
-                slc = pair_nets[0].layer_slice(layer)
-                records.extend(distance_records(pre[:, slc], post[:, slc], r, m, layer,
-                                                prefix="param_"))
+            records.extend(distance_records(pair[0].values, pair[1].values, r, m, t))
+        pre, post = (net.values[None] for net in pair_nets)
+        for layer in range(1, num_layers + 1):
+            slc = pair_nets[0].layer_slice(layer)
+            records.extend(distance_records(pre[:, slc], post[:, slc], r, m, layer,
+                                            prefix="param_"))
 
     # every client starts from the same vector; from_vector copies it
     client_params = [init_vec] * m_clients
@@ -241,7 +238,6 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
                         tuned = finetune_classifier(
                             client_params[m], arch, datasets[m].train_x,
                             datasets[m].train_labels, epochs=mt.finetune_epochs,
-                            lr=mt.finetune_lr, momentum=mt.finetune_momentum,
                             batch_size=mt.finetune_batch,
                             seed=derive_seed(fed.seed, "finetune", m, r))
                         t = num_layers - 1
@@ -269,7 +265,7 @@ def _probe_records(cfg, t, pre_nets, post_nets, datasets, r):
             train_fm = extract_tap_features(net, ds.train_x, ds.train_labels, (t,))[t]
             test_fm = extract_tap_features(net, ds.test_x, ds.test_labels, (t,))[t]
             return linear_probe(train_fm, test_fm, epochs=mt.probe_epochs,
-                                lr=mt.probe_lr, batch_size=mt.probe_batch,
+                                batch_size=mt.probe_batch,
                                 seed=derive_seed(cfg.fed.seed, "probe", r, d, t, tag))
 
         out.append(MetricRecord(r, "post", d, t, "probe_acc", probe(post_nets[d], "post")))

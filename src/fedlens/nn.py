@@ -348,15 +348,13 @@ def load_params(path) -> Network:
     return Network.from_vector(specs, values)
 
 
-def mlp_specs(input_dim: int, hidden, num_classes: int, activation: str = "relu",
-              residual: bool = False, residual_width: int = 0,
-              residual_inner: int = 2):
-    """Layer specs for an MLP: hidden layers then a linear classifier.
+def mlp_specs(input_dim: int, hidden, num_classes: int, residual: bool = False,
+              residual_width: int = 0, residual_inner: int = 2):
+    """Layer specs for an MLP: ReLU hidden layers then a linear classifier.
 
     With residual=True, hidden layers whose input and output widths match
     become residual blocks (inner width defaults to the layer width).
     """
-    kind = "linear_relu" if activation == "relu" else "linear"
     dims = [input_dim] + list(hidden) + [num_classes]
     specs = []
     for i in range(len(hidden)):
@@ -366,6 +364,6 @@ def mlp_specs(input_dim: int, hidden, num_classes: int, activation: str = "relu"
                                    inner_width=residual_width or b,
                                    inner_layers=residual_inner))
         else:
-            specs.append(LayerSpec(kind, a, b))
+            specs.append(LayerSpec("linear_relu", a, b))
     specs.append(LayerSpec("linear", dims[-2], dims[-1]))
     return specs

@@ -1,6 +1,7 @@
 """Shared test plumbing: session timing, suite ordering, record lookups, the
 registry of metric names, views of a run's or a network's parameters, a
-network's frozen forward stopped at any layer, and Spearman rank correlation.
+network's frozen forward stopped at any layer, MLP specs without activations,
+and Spearman rank correlation.
 
 The acceptance module asserts a wall-clock budget for the whole suite, so
 it must run last; everything else keeps collection order.
@@ -99,6 +100,12 @@ def frozen_forward(net, h, stop):
     for idx in range(stop):
         h = _finite(net._layer_forward(idx, h, keep_cache=False)[0], idx)
     return h
+
+
+def linear_hidden(specs):
+    """`specs` with each `linear_relu` layer made `linear`: an MLP without
+    activations, which `mlp_specs` does not build."""
+    return [replace(s, kind="linear") if s.kind == "linear_relu" else s for s in specs]
 
 
 def last_round_vectors(cfg, datasets):

@@ -29,6 +29,8 @@ import pytest
 from fedlens.cli import main
 from fedlens.nn import Network, mlp_specs
 
+from conftest import linear_hidden
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "fedlens"
 
@@ -93,14 +95,14 @@ def test_file_hook_reads_the_path_parameter(path):
     assert list(inspect.signature(target).parameters)[path_arg] == "path"
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(hidden=[6, 4], activation="linear"),
-    dict(hidden=[5, 5, 4], residual=True, residual_width=3, residual_inner=1),
-    dict(hidden=[5, 5, 4], residual=True, residual_width=7, residual_inner=3),
+@pytest.mark.parametrize("specs", [
+    linear_hidden(mlp_specs(5, [6, 4], 3)),
+    mlp_specs(5, [5, 5, 4], 3, residual=True, residual_width=3, residual_inner=1),
+    mlp_specs(5, [5, 5, 4], 3, residual=True, residual_width=7, residual_inner=3),
 ], ids=["plain", "residual_inner_1", "residual_inner_3"])
-def test_flop_count_covers_every_weight(kwargs):
+def test_flop_count_covers_every_weight(specs):
     # a forward pass does one multiply-add per weight entry and batch row
-    net = Network(mlp_specs(5, num_classes=3, **kwargs))
+    net = Network(specs)
     weights = sum(w.size for maps in net._maps for w, _, _, _ in maps)
     assert LAYERS._matmul_macs(net.specs) == weights
 

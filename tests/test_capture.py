@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import frozen_forward, param_views
+from conftest import frozen_forward, linear_hidden, param_views
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -251,16 +251,17 @@ def test_records_agree_across_blas_kernels(tmp_path):
         assert math.isclose(other_rows[key], value, rel_tol=KERNEL_TOLERANCE), key
 
 
-# mlp_specs keywords of each layer kind; the residual net's hidden layers 2
+# a 4-5-5-5-3 network of each layer kind; the residual net's hidden layers 2
 # and 3 are residual blocks of three maps
-KINDS = {"linear": dict(activation="linear"),
-         "linear_relu": dict(activation="relu"),
-         "residual": dict(residual=True, residual_width=3, residual_inner=3)}
+KINDS = {"linear": linear_hidden(mlp_specs(4, [5, 5, 5], 3)),
+         "linear_relu": mlp_specs(4, [5, 5, 5], 3),
+         "residual": mlp_specs(4, [5, 5, 5], 3, residual=True, residual_width=3,
+                               residual_inner=3)}
 
 
 def walk_case(draw, kind, seed):
     """Two networks of one drawn architecture, rows crossing 256-row batches, and taps."""
-    specs = mlp_specs(4, [5, 5, 5], 3, **KINDS[kind])
+    specs = KINDS[kind]
     nets = [Network(specs).init_random(seed + i) for i in range(2)]
     rows = draw(st.sampled_from([1, 255, 256, 257, 600]))
     rng = np.random.default_rng(seed)

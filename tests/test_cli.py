@@ -17,7 +17,7 @@ import fedlens
 from fedlens import fed as fed_module
 from fedlens.analysis import CSV_HEADER, read_csv, relative_change
 from fedlens.cli import main
-from fedlens.config import RULES, load_config, parse_config
+from fedlens.config import RULES, Domain, load_config, parse_config
 from fedlens import dumps as dumps_module
 from fedlens.dumps import feature_filename, model_filename, read_features, write_features
 from fedlens.errors import ConfigError, FormatError, NumericError
@@ -69,11 +69,22 @@ BAD_TEXTS = {
     "widths": lambda least: ["", f"{least},{least - 1}"],
 }
 
+# keys gone from the config, with the domains their rules had: hidden layers
+# are always ReLU and the probe and fine-tune rates are fixed
+REMOVED_RULES = {"model.activation": Domain("one_of", ("relu", "linear")),
+                 "metrics.probe_lr": Domain("positive"),
+                 "metrics.finetune_lr": Domain("positive"),
+                 "metrics.finetune_momentum": Domain("unit")}
+# keys that the config no longer has: a config that sets one, at any value,
+# is refused at its line as an unknown key
+REMOVED_KEYS = ("data.label_noise", "data.balanced", "metrics.distances", *REMOVED_RULES)
+
 # (field, bad value, other keys set with it): each is a config error that
 # `fedlens run` reports before it trains or creates the output dir. The rows
-# built from RULES break one field's domain; the written ones break a rule
-# that reads several fields, or a domain in another context.
-BAD_VALUES = [(key, text, {}) for key, domain in RULES.items()
+# built from RULES break one field's domain, and those built from
+# REMOVED_RULES set a removed key to a value its rule refused; the written
+# ones break a rule that reads several fields, or a domain in another context.
+BAD_VALUES = [(key, text, {}) for key, domain in {**RULES, **REMOVED_RULES}.items()
               for text in BAD_TEXTS[domain.kind](domain.arg)] + [
     ("fed.batch_size", "0", {"fed.pretrain_epochs": "1"}),
     ("fed.personalization", "skip:", {}),
@@ -83,6 +94,9 @@ BAD_VALUES = [(key, text, {}) for key, domain in RULES.items()
     ("data.within_class_scale", "8.07e307", {"data.anchor_scale": "0"}),
     ("data.offset_scale", "1e308", {}),
     ("data.anchor_scale", "1e308", {}),
+    # draws far inside float64 from a scale range whose width is past it
+    ("data.scale_max", "1e308", {"data.scale_min": "-1e308", "data.anchor_scale": "0",
+                                 "data.within_class_scale": "1e-300"}),
     # 30 train rows of 3 balanced classes give 10 per class
     ("metrics.eval_per_class", "11", {}),
     # a note is checked before the IDX files are looked for
@@ -93,10 +107,6 @@ BAD_VALUES = [(key, text, {}) for key, domain in RULES.items()
     ("metrics.eval_per_class", "6", {"data.label_noise": "0.1", "data.train_per_client": "15"}),
     ("metrics.eval_per_class", "5", {"data.balanced": "false", "data.train_per_client": "12"}),
 ]
-
-# keys that synthetic data no longer reads: a config that sets one is
-# refused at its line as an unknown key
-REMOVED_KEYS = ("data.label_noise", "data.balanced")
 
 
 def write_config(path, out_dir, output_extra=""):
@@ -204,7 +214,7 @@ class TestRun:
                 cfg.write_text(cfg.read_text().replace("scenario = baseline",
                                                        f"{name} = {text}"))
         assert main(["run", str(cfg)]) == 2
-        removed = [key for key in also if key in REMOVED_KEYS]
+        removed = [key for key in (*also, field) if key in REMOVED_KEYS]
         named = (rf"line \d+: {re.escape(removed[0])}: unknown key " if removed
                  else f"{re.escape(field)}: ")
         assert re.match("config error: " + named, capsys.readouterr().err)
@@ -212,10 +222,14 @@ class TestRun:
 
     def test_unknown_key_reports_line_number(self, workspace, capsys):
         cfg = workspace / "badkey.cfg"
-        # synthetic data is always balanced and noise-free, so the removed
-        # data keys are unknown, even at what were their only values
+        # a removed key is unknown, even at what was its only value in any
+        # experiment
         for section, key, text in (("fed", "warp_speed", "9"), ("data", "label_noise", "0.0"),
-                                   ("data", "balanced", "true")):
+                                   ("data", "balanced", "true"), ("model", "activation", "relu"),
+                                   ("metrics", "distances", "true"),
+                                   ("metrics", "probe_lr", "0.01"),
+                                   ("metrics", "finetune_lr", "0.01"),
+                                   ("metrics", "finetune_momentum", "0.1")):
             cfg.write_text(f"scenario = baseline\n\n[{section}]\n{key} = {text}\n")
             assert main(["run", str(cfg)]) == 2
             assert capsys.readouterr().err == (f"config error: line 4: {section}.{key}: "

@@ -197,6 +197,25 @@ def test_data_scales_are_bounded_by_the_generator(rotation):
     validate_config(cfg)
 
 
+def test_scale_range_must_fit_float64():
+    # numpy's uniform draw refuses a range whose width is past float64; the
+    # draws themselves stay far inside the reach bound
+    cfg = ExperimentConfig()
+    d = cfg.data
+    d.anchor_scale, d.offset_scale, d.within_class_scale = 0.0, 0.0, 1e-300
+    d.scale_min, d.scale_max = -8.9e307, 8.9e307
+    validate_config(cfg)
+    for ds in build_datasets(cfg):
+        assert np.isfinite(ds.train_x).all() and np.isfinite(ds.test_x).all()
+    d.scale_min, d.scale_max = -9e307, 9e307
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    assert info.value.field == "data.scale_max"
+    # idx data is not drawn, so its scales are not bounded
+    d.kind, d.idx_dir = "idx", "anywhere"
+    validate_config(cfg)
+
+
 # any value of a field's type, NaN and infinities included
 ANY_VALUE = {**BY_TYPE, float: st.floats()}
 # values of each type at and around the bounds a rule could have
@@ -204,8 +223,8 @@ NEAR_BOUNDS = {
     bool: [False, True],
     int: list(range(-2, 4)),
     float: [0.0, -0.0, 1.0, 1.0 - 2**-53, -1e-300, 5e-324, math.nan, math.inf, -math.inf],
-    str: list(SCENARIOS) + ["synthetic", "idx", "random", "identity", "relu", "linear",
-                            "", "none", "runs/a#b", "runs/out  # note", "\t#"],
+    str: list(SCENARIOS) + ["synthetic", "idx", "random", "identity", "", "none",
+                            "runs/a#b", "runs/out  # note", "\t#"],
     tuple: [(), (0,), (1,), (2, 1), (1, 0), (-1,)],
 }
 SECTIONS = [top.name for top in fields(ExperimentConfig) if top.name != "scenario"]
@@ -247,6 +266,14 @@ def overflow_draws(draw, cfg):
     cfg.data.within_class_scale = draw(st.floats(1e307, 1e308))
 
 
+def widen_scale_range(draw, cfg):
+    # a scale range past float64, with draws too small to reach its limit
+    d = cfg.data
+    d.anchor_scale, d.offset_scale, d.within_class_scale = 0.0, 0.0, 1e-300
+    high = draw(st.floats(9e307, sys.float_info.max))
+    d.scale_min, d.scale_max = -high, high
+
+
 def dump_too_many_rounds(draw, cfg):
     cfg.output.dump_features = True
     cfg.fed.rounds = draw(st.integers(min_value=U16_MAX + 1))
@@ -275,16 +302,20 @@ def too_many_eval_rows(draw, cfg):
 # each edit of a valid config breaks one rule, or with kind = idx maybe none;
 # set_field may break a field's own rule and the rules that read it
 EDITS = (set_field, set_rule_field, drop_idx_dir, invert_scales, starve_split,
-         overflow_draws, dump_too_many_rounds, bad_personalization,
+         overflow_draws, widen_scale_range, dump_too_many_rounds, bad_personalization,
          personalization_without_mode, tap_out_of_range, too_many_eval_rows)
 
 
 def oracle(cfg):
     """The frozen oracle plus the rules changed after it: a `#` note in a text
     field is an error on that field, the test split no longer bounds
-    `metrics.eval_per_class`, since captures read train rows only, and
-    synthetic data is always balanced and noise-free, so the oracle reads
-    `label_noise = 0.0` and `balanced = True`, the removed keys' only values."""
+    `metrics.eval_per_class`, since captures read train rows only, and a
+    synthetic scale range past float64 is an error on `data.scale_max`, since
+    the uniform scaling draw needs its width. The oracle reads removed keys at
+    their only values: synthetic data is always balanced and noise-free
+    (`label_noise = 0.0`, `balanced = True`), hidden layers are always ReLU
+    (`activation = "relu"`), and the probe and fine-tune rates are fixed
+    (`probe_lr = 0.01`, `finetune_lr = 0.01`, `finetune_momentum = 0.1`)."""
     for key in ("data.idx_dir", "output.dir"):
         owner, name = owner_of(cfg, key)
         if NOTE.search(getattr(owner, name)):
@@ -296,7 +327,12 @@ def oracle(cfg):
         # its train-split bound; a smaller split keeps its own rule
         need = cfg.metrics.eval_per_class * d.classes
         data.test_per_client = max(d.test_per_client, need)
-    config_oracle.validate_config(replace(cfg, data=data))
+    model = SimpleNamespace(**vars(cfg.model), activation="relu")
+    metrics = SimpleNamespace(**vars(cfg.metrics), probe_lr=0.01, finetune_lr=0.01,
+                              finetune_momentum=0.1)
+    config_oracle.validate_config(replace(cfg, data=data, model=model, metrics=metrics))
+    if d.kind == "synthetic" and not math.isfinite(d.scale_max - d.scale_min):
+        raise ConfigError("a scale range past float64", field="data.scale_max")
 
 
 def verdict(validate, cfg):
@@ -371,69 +407,69 @@ def test_readme_lists_every_rule_under_its_bound():
 GOLDEN_PRESETS = {
     "baseline": {
         "baseline":
-            "5f50d7a04c60368ca4731da9081d33c72e0a2c39d7e2a4e95720e835a18c3f65",
+            "c2df05499c131c1a80a0eb52ea1594e4b50ef440382c4aff56e601185d9e4f21",
     },
     "iid-control": {
         "iid-control":
-            "1d4670501dbbe143a77f62f3cf144fa5a881f6e2f15edd266a221dcee9ee6bd4",
+            "3cfe7f9ae389acf9fe67dff26df4816a0c77cf111a7bbeecfe7761c93e872e8b",
     },
     "personalization-classifier": {
         "personalization-classifier":
-            "fcb27f982d097b8ce018855b281ead83c70025c7ad5d31116e45b7749a645658",
+            "f0806e602974210e1db9717968e68cce844965f036c7b8eb4b73535b9d137c04",
     },
     "personalization-successive": {
         "personalization-successive-k0":
-            "0705ba08bd0bb62c566c7a6326f6323c8bc415ffc243493d831ae4003a7aedb5",
+            "871f8478c789843454024ed573a9f4d3b25d7e7c2834af39e408c62190a7a361",
         "personalization-successive-k1":
-            "b871a5b8a8b5e538f8d09fecb68d3cb8b28dfb4cbb267c498271bf059f6542e7",
+            "e28ca6d6380338a28f57cf2b0dc43f57e5e44b8713837013eff56fd518182d5b",
         "personalization-successive-k2":
-            "438bee3bd3fd61954ae70c27172525313712fde829528b11a58b4c6164a80478",
+            "4d5f7a11cda9beb1a81eda54c34ba3e0e728554fe9427f3ef25a84286feae138",
         "personalization-successive-k3":
-            "de7d495a89c9858858b1e7d9e0b109e6f760300fda8b04f3fb894416db8e8061",
+            "d9a06b6ea437c7794771632e5d82b1c1a09899e33567039f702649d3a32eb4cf",
         "personalization-successive-k4":
-            "1aa5305e1bbb11d4474111efd8bf648720e9109ac3b003e38cb19f333c7bd554",
+            "0512a7820be51c4fcbb17f7f9b0bdf97fa6ed7f13fee4cb66f2710763bc5e127",
         "personalization-successive-k5":
-            "dd24033b967be43b59a166a251afbab44cc236a8dbc1d7e149b7b80c53e037ff",
+            "f446cc0bcf8759fe5200a4a10d2f4b4df56273ad4bf0584d4885ec4cfe4361b4",
         "personalization-successive-k6":
-            "c29397af1a244d42a4a74e0ab4dd5f843246c5ea8ee086d7cd5a28140806207e",
+            "5a3bda45492d9ead5bbdad579c5c79b71f830dc5fa2b981d3dd75637c4d4100e",
     },
     "personalization-skip": {
         "personalization-skip-l1":
-            "4d511d4d2ac2e4525f8a8432517fad410f22db0da336692f4b211122dff302b8",
+            "228ae263580e673851473ae6a3c2b5c19dbf0055d410192305c52daff2df21ab",
         "personalization-skip-l2":
-            "21ee3a368bd10a3a78a562604794ed37515fbb05d49c94eaf9bde2969e401aa7",
+            "dc42366a6dc84cf5122c6f068cf0962a7b04abf16c7c126ac4eede020390e0d1",
         "personalization-skip-l3":
-            "e48dc1804bf98b360b54a47b66ece960d3191526efa806c2cd081b021b555e52",
+            "41854455e44bce6d58fbd032217336faaa2716a424396b37172660ffdd7dee99",
         "personalization-skip-l4":
-            "088deffeb512b81668b6110aef8f81e5829e07bd762a0acbd812b0008aad8e78",
+            "3f6c4e3a54c1264200b5819f5a39aa6fa40c3bd5a39299639eb6ff04d8c3449e",
         "personalization-skip-l5":
-            "0a5ba5d0aeae3e69aabc6bd2e6d6d6f902e1e8ee3b617e6d0ea0888adf159f9e",
+            "5d093eb448d19489f43f46521864c10a352f8f9c97671bcecbffb8a52c465fe7",
         "personalization-skip-l6":
-            "bb1f2735e9cd311162c6db6b0d71d1711e7b5816551aa54fbbf06c329319a29e",
+            "1e0f4cbdc5b393e01456fc138159551e1352f4dd55138fc590717c33f532bdf4",
     },
     "pretrained": {
         "pretrained":
-            "cf858687d593d0f96ba22c0936e6c5e526d83cf51260019daa33e191978be399",
+            "b747dfde0608f47ece121b09287ba4256db449756029d7f8ca0a9230ecb36da0",
         "pretrained-random-init":
-            "d045249658ad8ec85edc72aa0486599b863697108d5054e5492d3086405666f7",
+            "9323c5d225a688a6d659090b18c066d612876dfa3840dde30fed883dd9da32f4",
     },
     "finetune": {
         "finetune":
-            "95ffb754e022f80105786186cb198e67bb446e328697ffeda7372496220e2e23",
+            "a2ceb8d548e94f47e431213503416d79b46cd4da29f3e292fe2205311dcc2f90",
     },
     "local-epochs-ablation": {
         "local-epochs-e5-r20":
-            "b5c0c58b6c315b1a3a6ca46ce9e72a22a017fbfe58d44b691f1f985bde3f5832",
+            "3ba2b6d72a35190318ec345f5b3dc2bbe5e4e4b72c72e4a2b7be12aae9fcb2af",
         "local-epochs-e10-r10":
-            "7b6b14a7b2e5cf58edee458bf23c1d5e83a24258414d8ab829185b4cfed1b577",
+            "e60aa701fb89b243a04ecc7a74d55ba97688b730cc4014a73271a582ff49d347",
         "local-epochs-e20-r5":
-            "5a991250993564da0563cb3add1617c398260fc25a97730100fe8ed01a9f8051",
+            "e972ebdd3cb3d8921f7c48a3b312074682df021d95bfadd95826258711093196",
     },
     "residual-ablation": {
         "residual-off":
-            "5627e8b8d1c3c9eba83c41dc8ac17b0b2fc6a88a02ad0d1251c4a9472181b133",
+            "d22dfd42afb8875238c319289cd347561517415bb11cdce6cfcfb74c759c05e8",
         "residual-on":
-            "1e9d46b04096036d0de6a292576646cf9fa52c00586f8d0ec8b2e0f78b3ab637",
+            "c37d561a1f3d2b73e2a7bc9ad3629f4c0782691d26aaf3dcb32ef4aa09cfc03d",
     },
 }
 

@@ -237,8 +237,8 @@ class TestRunFederation:
 
     def test_capture_schedule(self):
         datasets = small_federation(num_clients=3)
-        cfg = small_config(3, metrics={"distances": False}, local_epochs=1, rounds=2,
-                           batch_size=32, eval_cadence=1, seed=25)
+        cfg = small_config(3, local_epochs=1, rounds=2, batch_size=32, eval_cadence=1,
+                           seed=25)
         records = run_federation(cfg, datasets)
         assert sorted({r.round for r in records}) == [1, 2]
         for m in range(3):

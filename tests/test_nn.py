@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import frozen_forward, param_views
+from conftest import frozen_forward, linear_hidden, param_views
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -259,10 +259,10 @@ small_specs = st.builds(
     input_dim=st.integers(1, 4),
     hidden=st.lists(st.integers(1, 4), max_size=3),
     num_classes=st.integers(1, 3),
-    activation=st.sampled_from(["relu", "linear"]),
     residual=st.booleans(),
     residual_width=st.integers(0, 3),
-    residual_inner=st.integers(1, 3))
+    residual_inner=st.integers(1, 3)).flatmap(
+        lambda specs: st.sampled_from([specs, linear_hidden(specs)]))
 
 
 class TestFlatBuffer:

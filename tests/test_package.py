@@ -1,9 +1,11 @@
 """Every module-level function and class of the package, and every method
 and property of its classes, is used by the package itself. One that only
 tests call belongs in tests/, so the package holds only what a run or a
-command reaches."""
+command reaches. Likewise every kind of config domain has a rule."""
 
 import ast
+
+from fedlens.config import _KINDS, RULES
 
 from test_benchmark_targets import SRC, used_names
 
@@ -29,3 +31,8 @@ def test_every_method_and_property_is_used_in_the_package():
               if isinstance(node, DEFS) and not node.name.startswith("__")
               and node.name not in used]
     assert unused == [], f"used only outside src/fedlens: {unused}"
+
+
+def test_every_domain_kind_has_a_rule():
+    # removing a config key can leave its domain kind with no rule to check
+    assert sorted({domain.kind for domain in RULES.values()}) == sorted(_KINDS)

@@ -36,13 +36,13 @@ NUMERIC_ROUND = re.compile(r"error: NumericError: round (\d+), ")
 def capture_rows(path: Path, cfg: ExperimentConfig) -> set:
     """The lines of a metric CSV that `fedlens metrics` rebuilds from cfg's dumps:
     pre/post feature statistics, alignment when models are dumped too, and
-    feature distances when the run records them."""
+    feature distances."""
     stats = set(FEATURE_STATS) | ({"alignment"} if cfg.output.dump_models else set())
     rows = set()
     for line in path.read_text().splitlines()[1:]:
         _, phase, _, _, metric, _ = line.split(",")
         if (phase in ("pre", "post") and metric in stats
-                or phase == "delta" and metric.startswith("dist_") and cfg.metrics.distances):
+                or phase == "delta" and metric.startswith("dist_")):
             rows.add(line)
     return rows
 
