@@ -235,9 +235,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text at offset {exc.start}") from None
     return parse_config(text)
 
 

@@ -8,6 +8,7 @@ control federation.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,7 +132,6 @@ def balanced_eval_subset(ds: ClientDataset, per_class: int, seed: int):
 
 def _read_idx(path, expect_magic, kind):
     data = Path(path).read_bytes()
-    head = 4 + 4 * (3 if kind == "images" else 1)
     if len(data) < 8:
         raise FormatError(f"{path}: truncated header at offset 0")
     magic, = struct.unpack_from(">I", data, 0)
@@ -139,24 +139,17 @@ def _read_idx(path, expect_magic, kind):
         raise FormatError(
             f"{path}: bad {kind} magic 0x{magic:08x} at offset 0 "
             f"(expected 0x{expect_magic:08x})")
+    # the magic's low byte is the number of dimensions, each a u32
+    head = 4 + 4 * (magic & 0xFF)
     if len(data) < head:
         raise FormatError(f"{path}: truncated dimension header at offset {len(data)}")
-    if kind == "images":
-        n, rows, cols = struct.unpack_from(">III", data, 4)
-        need = head + n * rows * cols
-        if len(data) != need:
-            raise FormatError(
-                f"{path}: expected {need} bytes, found mismatch at offset "
-                f"{min(len(data), need)}")
-        arr = np.frombuffer(data, dtype=np.uint8, offset=head).reshape(n, rows * cols)
-        return arr
-    n, = struct.unpack_from(">I", data, 4)
-    need = head + n
+    dims = struct.unpack_from(f">{magic & 0xFF}I", data, 4)
+    need = head + math.prod(dims)
     if len(data) != need:
         raise FormatError(
             f"{path}: expected {need} bytes, found mismatch at offset "
             f"{min(len(data), need)}")
-    return np.frombuffer(data, dtype=np.uint8, offset=head)
+    return np.frombuffer(data, dtype=np.uint8, offset=head).reshape(dims)
 
 
 def load_idx(images_path, labels_path):
@@ -168,4 +161,4 @@ def load_idx(images_path, labels_path):
             f"{images_path}: {len(images)} images but {len(labels)} labels")
     if len(labels) == 0:
         raise FormatError(f"{images_path}: empty dataset")
-    return images / 255.0, labels.astype(int)
+    return images.reshape(len(images), -1) / 255.0, labels.astype(int)

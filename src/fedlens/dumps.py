@@ -87,13 +87,13 @@ def read_features(path, client: int = -1) -> FeatureMatrix:
                          phase=_PHASE_NAME[phase], round=round_index, client=client)
 
 
-def write_round_dumps(dump_dir, taps: dict, round_index: int, client: int,
-                      phase: str, model: Network = None) -> None:
-    """Persist one capture: every tapped feature matrix plus an optional model snapshot."""
+def write_round_dumps(dump_dir, round_index: int, client: int, phase: str,
+                      fm: FeatureMatrix = None, model: Network = None) -> None:
+    """Persist part of one capture: a tapped feature matrix, a model snapshot, or both."""
     root = Path(dump_dir)
     root.mkdir(parents=True, exist_ok=True)
-    for layer, fm in taps.items():
-        write_features(root / feature_filename(round_index, client, layer, phase), fm)
+    if fm is not None:
+        write_features(root / feature_filename(round_index, client, fm.layer, phase), fm)
     if model is not None:
         save_params(model, root / model_filename(round_index, client, phase))
 

@@ -74,9 +74,8 @@ def pretrain(net: Network, x, labels, epochs: int, lr: float = 0.01,
 
     epochs == 0 returns the current parameters unchanged.
     """
-    if epochs > 0:
-        sgd_epochs(net, x, labels, epochs, lr=lr, momentum=momentum,
-                   batch_size=batch_size, seed=seed)
+    sgd_epochs(net, x, labels, epochs, lr=lr, momentum=momentum,
+               batch_size=batch_size, seed=seed)
     return net.flatten()
 
 
@@ -95,7 +94,7 @@ def finetune_classifier(model: np.ndarray, arch, x, labels, epochs: int = 10,
     """
     net = Network.from_vector(arch, model)
     last = net.num_layers
-    fm = extract_tap_features(net, x, labels, (last - 1,), batch_size)[last - 1]
+    fm = extract_tap_features(net, x, labels, last - 1, batch_size)
     tail = net.values[net.layer_slice(last)]
     head = Network.from_vector(net.specs[-1:], tail)
     try:
@@ -137,7 +136,7 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
 
     `cfg` has passed `validate_config`; there is one client per dataset.
     Every client starts from the seeded random init, first trained on the
-    pooled data when `fed.pretrain_epochs` > 0. Clients train one after
+    pooled data for `fed.pretrain_epochs` epochs, none if 0. Clients train one after
     another, then the server aggregates and splices. On evaluation rounds
     (multiples of eval_cadence) each client's locally trained model (phase
     "pre") and its spliced post-aggregation model (phase "post") are
@@ -165,20 +164,17 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
                  for ds in datasets]
     arch = build_arch(cfg)
     net = Network(arch).init_random(derive_seed(fed.seed, "init"))
-    if fed.pretrain_epochs > 0:
-        with _located("pretraining"):
-            init_vec = pretrain(
-                net, np.concatenate([ds.train_x for ds in datasets]),
-                np.concatenate([ds.train_labels for ds in datasets]),
-                fed.pretrain_epochs, lr=fed.lr, momentum=fed.momentum,
-                batch_size=fed.batch_size, seed=derive_seed(fed.seed, "pretrain"))
-    else:
-        init_vec = net.flatten()
+    with _located("pretraining"):
+        init_vec = pretrain(
+            net, np.concatenate([ds.train_x for ds in datasets]),
+            np.concatenate([ds.train_labels for ds in datasets]),
+            fed.pretrain_epochs, lr=fed.lr, momentum=fed.momentum,
+            batch_size=fed.batch_size, seed=derive_seed(fed.seed, "pretrain"))
     num_layers = net.num_layers
     local = np.zeros(init_vec.size, dtype=bool)
     for layer in personalized_layers(fed.personalization, num_layers)[1]:
         local[net.layer_slice(layer)] = True
-    tap_layers = tuple(sorted(set(mt.taps))) or tuple(range(num_layers))
+    tap_layers = mt.taps or range(num_layers)
     counts = [ds.n_train for ds in datasets]
     dump_features = dump_dir is not None and cfg.output.dump_features
     dump_models = dump_dir is not None and cfg.output.dump_models
@@ -195,14 +191,14 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
         for net, phase in zip(pair_nets, ("pre", "post")):
             records.extend(_accuracy_records(net, datasets[m], r, phase))
             if dump_models:
-                write_round_dumps(dump_dir, {}, r, m, phase, net)
+                write_round_dumps(dump_dir, r, m, phase, model=net)
         for pair in walk_taps(pair_nets, ("pre", "post"), *eval_sets[m], tap_layers,
                               round_index=r, client=m):
             t = pair[0].layer
             for net, fm in zip(pair_nets, pair):
                 records.extend(feature_records(fm, net.interface_weight(t + 1)))
                 if dump_features:
-                    write_round_dumps(dump_dir, {t: fm}, r, m, fm.phase)
+                    write_round_dumps(dump_dir, r, m, fm.phase, fm)
             records.extend(distance_records(pair[0].values, pair[1].values, r, m, t))
         pre, post = (net.values[None] for net in pair_nets)
         for layer in range(1, num_layers + 1):
@@ -242,8 +238,8 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
                             seed=derive_seed(fed.seed, "finetune", m, r))
                         t = num_layers - 1
                         records.extend(_accuracy_records(tuned, datasets[m], r, "tuned"))
-                        fm = extract_tap_features(tuned, *eval_sets[m], (t,), phase="tuned",
-                                                  round_index=r, client=m)[t]
+                        fm = extract_tap_features(tuned, *eval_sets[m], t, phase="tuned",
+                                                  round_index=r, client=m)
                         records.extend(feature_records(
                             fm, tuned.interface_weight(t + 1), stats=()))
             if r in mt.probe_rounds:
@@ -262,8 +258,8 @@ def _probe_records(cfg, t, pre_nets, post_nets, datasets, r):
     out = []
     for d, ds in enumerate(datasets):
         def probe(net, tag):
-            train_fm = extract_tap_features(net, ds.train_x, ds.train_labels, (t,))[t]
-            test_fm = extract_tap_features(net, ds.test_x, ds.test_labels, (t,))[t]
+            train_fm = extract_tap_features(net, ds.train_x, ds.train_labels, t)
+            test_fm = extract_tap_features(net, ds.test_x, ds.test_labels, t)
             return linear_probe(train_fm, test_fm, epochs=mt.probe_epochs,
                                 batch_size=mt.probe_batch,
                                 seed=derive_seed(cfg.fed.seed, "probe", r, d, t, tag))

@@ -129,12 +129,11 @@ def accuracy(logits, labels) -> float:
 
 
 def linear_probe(train_features: FeatureMatrix, test_features: FeatureMatrix,
-                 epochs: int = 100, lr: float = 0.01, batch_size: int = 64,
-                 seed: int = 0) -> float:
+                 epochs: int = 100, batch_size: int = 64, seed: int = 0) -> float:
     """Best test accuracy of a fresh linear classifier on frozen features.
 
-    Plain SGD (no momentum); test accuracy is evaluated after every epoch and
-    the maximum over epochs is returned.
+    Plain SGD at rate 0.01 without momentum; test accuracy is evaluated after
+    every epoch and the maximum over epochs is returned.
     """
     if train_features.dim != test_features.dim:
         raise ShapeError("train and test feature dims differ")
@@ -144,7 +143,7 @@ def linear_probe(train_features: FeatureMatrix, test_features: FeatureMatrix,
     best = 0.0
     for epoch in range(epochs):
         sgd_epochs(probe, train_features.values, train_features.labels, epochs=1,
-                   lr=lr, momentum=0.0, batch_size=batch_size,
+                   lr=0.01, momentum=0.0, batch_size=batch_size,
                    seed=derive_seed(seed, "probe-epoch", epoch))
         logits = probe.forward(test_features.values)
         best = max(best, accuracy(logits, test_features.labels))
@@ -186,22 +185,20 @@ def pairwise_distances(a, b) -> dict:
     return {"l1_norm": l1_norm, "mse": mse, "l1": l1, "cos": cosine}
 
 
-def walk_taps(nets, phases, x, labels, tap_layers=None, batch_size: int = 256,
+def walk_taps(nets, phases, x, labels, tap_layers, batch_size: int = 256,
               round_index: int = 0, client: int = -1):
     """Walk networks of one architecture side by side over x, one layer at a time.
 
     Yields, for each requested tap in ascending order, a tuple of one
-    FeatureMatrix per network, with phase `phases[i]` for `nets[i]`. Taps
-    default to every layer input, 0 (raw batch) through L-1 (penultimate
-    feature). A layer's output over all rows is one array, filled
+    FeatureMatrix per network, with phase `phases[i]` for `nets[i]`. Tap t
+    is the input of layer t+1: 0 is the raw batch and L-1 the penultimate
+    feature. A layer's output over all rows is one array, filled
     batch_size rows at a time (`Network.layer_outputs`): it is the tap, and
     its row blocks are the next layer's input, so the walk holds only the
     current tap of each network. It stops at the deepest requested tap.
     """
     labels = np.asarray(labels, dtype=int)
     num_layers = nets[0].num_layers
-    if tap_layers is None:
-        tap_layers = range(num_layers)
     tap_layers = sorted(set(int(t) for t in tap_layers))
     for t in tap_layers:
         if not 0 <= t < num_layers:
@@ -215,12 +212,12 @@ def walk_taps(nets, phases, x, labels, tap_layers=None, batch_size: int = 256,
                                   client=client) for h, phase in zip(hs, phases))
 
 
-def extract_tap_features(net: Network, x, labels, tap_layers=None,
-                         batch_size: int = 256, phase: str = "pre",
-                         round_index: int = 0, client: int = -1):
-    """The taps of one network's `walk_taps`, as {tap index: FeatureMatrix}."""
-    return {fm.layer: fm for fm, in walk_taps((net,), (phase,), x, labels, tap_layers,
-                                                batch_size, round_index, client)}
+def extract_tap_features(net: Network, x, labels, tap: int, batch_size: int = 256,
+                         phase: str = "pre", round_index: int = 0,
+                         client: int = -1) -> FeatureMatrix:
+    """Tap `tap` of one network over x, as its `walk_taps` yields it."""
+    (fm,), = walk_taps((net,), (phase,), x, labels, (tap,), batch_size, round_index, client)
+    return fm
 
 
 def feature_records(fm: FeatureMatrix, weight=None, stats=FEATURE_STATS):

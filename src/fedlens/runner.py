@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ACCURACY_CSV, METRICS_CSV, records_to_csv
+from .analysis import ACCURACY_CSV, METRICS_CSV, write_csv
 from .config import ExperimentConfig, personalized_layers, render_config
 from .data import ClientDataset, generate_federation_data, load_idx, make_domain_specs
 from .errors import ConfigError, NumericError
@@ -106,12 +106,9 @@ def run_to_dir(cfg: ExperimentConfig) -> Path:
         if made:
             shutil.rmtree(made, ignore_errors=True)
         raise
-    acc = [r for r in records if r.metric in ACCURACY_METRICS]
-    rest = [r for r in records if r.metric not in ACCURACY_METRICS]
-    texts = {METRICS_CSV: records_to_csv(rest), ACCURACY_CSV: records_to_csv(acc)}
     # only now, so a run that fails leaves no empty directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out_dir / name).write_text(text, newline="\n")
+    write_csv([r for r in records if r.metric not in ACCURACY_METRICS], out_dir / METRICS_CSV)
+    write_csv([r for r in records if r.metric in ACCURACY_METRICS], out_dir / ACCURACY_CSV)
     (out_dir / MANIFEST).write_text(_render_manifest(cfg), newline="\n")
     return out_dir

@@ -1,7 +1,7 @@
 """Shared test plumbing: session timing, suite ordering, record lookups, the
 registry of metric names, views of a run's or a network's parameters, a
-network's frozen forward stopped at any layer, MLP specs without activations,
-and Spearman rank correlation.
+network's frozen forward stopped at any layer, a network's taps as a dict,
+MLP specs without activations, and Spearman rank correlation.
 
 The acceptance module asserts a wall-clock budget for the whole suite, so
 it must run last; everything else keeps collection order.
@@ -17,6 +17,7 @@ import numpy as np
 from fedlens.config import ExperimentConfig, validate_config
 from fedlens.dumps import model_filename
 from fedlens.fed import run_federation
+from fedlens.metrics import walk_taps
 from fedlens.nn import _finite, load_params
 
 _SESSION_START = time.monotonic()
@@ -100,6 +101,13 @@ def frozen_forward(net, h, stop):
     for idx in range(stop):
         h = _finite(net._layer_forward(idx, h, keep_cache=False)[0], idx)
     return h
+
+
+def all_taps(net, x, labels, batch_size=256):
+    """Every tap of one network over x, 0 through L-1, as {tap index:
+    FeatureMatrix}."""
+    return {fm.layer: fm for fm, in walk_taps((net,), ("pre",), x, labels,
+                                                range(net.num_layers), batch_size)}
 
 
 def linear_hidden(specs):

@@ -312,7 +312,7 @@ def test_walk_rejects_a_batch_of_the_wrong_width():
     # the walk checks its batch as the network's own kernels do
     nets = [Network(mlp_specs(6, [5], 3)).init_random(seed=s) for s in (1, 2)]
     with pytest.raises(ShapeError, match=r"^batch must be \(n, 6\), got \(4, 5\)$"):
-        list(walk_taps(nets, ("pre", "post"), np.ones((4, 5)), [0, 1, 2, 0]))
+        list(walk_taps(nets, ("pre", "post"), np.ones((4, 5)), [0, 1, 2, 0], range(2)))
 
 
 def test_one_eval_round_holds_about_one_tap_pair(tmp_path):

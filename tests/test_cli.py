@@ -181,6 +181,13 @@ class TestRun:
         assert main(["run", str(workspace / "nope.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2_naming_the_offset(self, workspace, capsys):
+        cfg = workspace / "latin1.cfg"
+        cfg.write_bytes(b"scenario = baseline\n\n[fed]\n# caf\xe9\nseed = 1\n")
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == ("config error: config file is not UTF-8 "
+                                           "text at offset 32\n")
+
     def test_invalid_tap_exits_2_naming_field(self, workspace, capsys):
         cfg = write_config(workspace / "badtap.cfg", workspace / "badtap_out")
         cfg.write_text(cfg.read_text().replace(

@@ -133,6 +133,22 @@ class TestIdx:
         with pytest.raises(FormatError, match="offset"):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("images, labels, message", [
+        (struct.pack(">IIII", 0x803, 0, 1, 1), struct.pack(">II", 0x801, 0),
+         "empty dataset"),
+        (struct.pack(">II", 0x803, 2), struct.pack(">II", 0x801, 2) + bytes(2),
+         "truncated dimension header at offset 8"),
+        (struct.pack(">IIII", 0x803, 2, 1, 1) + bytes(2),
+         struct.pack(">II", 0x801, 1) + bytes(1), "2 images but 1 labels"),
+    ], ids=["zero-images", "8-byte-images", "2-images-1-label"])
+    def test_malformed_pair_names_the_images_file(self, tmp_path, images, labels, message):
+        img, lab = tmp_path / "images.idx", tmp_path / "labels.idx"
+        img.write_bytes(images)
+        lab.write_bytes(labels)
+        with pytest.raises(FormatError) as excinfo:
+            load_idx(img, lab)
+        assert str(excinfo.value) == f"{img}: {message}"
+
     def test_build_datasets_pairs_train_and_test_files(self, tmp_path):
         for m in range(2):
             write_idx_pair(tmp_path, [m, 2, 3, 4], [0, 1, 1, 0], rows=1, cols=1,

@@ -4,7 +4,7 @@ computes the same quantities through streaming sums and its own SVD."""
 
 import numpy as np
 import pytest
-from conftest import is_registered, param_views
+from conftest import all_taps, is_registered, param_views
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -353,8 +353,8 @@ class TestTapSweep:
 
     def test_batching_invariance(self):
         net, x, labels = self.make_net_and_data()
-        full = extract_tap_features(net, x, labels, batch_size=len(x))
-        batched = extract_tap_features(net, x, labels, batch_size=16)
+        full = all_taps(net, x, labels, batch_size=len(x))
+        batched = all_taps(net, x, labels, batch_size=16)
         rec_full = tap_records(net, full)
         rec_batched = tap_records(net, batched)
         assert len(rec_full) == len(rec_batched)
@@ -368,14 +368,14 @@ class TestTapSweep:
         for tensors in param_views(net):
             tensors[0][...] = np.eye(dim)
         _, x, labels = self.make_net_and_data()
-        taps = extract_tap_features(net, x, labels)
+        taps = all_taps(net, x, labels)
         base = class_stats(taps[0])[1]["sigma_w"]
         for t, fm in taps.items():
             assert class_stats(fm)[1]["sigma_w"] == pytest.approx(base, abs=1e-12)
 
     def test_record_count_and_registered_names(self):
         net, x, labels = self.make_net_and_data()
-        taps = extract_tap_features(net, x, labels)
+        taps = all_taps(net, x, labels)
         records = tap_records(net, taps)
         assert len(records) == net.num_layers * 6  # 6 metrics per tap
         assert all(is_registered(r.metric) for r in records)
@@ -383,4 +383,4 @@ class TestTapSweep:
     def test_tap_out_of_range(self):
         net, x, labels = self.make_net_and_data()
         with pytest.raises(ShapeError):
-            extract_tap_features(net, x, labels, tap_layers=(5,))
+            extract_tap_features(net, x, labels, 5)

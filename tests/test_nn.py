@@ -9,13 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import frozen_forward, linear_hidden, param_views
+from conftest import all_taps, frozen_forward, linear_hidden, param_views
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedlens.errors import FormatError, NumericError, ShapeError
 from fedlens.fed import finetune_classifier
-from fedlens.metrics import extract_tap_features
 from fedlens.nn import (LayerSpec, Network, load_params, mlp_specs,
                         save_params, sgd_epochs)
 
@@ -30,7 +29,7 @@ def identity_net(num_layers, dim):
 def taps_of(net, x):
     """Every tap of net on the rows of x, tap 0 (the rows themselves) first."""
     x = np.asarray(x, dtype=np.float64)
-    fms = extract_tap_features(net, x, np.zeros(len(x), dtype=int))
+    fms = all_taps(net, x, np.zeros(len(x), dtype=int))
     return [fms[t].values for t in range(net.num_layers)]
 
 
