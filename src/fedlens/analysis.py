@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import FormatError, NumericError
@@ -13,23 +13,19 @@ METRICS_CSV = "metrics.csv"
 ACCURACY_CSV = "accuracy.csv"
 
 
-@dataclass(frozen=True, slots=True)
-class MetricRecord:
+class MetricRecord(namedtuple("MetricRecord", "round phase client layer metric value")):
     """One finite scalar observation; layer -1 marks whole-model metrics."""
 
-    round: int
-    phase: str
-    client: int
-    layer: int
-    metric: str
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise NumericError(f"record {self.sort_key()} has non-finite value {self.value!r}")
+    def __new__(cls, round, phase, client, layer, metric, value):
+        if not math.isfinite(value):
+            raise NumericError(f"record {(round, phase, client, layer, metric)} "
+                               f"has non-finite value {value!r}")
+        return tuple.__new__(cls, (round, phase, client, layer, metric, value))
 
     def sort_key(self):
-        return (self.round, self.phase, self.client, self.layer, self.metric)
+        return self[:5]
 
 
 def relative_change(pre: float, post: float) -> float:
@@ -71,7 +67,14 @@ def records_to_csv(records) -> str:
 
 
 def write_csv(records, path) -> None:
-    Path(path).write_text(records_to_csv(records), newline="\n")
+    """Atomic: the target keeps its earlier bytes until the new table is whole."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text(records_to_csv(records), newline="\n")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_csv(path):

@@ -2,9 +2,9 @@
 
 Subcommands: run an experiment config, materialize a named preset, recompute
 metrics from feature dumps, and export a merged long-format CSV. Exit codes:
-0 success, 2 configuration problems, 3 runtime failures. `run` and `metrics`
-import the numpy engine when they are called, so the other commands start
-without it.
+0 success, 2 configuration problems, 3 runtime failures. Each command imports
+what only it uses when it is called: `run` and `metrics` the numpy engine, `run`
+and `preset` the config module, so `export` starts without either.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .analysis import (ACCURACY_CSV, METRICS_CSV, read_csv, relative_change_records,
                        write_csv)
-from .config import PRESETS, load_config, preset, render_config
 from .errors import ConfigError
 
 EXIT_OK = 0
@@ -24,6 +23,7 @@ EXIT_RUNTIME = 3
 
 
 def _cmd_run(args) -> int:
+    from .config import load_config
     from .runner import run_to_dir
     cfg = load_config(args.config)
     out_dir = run_to_dir(cfg)
@@ -33,6 +33,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
+    from .config import preset, render_config
     configs = preset(args.name)
     out_root = Path(args.out) if args.out else Path(".")
     out_root.mkdir(parents=True, exist_ok=True)
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_preset = sub.add_parser("preset", help="write a named preset config")
-    p_preset.add_argument("name", help="one of: " + ", ".join(PRESETS))
+    p_preset.add_argument("name", help="preset name, as listed in README")
     p_preset.add_argument("--out", default=None, help="directory for config files")
     p_preset.set_defaults(func=_cmd_preset)
 

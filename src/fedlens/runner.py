@@ -90,6 +90,9 @@ def _render_manifest(cfg: ExperimentConfig) -> str:
 def run_to_dir(cfg: ExperimentConfig) -> Path:
     """Execute and write metrics.csv, accuracy.csv, manifest.txt, and dumps."""
     out_dir = Path(cfg.output.dir)
+    found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"{found} exists and is not a directory", field="output.dir")
     # fedlens owns out_dir/dumps: it holds this run's dumps or none, never an
     # earlier run's
     dumps = out_dir / DUMP_SUBDIR

@@ -1,15 +1,17 @@
-"""Metric records hold finite values; rank correlation values are worked out
-by hand."""
+"""Metric records are finite, immutable values and their CSV writes are atomic;
+rank correlation values are worked out by hand."""
 
+import errno
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import average_ranks, spearman
 
-from fedlens.analysis import MetricRecord
+from fedlens.analysis import MetricRecord, read_csv, write_csv
 from fedlens.errors import NumericError
 
 
@@ -18,6 +20,41 @@ def test_a_record_cannot_hold_a_non_finite_value(value):
     with pytest.raises(NumericError, match="^" + re.escape(
             f"record (2, 'pre', 1, 0, 'tr_w') has non-finite value {value!r}") + "$"):
         MetricRecord(2, "pre", 1, 0, "tr_w", value)
+
+
+def test_a_record_is_an_immutable_value_with_named_fields(tmp_path):
+    """Records are built by position or keyword, compare and hash by their
+    fields, refuse assignment and round-trip through a CSV. A record is a named
+    tuple, so it also equals the plain tuple of its fields and orders like one."""
+    rec = MetricRecord(2, "pre", 1, 0, "tr_w", 0.5)
+    same = MetricRecord(round=2, phase="pre", client=1, layer=0, metric="tr_w", value=0.5)
+    assert (rec.round, rec.phase, rec.client, rec.layer, rec.metric, rec.value) == (
+        2, "pre", 1, 0, "tr_w", 0.5)
+    assert rec == same and hash(rec) == hash(same)
+    assert rec != MetricRecord(2, "pre", 1, 0, "tr_w", 0.25)
+    with pytest.raises(AttributeError):
+        rec.value = 1.0
+    assert rec.sort_key() == (2, "pre", 1, 0, "tr_w")
+    records = [MetricRecord(1, "post", 0, -1, "test_acc", 0.75), rec]
+    write_csv(records, tmp_path / "m.csv")
+    assert read_csv(tmp_path / "m.csv") == records
+
+
+def test_a_csv_write_that_fails_midway_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "metrics.csv"
+    write_csv([MetricRecord(1, "pre", 0, 0, "tr_w", 0.5)], path)
+    before = path.read_bytes()
+    real = Path.write_text
+
+    def half_then_full_disk(self, text, **kwargs):
+        real(self, text[:len(text) // 2], **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_csv([MetricRecord(r, "pre", 0, 0, "tr_w", 0.25) for r in range(1, 9)], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
 
 class TestSpearman:

@@ -373,6 +373,22 @@ def test_a_failed_run_removes_the_dumps_it_wrote_and_only_them(tmp_path, capsys)
     assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt"]
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
+def test_an_output_dir_at_or_under_a_file_exits_2_before_any_work(tmp_path, capsys,
+                                                                  monkeypatch, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    cfg = write_config(tmp_path / "file.cfg", afile / under)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    rounds = []
+    monkeypatch.setattr(fed_module, "client_round_seed", lambda *args: rounds.append(args))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"config error: output.dir: {afile} exists "
+                                       "and is not a directory\n")
+    assert rounds == []
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_a_rerun_replaces_the_dumps_of_the_earlier_run(tmp_path, capsys):
     # a 4-round run, then a 2-round one into the same directory: the dumps
     # and their offline records are those of the 2-round run alone
@@ -692,6 +708,23 @@ def test_config_preset_and_export_leave_numpy_unloaded(baseline_run, tmp_path):
     out = subprocess.run(argv, env=package_env(), check=True, capture_output=True,
                          text=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+def test_export_loads_neither_config_nor_dataclasses_nor_numpy(baseline_run, tmp_path):
+    unused = ("fedlens.config", "dataclasses", "inspect", "numpy")
+    code = ("import sys\n"
+            f"unused = {unused!r}\n"
+            "print(any(name in sys.modules for name in unused))\n"
+            "from fedlens.cli import main\n"
+            "run, out = sys.argv[1:]\n"
+            "assert main(['export', run, '--long', '--out', out]) == 0\n"
+            "print([name for name in unused if name in sys.modules])")
+    argv = [sys.executable, "-c", code, str(baseline_run["out"]), str(tmp_path / "long.csv")]
+    lines = subprocess.run(argv, env=package_env(), check=True, capture_output=True,
+                           text=True).stdout.splitlines()
+    if lines[0] == "True":
+        pytest.skip("the interpreter's start-up already loads one of " + ", ".join(unused))
+    assert lines[-1] == "[]"
 
 
 def test_run_and_metrics_leave_numpy_ma_unloaded(tmp_path):
