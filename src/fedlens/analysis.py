@@ -66,15 +66,20 @@ def records_to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(records, path) -> None:
-    """Atomic: the target keeps its earlier bytes until the new table is whole."""
+def write_atomic(path, text: str) -> None:
+    """The target keeps its earlier bytes until the new text is whole."""
     tmp = Path(f"{path}.tmp")
     try:
-        tmp.write_text(records_to_csv(records), newline="\n")
+        tmp.write_text(text, newline="\n")
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(records, path) -> None:
+    """`records_to_csv` text, written atomically."""
+    write_atomic(path, records_to_csv(records))
 
 
 def read_csv(path):

@@ -20,14 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import MetricRecord, relative_change_records
-from .config import U16_MAX
 from .errors import FormatError, NumericError
-from .metrics import FeatureMatrix, distance_records, feature_records
+from .metrics import FeatureMatrix, tap_pair_records
 from .nn import Network, load_params, save_params
 
 FPLF_MAGIC = b"FPLF"
 FPLF_VERSION = 2
 FPLF_HEADER = struct.Struct("<4sHIIHBH")
+U16_MAX = 0xFFFF
 U32_MAX = 0xFFFFFFFF
 _PHASE_CODE = {"pre": 0, "post": 1}
 _PHASE_NAME = {0: "pre", 1: "post"}
@@ -150,19 +150,19 @@ def metrics_from_dumps(dump_dir):
             warnings.append(
                 f"round {rnd} client {client} layer {layer}: missing {missing} dump, skipped")
             continue
+        weights = []
+        for fm in pair.values():
+            weight = None
+            if fm.phase in snapshots:
+                snapshot, net = snapshots[fm.phase]
+                weight = net.interface_weight(layer + 1) if layer < net.num_layers else None
+                if weight is None or weight.shape[1] != fm.dim:
+                    raise FormatError(f"{snapshot}: no layer {layer + 1} weight taking "
+                                      f"the {fm.dim} features of "
+                                      f"{paths[(rnd, client, layer, fm.phase)]}")
+            weights.append(weight)
         try:
-            for fm in pair.values():
-                weight = None
-                if fm.phase in snapshots:
-                    snapshot, net = snapshots[fm.phase]
-                    weight = net.interface_weight(layer + 1) if layer < net.num_layers else None
-                    if weight is None or weight.shape[1] != fm.dim:
-                        raise FormatError(f"{snapshot}: no layer {layer + 1} weight taking "
-                                          f"the {fm.dim} features of "
-                                          f"{paths[(rnd, client, layer, fm.phase)]}")
-                records.extend(feature_records(fm, weight))
-            records.extend(distance_records(pair["pre"].values, pair["post"].values, rnd,
-                                            client, layer))
+            records.extend(tap_pair_records((pair["pre"], pair["post"]), weights))
         except NumericError as exc:
             # a run dumps only taps whose records are finite: a file is damaged
             raise FormatError(f"{paths[(rnd, client, layer, 'pre')]} or "

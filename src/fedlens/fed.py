@@ -20,7 +20,7 @@ from .data import ClientDataset, balanced_eval_subset
 from .dumps import write_round_dumps
 from .errors import NumericError, ShapeError
 from .metrics import (accuracy, distance_records, extract_tap_features, feature_records,
-                      linear_probe, walk_taps)
+                      linear_probe, tap_pair_records, walk_taps)
 from .nn import Network, mlp_specs, sgd_epochs
 from .seeds import derive_seed
 
@@ -194,12 +194,11 @@ def run_federation(cfg, datasets, dump_dir=None) -> list:
                 write_round_dumps(dump_dir, r, m, phase, model=net)
         for pair in walk_taps(pair_nets, ("pre", "post"), *eval_sets[m], tap_layers,
                               round_index=r, client=m):
-            t = pair[0].layer
-            for net, fm in zip(pair_nets, pair):
-                records.extend(feature_records(fm, net.interface_weight(t + 1)))
-                if dump_features:
+            weights = [net.interface_weight(pair[0].layer + 1) for net in pair_nets]
+            records.extend(tap_pair_records(pair, weights))
+            if dump_features:
+                for fm in pair:
                     write_round_dumps(dump_dir, r, m, fm.phase, fm)
-            records.extend(distance_records(pair[0].values, pair[1].values, r, m, t))
         pre, post = (net.values[None] for net in pair_nets)
         for layer in range(1, num_layers + 1):
             slc = pair_nets[0].layer_slice(layer)

@@ -17,8 +17,6 @@ cosine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -31,24 +29,18 @@ from .seeds import derive_seed
 FEATURE_STATS = ("sigma_w", "sigma_b", "tr_w", "tr_b", "tr_t")
 
 
-@dataclass
 class FeatureMatrix:
     """N feature rows with integer class labels and capture context."""
 
-    values: np.ndarray
-    labels: np.ndarray
-    layer: int = -1
-    phase: str = "pre"
-    round: int = 0
-    client: int = -1
-
-    def __post_init__(self):
-        self.values = linalg.as_matrix(self.values, "features")
-        self.labels = np.asarray(self.labels, dtype=int)
+    def __init__(self, values, labels, layer: int = -1, phase: str = "pre",
+                 round: int = 0, client: int = -1):
+        self.values = linalg.as_matrix(values, "features")
+        self.labels = np.asarray(labels, dtype=int)
         if self.labels.ndim != 1 or len(self.labels) != len(self.values):
             raise ShapeError("labels must be one integer per feature row")
         if len(self.values) == 0:
             raise ShapeError("feature matrix needs at least one row")
+        self.layer, self.phase, self.round, self.client = layer, phase, round, client
 
     @property
     def n(self) -> int:
@@ -244,3 +236,12 @@ def distance_records(pre, post, round_index: int, client: int, layer: int,
     """The four pre/post distances as phase "delta" records named <prefix>dist_*."""
     return [MetricRecord(round_index, "delta", client, layer, f"{prefix}dist_{name}", value)
             for name, value in pairwise_distances(pre, post).items()]
+
+
+def tap_pair_records(pair, weights):
+    """A (pre, post) tap pair's feature records, each phase's against its weight
+    (None where unknown), then its distances, keyed by the pre matrix's context."""
+    pre, post = pair
+    out = [r for fm, weight in zip(pair, weights) for r in feature_records(fm, weight)]
+    out.extend(distance_records(pre.values, post.values, pre.round, pre.client, pre.layer))
+    return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, pairwise, repeat
 from pathlib import Path
 
@@ -25,8 +25,7 @@ FPNV_VERSION = 2
 FPNV_LAYER = struct.Struct("<B4I")  # kind code, in, out, inner width, inner layers
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(namedtuple("LayerSpec", "kind in_dim out_dim inner_width inner_layers")):
     """One layer: a plain linear map, linear + relu, or a residual block.
 
     Every layer is a chain of affine maps x @ W.T + b (see `maps`). A
@@ -34,30 +33,28 @@ class LayerSpec:
     maps (relu between them, none after the last) through width
     `inner_width`; it requires in_dim == out_dim so the skip connection is
     well formed. A plain layer keeps the defaults of those two unused fields,
-    so a network has one spec list and one FPNV form.
+    so a network has one spec list and one FPNV form. A spec equals the plain
+    tuple of its fields; `_make` and `_replace` skip the checks.
     """
 
-    kind: str
-    in_dim: int
-    out_dim: int
-    inner_width: int = 0
-    inner_layers: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ShapeError(f"unknown layer kind {self.kind!r}")
-        if self.in_dim < 1 or self.out_dim < 1:
+    def __new__(cls, kind, in_dim, out_dim, inner_width=0, inner_layers=2):
+        if kind not in LAYER_KINDS:
+            raise ShapeError(f"unknown layer kind {kind!r}")
+        if in_dim < 1 or out_dim < 1:
             raise ShapeError("layer dimensions must be positive")
-        if self.kind == "residual":
-            if self.in_dim != self.out_dim:
+        if kind == "residual":
+            if in_dim != out_dim:
                 raise ShapeError("residual block needs in_dim == out_dim")
-            if self.inner_width < 1:
+            if inner_width < 1:
                 raise ShapeError("residual block needs a positive inner width")
-            if self.inner_layers < 1:
+            if inner_layers < 1:
                 raise ShapeError("residual block needs at least one inner layer")
-        elif (self.inner_width, self.inner_layers) != (0, 2):
-            raise ShapeError(f"{self.kind} layer needs the default inner_width 0 and "
+        elif (inner_width, inner_layers) != (0, 2):
+            raise ShapeError(f"{kind} layer needs the default inner_width 0 and "
                              "inner_layers 2")
+        return tuple.__new__(cls, (kind, in_dim, out_dim, inner_width, inner_layers))
 
     def maps(self):
         """(in width, out width, relu after) of each affine map, input first, lazily."""

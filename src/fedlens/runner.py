@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ACCURACY_CSV, METRICS_CSV, write_csv
+from .analysis import ACCURACY_CSV, METRICS_CSV, write_atomic, write_csv
 from .config import ExperimentConfig, personalized_layers, render_config
 from .data import ClientDataset, generate_federation_data, load_idx, make_domain_specs
 from .errors import ConfigError, NumericError
@@ -90,15 +90,17 @@ def _render_manifest(cfg: ExperimentConfig) -> str:
 def run_to_dir(cfg: ExperimentConfig) -> Path:
     """Execute and write metrics.csv, accuracy.csv, manifest.txt, and dumps."""
     out_dir = Path(cfg.output.dir)
-    found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    dumps = out_dir / DUMP_SUBDIR
+    dump_dir = dumps if cfg.output.dump_features or cfg.output.dump_models else None
+    # a dump run writes under out_dir/dumps, so a file there is refused too
+    target = dump_dir or out_dir
+    found = next(p for p in (target, *target.parents) if p.exists())
     if not found.is_dir():
         raise ConfigError(f"{found} exists and is not a directory", field="output.dir")
     # fedlens owns out_dir/dumps: it holds this run's dumps or none, never an
     # earlier run's
-    dumps = out_dir / DUMP_SUBDIR
     if dumps.is_dir():
         shutil.rmtree(dumps)
-    dump_dir = dumps if cfg.output.dump_features or cfg.output.dump_models else None
     # dumps are written as the run goes; a run that fails removes the
     # outermost directory of their path that it made
     made = dump_dir and next((p for p in (*reversed(dump_dir.parents), dump_dir)
@@ -113,5 +115,5 @@ def run_to_dir(cfg: ExperimentConfig) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv([r for r in records if r.metric not in ACCURACY_METRICS], out_dir / METRICS_CSV)
     write_csv([r for r in records if r.metric in ACCURACY_METRICS], out_dir / ACCURACY_CSV)
-    (out_dir / MANIFEST).write_text(_render_manifest(cfg), newline="\n")
+    write_atomic(out_dir / MANIFEST, _render_manifest(cfg))
     return out_dir

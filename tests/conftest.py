@@ -113,7 +113,7 @@ def all_taps(net, x, labels, batch_size=256):
 def linear_hidden(specs):
     """`specs` with each `linear_relu` layer made `linear`: an MLP without
     activations, which `mlp_specs` does not build."""
-    return [replace(s, kind="linear") if s.kind == "linear_relu" else s for s in specs]
+    return [s._replace(kind="linear") if s.kind == "linear_relu" else s for s in specs]
 
 
 def last_round_vectors(cfg, datasets):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: run outputs, determinism, presets, dump recomputation,
 export, and exit codes."""
 
+import errno
 import os
 import re
 import shutil
@@ -17,6 +18,7 @@ import fedlens
 from fedlens import fed as fed_module
 from fedlens.analysis import CSV_HEADER, read_csv, relative_change
 from fedlens.cli import main
+from fedlens import config as config_module
 from fedlens.config import RULES, Domain, load_config, parse_config
 from fedlens import dumps as dumps_module
 from fedlens.dumps import feature_filename, model_filename, read_features, write_features
@@ -373,12 +375,15 @@ def test_a_failed_run_removes_the_dumps_it_wrote_and_only_them(tmp_path, capsys)
     assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt"]
 
 
-@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
+# a dump run writes under <output.dir>/dumps, so a file there is refused too
+@pytest.mark.parametrize("out, extra", [("dumps", ""), ("dumps/sub", ""),
+                                        (".", "dump_features = true\n")],
+                         ids=["file", "under_file", "dumps_file"])
 def test_an_output_dir_at_or_under_a_file_exits_2_before_any_work(tmp_path, capsys,
-                                                                  monkeypatch, under):
-    afile = tmp_path / "afile"
+                                                                  monkeypatch, out, extra):
+    afile = tmp_path / "dumps"
     afile.write_text("kept\n")
-    cfg = write_config(tmp_path / "file.cfg", afile / under)
+    cfg = write_config(tmp_path / "file.cfg", tmp_path / out, extra)
     before = {p: p.read_bytes() for p in tmp_path.iterdir()}
     rounds = []
     monkeypatch.setattr(fed_module, "client_round_seed", lambda *args: rounds.append(args))
@@ -387,6 +392,37 @@ def test_an_output_dir_at_or_under_a_file_exits_2_before_any_work(tmp_path, caps
                                        "and is not a directory\n")
     assert rounds == []
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_run_without_dumps_leaves_a_file_named_dumps_alone(tmp_path, capsys):
+    (tmp_path / "dumps").write_text("kept\n")
+    assert main(["run", str(write_config(tmp_path / "plain.cfg", tmp_path))]) == 0
+    assert (tmp_path / "dumps").read_text() == "kept\n"
+
+
+def test_a_manifest_write_that_fails_midway_keeps_the_earlier_manifest(tmp_path, capsys,
+                                                                       monkeypatch):
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path / "m.cfg", out_dir)
+    assert main(["run", str(cfg)]) == 0
+    manifest = out_dir / "manifest.txt"
+    before = manifest.read_bytes()
+    cfg.write_text(cfg.read_text().replace("\nseed = 7\n", "\nseed = 8\n"))
+    real = Path.write_text
+
+    def half_then_full_disk(self, text, **kwargs):
+        if self.name != "manifest.txt.tmp":
+            return real(self, text, **kwargs)
+        real(self, text[:len(text) // 2], **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_full_disk)
+    assert main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "error: OSError: [Errno 28] No space left on device\n")
+    assert manifest.read_bytes() == before
+    assert sorted(p.name for p in out_dir.iterdir()) == ["accuracy.csv", "manifest.txt",
+                                                         "metrics.csv"]
 
 
 def test_a_rerun_replaces_the_dumps_of_the_earlier_run(tmp_path, capsys):
@@ -662,6 +698,10 @@ class TestDumpHeader:
     def fm(self, **context):
         return FeatureMatrix(np.ones((3, 2)), [0, 1, 2], phase="pre", **context)
 
+    def test_the_header_u16_limit_is_the_rounds_rule_limit(self):
+        # dumps keeps its own copy, so `fedlens metrics` need not load config
+        assert dumps_module.U16_MAX == config_module.U16_MAX == 0xFFFF
+
     def test_largest_u16_round_and_layer_round_trip(self, tmp_path):
         path = tmp_path / "edge.fplf"
         write_features(path, self.fm(layer=65535, round=65535))
@@ -725,6 +765,24 @@ def test_export_loads_neither_config_nor_dataclasses_nor_numpy(baseline_run, tmp
     if lines[0] == "True":
         pytest.skip("the interpreter's start-up already loads one of " + ", ".join(unused))
     assert lines[-1] == "[]"
+
+
+def test_metrics_loads_neither_config_nor_dataclasses(dump_run, tmp_path):
+    unused = ("fedlens.config", "dataclasses")
+    code = ("import sys\n"
+            f"unused = {unused!r}\n"
+            "print(any(name in sys.modules for name in unused))\n"
+            "from fedlens.cli import main\n"
+            "dumps, out = sys.argv[1:]\n"
+            "assert main(['metrics', dumps, '--out', out]) == 0\n"
+            "print([name for name in unused if name in sys.modules])")
+    argv = [sys.executable, "-c", code, str(dump_run["dumps"]), str(tmp_path / "m.csv")]
+    lines = subprocess.run(argv, env=package_env(), check=True, capture_output=True,
+                           text=True).stdout.splitlines()
+    if lines[0] == "True":
+        pytest.skip("the interpreter's start-up already loads one of " + ", ".join(unused))
+    assert lines[-1] == "[]"
+    assert read_csv(tmp_path / "m.csv")
 
 
 def test_run_and_metrics_leave_numpy_ma_unloaded(tmp_path):

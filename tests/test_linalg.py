@@ -73,6 +73,13 @@ class TestSvd:
         assert np.count_nonzero(s) == 1
         # the cutoff is relative: a uniformly tiny matrix keeps full rank
         assert np.count_nonzero(linalg.svd(np.diag([1e-20, 5e-21]))[1]) == 2
+        # on a 2 x 50 matrix, s = (1, 10 eps) lies between min(shape) * eps and
+        # max(shape) * eps, so only the larger dimension's cutoff zeroes it
+        eps = np.finfo(np.float64).eps
+        wide = np.zeros((2, 50))
+        wide[0, 0], wide[1, 1] = 1.0, 10 * eps
+        assert 2 * eps < np.linalg.svd(wide, compute_uv=False)[1] < 50 * eps
+        assert np.array_equal(linalg.svd(wide)[1], [1.0, 0.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):

@@ -54,6 +54,34 @@ def fd_gradient_check(net, x, labels, coords, h=1e-5):
     return worst
 
 
+class TestLayerSpec:
+    def test_is_an_immutable_hashable_tuple_of_its_fields(self):
+        spec = LayerSpec("residual", 4, 4, inner_width=6, inner_layers=3)
+        assert spec == LayerSpec("residual", 4, 4, 6, 3) == ("residual", 4, 4, 6, 3)
+        assert (spec.kind, spec.in_dim, spec.out_dim, spec.inner_width,
+                spec.inner_layers) == ("residual", 4, 4, 6, 3)
+        plain = LayerSpec(kind="linear", in_dim=3, out_dim=2)
+        assert plain == ("linear", 3, 2, 0, 2)      # the defaults (0, 2)
+        assert hash(plain) == hash(("linear", 3, 2, 0, 2))
+        assert len({plain, LayerSpec("linear", 3, 2), spec}) == 2
+        with pytest.raises(AttributeError):
+            plain.in_dim = 5
+
+    @pytest.mark.parametrize("args, message", [
+        (("conv", 3, 3), "unknown layer kind 'conv'"),
+        (("linear", 0, 3), "layer dimensions must be positive"),
+        (("residual", 3, 4, 5), "residual block needs in_dim == out_dim"),
+        (("residual", 3, 3, 0), "residual block needs a positive inner width"),
+        (("residual", 3, 3, 5, 0), "residual block needs at least one inner layer"),
+        (("linear_relu", 3, 3, 0, 1),
+         "linear_relu layer needs the default inner_width 0 and inner_layers 2"),
+    ])
+    def test_each_invalid_spec_is_a_shape_error(self, args, message):
+        with pytest.raises(ShapeError) as info:
+            LayerSpec(*args)
+        assert str(info.value) == message
+
+
 class TestForward:
     def test_identity_layers_taps_equal_input(self):
         net = identity_net(3, 4)

@@ -69,7 +69,7 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
                 defaulted = [(i - bound, params[i]) for i in range(first, len(params))]
                 defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                               if d is not None]
-                name = owner.name if node.name == "__init__" else node.name
+                name = owner.name if node.name in ("__init__", "__new__") else node.name
                 for index, param in defaulted:
                     if not any(c is None or (index is not None and c[0] > index)
                                or param in c[1] for c in calls.get(name, ())):
