@@ -6,7 +6,7 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import FormatError, NumericError
+from .errors import ConfigError, FormatError, NumericError
 
 CSV_HEADER = "round,phase,client,layer,metric,value"
 METRICS_CSV = "metrics.csv"
@@ -66,10 +66,21 @@ def records_to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_dir_path(path, field: str) -> None:
+    """Refuse a path that cannot be made a directory: the first of it and its
+    ancestors that exists, a dangling link included, must be a directory."""
+    path = Path(path)
+    found = next(p for p in (path, *path.parents) if p.is_symlink() or p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"{found} exists and is not a directory", field=field)
+
+
 def write_atomic(path, text: str) -> None:
-    """The target keeps its earlier bytes until the new text is whole."""
+    """The target keeps its earlier bytes until the new text is whole; missing
+    directories on its path are made."""
     tmp = Path(f"{path}.tmp")
     try:
+        tmp.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_text(text, newline="\n")
         tmp.replace(path)
     except BaseException:

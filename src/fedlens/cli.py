@@ -13,8 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import (ACCURACY_CSV, METRICS_CSV, read_csv, relative_change_records,
-                       write_csv)
+from .analysis import (ACCURACY_CSV, METRICS_CSV, check_dir_path, read_csv,
+                       relative_change_records, write_atomic, write_csv)
 from .errors import ConfigError
 
 EXIT_OK = 0
@@ -34,12 +34,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_preset(args) -> int:
     from .config import preset, render_config
-    configs = preset(args.name)
     out_root = Path(args.out) if args.out else Path(".")
-    out_root.mkdir(parents=True, exist_ok=True)
-    for sub_name, cfg in configs:
+    check_dir_path(out_root, "--out")
+    for sub_name, cfg in preset(args.name):
         path = out_root / f"{sub_name}.cfg"
-        path.write_text(render_config(cfg), newline="\n")
+        write_atomic(path, render_config(cfg))
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -49,10 +48,11 @@ def _cmd_metrics(args) -> int:
     dump_dir = Path(args.dump_dir)
     if not dump_dir.is_dir():
         raise ConfigError(f"dump directory {dump_dir} does not exist")
+    out = Path(args.out) if args.out else dump_dir / "metrics_from_dumps.csv"
+    check_dir_path(out.parent, "--out")
     records, warnings = metrics_from_dumps(dump_dir)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    out = Path(args.out) if args.out else dump_dir / "metrics_from_dumps.csv"
     write_csv(records, out)
     print(f"wrote {out} ({len(records)} records, {len(warnings)} warnings)")
     return EXIT_OK
@@ -60,6 +60,8 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_export(args) -> int:
     run_dir = Path(args.run_dir)
+    out = Path(args.out) if args.out else run_dir / "long.csv"
+    check_dir_path(out.parent, "--out")
     metrics_path = run_dir / METRICS_CSV
     if not metrics_path.is_file():
         raise ConfigError(f"{metrics_path} not found; is this a run directory?")
@@ -68,7 +70,6 @@ def _cmd_export(args) -> int:
     if acc_path.is_file():
         records.extend(read_csv(acc_path))
     records.extend(relative_change_records(records))
-    out = Path(args.out) if args.out else run_dir / "long.csv"
     write_csv(records, out)
     print(f"wrote {out} ({len(records)} records)")
     return EXIT_OK

@@ -26,80 +26,6 @@ U16_MAX = 0xFFFF
 LOCAL_EPOCH_ABLATION = ((5, 20), (10, 10), (20, 5))
 
 
-@dataclass
-class DataConfig:
-    kind: str = "synthetic"
-    clients: int = 4
-    classes: int = 5
-    input_dim: int = 20
-    train_per_client: int = 500
-    test_per_client: int = 500
-    anchor_scale: float = 3.0
-    within_class_scale: float = 1.0
-    scale_min: float = 0.5
-    scale_max: float = 2.0
-    offset_scale: float = 1.0
-    rotation: str = "random"
-    idx_dir: str = ""
-
-
-@dataclass
-class ModelConfig:
-    hidden: tuple = (32, 32, 32, 32, 16)
-    residual: bool = False
-    residual_width: int = 32
-    residual_inner: int = 2
-
-
-@dataclass
-class FedSection:
-    rounds: int = 30
-    local_epochs: int = 10
-    lr: float = 0.01
-    momentum: float = 0.5
-    batch_size: int = 64
-    eval_cadence: int = 2
-    personalization: str = "none"
-    pretrain_epochs: int = 0
-    seed: int = 1
-
-
-@dataclass
-class MetricsConfig:
-    taps: tuple = ()                   # empty = every layer input
-    eval_per_class: int = 40
-    probe_rounds: tuple = ()
-    probe_epochs: int = 100
-    probe_batch: int = 64
-    finetune_epochs: int = 10
-    finetune_batch: int = 64
-
-
-@dataclass
-class OutputConfig:
-    dir: str = "runs/out"
-    dump_features: bool = False
-    dump_models: bool = False
-
-
-@dataclass
-class ExperimentConfig:
-    scenario: str = "baseline"
-    data: DataConfig = field(default_factory=DataConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    fed: FedSection = field(default_factory=FedSection)
-    metrics: MetricsConfig = field(default_factory=MetricsConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.model.hidden) + 1
-
-
-_SECTIONS = {"data": DataConfig, "model": ModelConfig, "fed": FedSection,
-             "metrics": MetricsConfig, "output": OutputConfig}
-
-
 @dataclass(frozen=True)
 class Domain:
     """The values one config field may take.
@@ -141,61 +67,119 @@ _KINDS = {
                lambda v, a: bool(v) and all(x >= a for x in v)),
 }
 
-# Every rule on a single field: `section.key` (or a top-level key) -> domain.
-# validate_config checks them in this order, before the rules that read
-# several fields.
-RULES = {
-    "scenario": Domain("one_of", SCENARIOS),
-    "data.kind": Domain("one_of", ("synthetic", "idx")),
-    "data.clients": Domain("at_least", 1),
-    "data.classes": Domain("at_least", 2),
-    "data.input_dim": Domain("at_least", 1),
-    "data.anchor_scale": Domain("finite"),
-    "data.within_class_scale": Domain("positive"),
-    "data.scale_min": Domain("finite"),
-    "data.scale_max": Domain("finite"),
-    "data.offset_scale": Domain("finite"),
-    "data.rotation": Domain("one_of", ("random", "identity")),
-    "data.idx_dir": Domain("noteless"),
-    "model.hidden": Domain("widths", 1),
-    "model.residual_width": Domain("at_least", 0),
-    "model.residual_inner": Domain("at_least", 1),
-    "fed.rounds": Domain("at_least", 1),
-    "fed.local_epochs": Domain("at_least", 0),
-    "fed.lr": Domain("positive"),
-    "fed.momentum": Domain("unit"),
-    "fed.batch_size": Domain("at_least", 1),
-    "fed.eval_cadence": Domain("at_least", 1),
-    "fed.pretrain_epochs": Domain("at_least", 0),
-    "metrics.eval_per_class": Domain("at_least", 1),
-    "metrics.probe_rounds": Domain("entries", 1),
-    "metrics.probe_epochs": Domain("at_least", 1),
-    "metrics.probe_batch": Domain("at_least", 1),
-    "metrics.finetune_epochs": Domain("at_least", 1),
-    "metrics.finetune_batch": Domain("at_least", 1),
-    "output.dir": Domain("text"),
-}
 
+def _rule(default, kind: str, arg=None):
+    """A field with its default and the domain its values must lie in."""
+    return field(default=default, metadata={"domain": Domain(kind, arg)})
+
+
+@dataclass
+class DataConfig:
+    kind: str = _rule("synthetic", "one_of", ("synthetic", "idx"))
+    clients: int = _rule(4, "at_least", 1)
+    classes: int = _rule(5, "at_least", 2)
+    input_dim: int = _rule(20, "at_least", 1)
+    train_per_client: int = 500
+    test_per_client: int = 500
+    anchor_scale: float = _rule(3.0, "finite")
+    within_class_scale: float = _rule(1.0, "positive")
+    scale_min: float = _rule(0.5, "finite")
+    scale_max: float = _rule(2.0, "finite")
+    offset_scale: float = _rule(1.0, "finite")
+    rotation: str = _rule("random", "one_of", ("random", "identity"))
+    idx_dir: str = _rule("", "noteless")
+
+
+@dataclass
+class ModelConfig:
+    hidden: tuple = _rule((32, 32, 32, 32, 16), "widths", 1)
+    residual: bool = False
+    residual_width: int = _rule(32, "at_least", 0)
+    residual_inner: int = _rule(2, "at_least", 1)
+
+
+@dataclass
+class FedSection:
+    rounds: int = _rule(30, "at_least", 1)
+    local_epochs: int = _rule(10, "at_least", 0)
+    lr: float = _rule(0.01, "positive")
+    momentum: float = _rule(0.5, "unit")
+    batch_size: int = _rule(64, "at_least", 1)
+    eval_cadence: int = _rule(2, "at_least", 1)
+    personalization: str = "none"
+    pretrain_epochs: int = _rule(0, "at_least", 0)
+    seed: int = 1
+
+
+@dataclass
+class MetricsConfig:
+    taps: tuple = ()                   # empty = every layer input
+    eval_per_class: int = _rule(40, "at_least", 1)
+    probe_rounds: tuple = _rule((), "entries", 1)
+    probe_epochs: int = _rule(100, "at_least", 1)
+    probe_batch: int = _rule(64, "at_least", 1)
+    finetune_epochs: int = _rule(10, "at_least", 1)
+    finetune_batch: int = _rule(64, "at_least", 1)
+
+
+@dataclass
+class OutputConfig:
+    dir: str = _rule("runs/out", "text")
+    dump_features: bool = False
+    dump_models: bool = False
+
+
+@dataclass
+class ExperimentConfig:
+    scenario: str = _rule("baseline", "one_of", SCENARIOS)
+    data: DataConfig = field(default_factory=DataConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    fed: FedSection = field(default_factory=FedSection)
+    metrics: MetricsConfig = field(default_factory=MetricsConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.model.hidden) + 1
+
+
+# section name -> its dataclass, in document order
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
+             if f.name != "scenario"}
+# `section.key` (or the top-level `scenario`) -> its field, in document order
+_FIELDS = {"scenario": fields(ExperimentConfig)[0],
+           **{f"{name}.{f.name}": f for name, cls in _SECTIONS.items() for f in fields(cls)}}
+# Every rule on a single field: key -> domain, read off the field
+# declarations. validate_config checks them in this order, before the rules
+# that read several fields.
+RULES = {key: f.metadata["domain"] for key, f in _FIELDS.items() if "domain" in f.metadata}
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-# field type -> (what its text must be, parser); bool comes before int, its base
-_PARSERS = ((bool, "a boolean", lambda text: _BOOLS[text.lower()]),
-            (int, "an integer", int),
-            (float, "a number", float),
-            (tuple, "a comma-separated integer list",
-             lambda text: tuple(int(p) for p in text.split(",") if p.strip())))
+# value type -> (what its text must be, parser, renderer); bool comes before
+# int, its base, and any other value is text as it stands
+_TYPES = ((bool, "a boolean", lambda text: _BOOLS[text.lower()],
+           lambda v: "true" if v else "false"),
+          (int, "an integer", int, str),
+          (float, "a number", float, repr),
+          (tuple, "a comma-separated integer list",
+           lambda text: tuple(int(p) for p in text.split(",") if p.strip()),
+           lambda v: ",".join(str(x) for x in v)),
+          (object, "text", str, str))
+
+
+def _type(value):
+    """The _TYPES row that parses and renders values like `value`."""
+    return next(row for row in _TYPES if isinstance(value, row[0]))
 
 
 def _parse_value(text: str, template, field: str, line_no: int):
     text = text.strip()
-    for kind, expected, parse in _PARSERS:
-        if isinstance(template, kind):
-            try:
-                return parse(text)
-            except (KeyError, ValueError):
-                raise ConfigError(f"expected {expected}, got {text!r}", field=field,
-                                  line=line_no) from None
-    return text
+    _, expected, parse, _ = _type(template)
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"expected {expected}, got {text!r}", field=field,
+                          line=line_no) from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -222,13 +206,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 cfg.scenario = value.strip()
                 continue
             raise ConfigError(f"key {key!r} outside any section", line=line_no)
-        target = sections[current]
-        names = {f.name for f in fields(target)}
-        if key not in names:
-            raise ConfigError(f"unknown key {key!r}", field=f"{current}.{key}",
-                              line=line_no)
-        template = getattr(type(target)(), key)
-        setattr(target, key, _parse_value(value, template, f"{current}.{key}", line_no))
+        dotted = f"{current}.{key}"
+        if dotted not in _FIELDS:
+            raise ConfigError(f"unknown key {key!r}", field=dotted, line=line_no)
+        setattr(sections[current], key,
+                _parse_value(value, _FIELDS[dotted].default, dotted, line_no))
     validate_config(cfg)
     return cfg
 
@@ -360,16 +342,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not 0 <= t < num_layers:
             raise ConfigError(f"tap layer {t} out of range 0..{num_layers - 1}",
                               field="metrics.taps")
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if cfg.fed.eval_cadence > cfg.fed.rounds:
+        raise ConfigError(f"eval_cadence exceeds rounds ({cfg.fed.rounds}), so no round "
+                          "would be evaluated", field="fed.eval_cadence")
 
 
 def render_config(cfg: ExperimentConfig) -> str:
@@ -379,7 +354,8 @@ def render_config(cfg: ExperimentConfig) -> str:
         target = getattr(cfg, name)
         lines.append(f"[{name}]")
         for f in fields(target):
-            lines.append(f"{f.name} = {_format_value(getattr(target, f.name))}")
+            value = getattr(target, f.name)
+            lines.append(f"{f.name} = {_type(value)[3](value)}")
         lines.append("")
     return "\n".join(lines)
 
@@ -406,7 +382,7 @@ _MATURE = """
 eval_per_class = 100
 """
 _PERSONALIZED = "scenario = personalization\n" + _DESK + "[fed]\npersonalization = "
-_LAYERS = len(ModelConfig.hidden) + 1
+_LAYERS = ExperimentConfig().num_layers
 
 # preset name -> its (config name, document) pairs. A document is config text
 # that sets only what differs from the defaults; a `scenario` line comes

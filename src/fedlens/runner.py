@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ACCURACY_CSV, METRICS_CSV, write_atomic, write_csv
+from .analysis import ACCURACY_CSV, METRICS_CSV, check_dir_path, write_atomic, write_csv
 from .config import ExperimentConfig, personalized_layers, render_config
 from .data import ClientDataset, generate_federation_data, load_idx, make_domain_specs
 from .errors import ConfigError, NumericError
@@ -92,14 +92,13 @@ def run_to_dir(cfg: ExperimentConfig) -> Path:
     out_dir = Path(cfg.output.dir)
     dumps = out_dir / DUMP_SUBDIR
     dump_dir = dumps if cfg.output.dump_features or cfg.output.dump_models else None
-    # a dump run writes under out_dir/dumps, so a file there is refused too
-    target = dump_dir or out_dir
-    found = next(p for p in (target, *target.parents) if p.exists())
-    if not found.is_dir():
-        raise ConfigError(f"{found} exists and is not a directory", field="output.dir")
     # fedlens owns out_dir/dumps: it holds this run's dumps or none, never an
-    # earlier run's
-    if dumps.is_dir():
+    # earlier run's; a link or a file there is left alone, and refused when
+    # the run would write dumps
+    if dump_dir and dumps.is_symlink():
+        raise ConfigError(f"{dumps} is a link, not a directory", field="output.dir")
+    check_dir_path(dump_dir or out_dir, "output.dir")
+    if dumps.is_dir() and not dumps.is_symlink():
         shutil.rmtree(dumps)
     # dumps are written as the run goes; a run that fails removes the
     # outermost directory of their path that it made
@@ -111,8 +110,7 @@ def run_to_dir(cfg: ExperimentConfig) -> Path:
         if made:
             shutil.rmtree(made, ignore_errors=True)
         raise
-    # only now, so a run that fails leaves no empty directory behind
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # out_dir is made only now, so a run that fails leaves no empty directory
     write_csv([r for r in records if r.metric not in ACCURACY_METRICS], out_dir / METRICS_CSV)
     write_csv([r for r in records if r.metric in ACCURACY_METRICS], out_dir / ACCURACY_CSV)
     write_atomic(out_dir / MANIFEST, _render_manifest(cfg))

@@ -17,6 +17,7 @@ from conftest import is_registered, value_map
 import fedlens
 from fedlens import fed as fed_module
 from fedlens.analysis import CSV_HEADER, read_csv, relative_change
+from fedlens import cli as cli_module
 from fedlens.cli import main
 from fedlens import config as config_module
 from fedlens.config import RULES, Domain, load_config, parse_config
@@ -101,6 +102,8 @@ BAD_VALUES = [(key, text, {}) for key, domain in {**RULES, **REMOVED_RULES}.item
                                  "data.within_class_scale": "1e-300"}),
     # 30 train rows of 3 balanced classes give 10 per class
     ("metrics.eval_per_class", "11", {}),
+    # 4 rounds at a cadence of 5 would evaluate no round and record nothing
+    ("fed.eval_cadence", "5", {}),
     # a note is checked before the IDX files are looked for
     ("data.idx_dir", "data   # where the IDX files are", {"data.kind": "idx"}),
     # relabeled or unbalanced, 15 and 12 train rows of 3 classes once left
@@ -398,6 +401,101 @@ def test_a_run_without_dumps_leaves_a_file_named_dumps_alone(tmp_path, capsys):
     (tmp_path / "dumps").write_text("kept\n")
     assert main(["run", str(write_config(tmp_path / "plain.cfg", tmp_path))]) == 0
     assert (tmp_path / "dumps").read_text() == "kept\n"
+
+
+def tree(root):
+    """Each path under root -> a link's target, a file's bytes, or None for a
+    directory; links are not followed."""
+    found = {}
+    for parent, dirs, files in os.walk(root):
+        for path in (Path(parent, name) for name in dirs + files):
+            found[path] = (os.readlink(path) if path.is_symlink()
+                           else path.read_bytes() if path.is_file() else None)
+    return found
+
+
+# a link counts as existing even when dangling, and a dump run neither writes
+# through a link at <output.dir>/dumps nor removes one
+@pytest.mark.parametrize("link, target, extra, message", [
+    ("out", "gone", "", "exists and is not a directory"),
+    ("out/dumps", "gone", "dump_features = true\n", "is a link, not a directory"),
+    ("out/dumps", "kept", "dump_models = true\n", "is a link, not a directory"),
+], ids=["dangling_output_dir", "dangling_dumps", "dumps_to_a_directory"])
+def test_a_link_at_an_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                         link, target, extra, message):
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "kept" / "notes.txt").write_text("kept\n")
+    link = tmp_path / link
+    link.parent.mkdir(exist_ok=True)
+    link.symlink_to(tmp_path / target)
+    cfg = write_config(tmp_path / "link.cfg", tmp_path / "out", extra)
+    before = tree(tmp_path)
+    rounds = []
+    monkeypatch.setattr(fed_module, "client_round_seed", lambda *args: rounds.append(args))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"config error: output.dir: {link} {message}\n")
+    assert rounds == []
+    assert tree(tmp_path) == before
+
+
+def test_a_run_without_dumps_leaves_a_link_named_dumps_alone(tmp_path, capsys):
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "kept" / "notes.txt").write_text("kept\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "dumps").symlink_to(tmp_path / "kept")
+    before = tree(tmp_path)
+    assert main(["run", str(write_config(tmp_path / "plain.cfg", tmp_path / "out"))]) == 0
+    assert capsys.readouterr().err == ""
+    after = tree(tmp_path)
+    assert {p: after[p] for p in before} == before
+    assert sorted(p.name for p in set(after) - set(before)) == [
+        "accuracy.csv", "manifest.txt", "metrics.csv", "plain.cfg"]
+
+
+def test_an_output_dir_linked_to_a_directory_runs_into_it(tmp_path, capsys):
+    (tmp_path / "real").mkdir()
+    (tmp_path / "out").symlink_to(tmp_path / "real")
+    assert main(["run", str(write_config(tmp_path / "plain.cfg", tmp_path / "out"))]) == 0
+    assert sorted(p.name for p in (tmp_path / "real").iterdir()) == [
+        "accuracy.csv", "manifest.txt", "metrics.csv"]
+    assert os.readlink(tmp_path / "out") == str(tmp_path / "real")
+
+
+# every command that writes checks its --out as `run` checks output.dir:
+# before any work, and an error when a file stands at or above it
+OUT_COMMANDS = {"preset": (["preset", "baseline"], "", config_module, "preset"),
+                "metrics": (["metrics", "{dumps}"], "/m.csv", dumps_module,
+                            "metrics_from_dumps"),
+                "export": (["export", "{run}", "--long"], "/long.csv", cli_module, "read_csv")}
+
+
+def out_argv(command, out, baseline_run, dump_run):
+    argv, file, _, _ = OUT_COMMANDS[command]
+    argv = [a.format(dumps=dump_run["dumps"], run=baseline_run["out"]) for a in argv]
+    return argv + ["--out", f"{out}{file}"]
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+@pytest.mark.parametrize("under", ["afile", "afile/sub"])
+def test_an_out_path_at_or_under_a_file_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, baseline_run, dump_run, command, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    *_, module, work = OUT_COMMANDS[command]
+    monkeypatch.setattr(module, work, lambda *args: pytest.fail(f"{work} ran"))
+    argv = out_argv(command, tmp_path / under, baseline_run, dump_run)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: --out: {afile} exists "
+                                       "and is not a directory\n")
+    assert tree(tmp_path) == {afile: b"kept\n"}
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_an_out_path_in_missing_directories_makes_them(tmp_path, capsys, baseline_run,
+                                                       dump_run, command):
+    argv = out_argv(command, tmp_path / "new" / "sub", baseline_run, dump_run)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {tmp_path / 'new' / 'sub'}/")
 
 
 def test_a_manifest_write_that_fails_midway_keeps_the_earlier_manifest(tmp_path, capsys,

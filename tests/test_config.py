@@ -135,6 +135,7 @@ def valid_configs(draw, tiny=False):
                                          d.train_per_client // d.classes)
     if cfg.output.dump_features:
         cfg.fed.rounds = min(cfg.fed.rounds, U16_MAX)
+    cfg.fed.eval_cadence = min(cfg.fed.eval_cadence, cfg.fed.rounds)
     mode, _ = personalized_layers(cfg.fed.personalization, cfg.num_layers)
     assume(cfg.scenario != "personalization" or mode != "none")
     return cfg
@@ -232,6 +233,25 @@ FIELD_KEYS = ["scenario"] + [f"{name}.{f.name}" for name in SECTIONS
                              for f in fields(getattr(ExperimentConfig(), name))]
 
 
+# the fields without a rule of their own in RULES, each with the reason
+UNRULED = {
+    "model.residual": "a boolean",
+    "output.dump_features": "a boolean",
+    "output.dump_models": "a boolean",
+    "data.train_per_client": "checked against data.classes by a cross-field rule",
+    "data.test_per_client": "checked against data.classes by a cross-field rule",
+    "fed.personalization": "checked against the layer count by a cross-field rule",
+    "metrics.taps": "checked against the layer count by a cross-field rule",
+    "fed.seed": "any integer seeds a run",
+}
+
+
+def test_every_field_has_a_rule_or_a_reason_for_none():
+    # a field added without a rule fails here until it gets one or a reason
+    assert set(FIELD_KEYS) - set(RULES) == set(UNRULED)
+    assert set(RULES) <= set(FIELD_KEYS)
+
+
 def owner_of(cfg, key):
     section, _, name = key.rpartition(".")
     return (getattr(cfg, section) if section else cfg), name
@@ -294,6 +314,10 @@ def tap_out_of_range(draw, cfg):
     cfg.metrics.taps += (tap,)
 
 
+def cadence_past_rounds(draw, cfg):
+    cfg.fed.eval_cadence = cfg.fed.rounds + draw(st.integers(min_value=1))
+
+
 def too_many_eval_rows(draw, cfg):
     # an earlier set_field may have left classes below 1, which its rule refuses
     cfg.metrics.eval_per_class = cfg.data.train_per_client // max(cfg.data.classes, 1) + 1
@@ -303,7 +327,8 @@ def too_many_eval_rows(draw, cfg):
 # set_field may break a field's own rule and the rules that read it
 EDITS = (set_field, set_rule_field, drop_idx_dir, invert_scales, starve_split,
          overflow_draws, widen_scale_range, dump_too_many_rounds, bad_personalization,
-         personalization_without_mode, tap_out_of_range, too_many_eval_rows)
+         personalization_without_mode, tap_out_of_range, cadence_past_rounds,
+         too_many_eval_rows)
 
 
 def oracle(cfg):
@@ -311,7 +336,9 @@ def oracle(cfg):
     field is an error on that field, the test split no longer bounds
     `metrics.eval_per_class`, since captures read train rows only, and a
     synthetic scale range past float64 is an error on `data.scale_max`, since
-    the uniform scaling draw needs its width. The oracle reads removed keys at
+    the uniform scaling draw needs its width, and an `eval_cadence` past
+    `rounds` is an error on `fed.eval_cadence`, since such a run evaluates no
+    round and records nothing. The oracle reads removed keys at
     their only values: synthetic data is always balanced and noise-free
     (`label_noise = 0.0`, `balanced = True`), hidden layers are always ReLU
     (`activation = "relu"`), and the probe and fine-tune rates are fixed
@@ -333,6 +360,8 @@ def oracle(cfg):
     config_oracle.validate_config(replace(cfg, data=data, model=model, metrics=metrics))
     if d.kind == "synthetic" and not math.isfinite(d.scale_max - d.scale_min):
         raise ConfigError("a scale range past float64", field="data.scale_max")
+    if cfg.fed.eval_cadence > cfg.fed.rounds:
+        raise ConfigError("no round is evaluated", field="fed.eval_cadence")
 
 
 def verdict(validate, cfg):
